@@ -120,7 +120,9 @@ class DirectoryWatcher:
         return emitted
 
     def run(self, poll_seconds: float) -> None:
-        previous = signal.signal(signal.SIGINT, lambda *_: setattr(self, "stop", True))
+        """Poll until stop is set; SIGINT and SIGTERM both set it."""
+        previous = {sig: signal.signal(sig, lambda *_: setattr(self, "stop", True))
+                    for sig in (signal.SIGINT, signal.SIGTERM)}
         try:
             while not self.stop:
                 self.poll_once()
@@ -130,7 +132,8 @@ class DirectoryWatcher:
         except KeyboardInterrupt:
             pass
         finally:
-            signal.signal(signal.SIGINT, previous)
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
 
 
 def cmd_train(args) -> int:

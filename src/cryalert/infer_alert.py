@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import shlex
 import struct
@@ -112,6 +113,54 @@ class LoadedModel:
     seed: int
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _int_list(value, length=None, minimum=1) -> bool:
+    return (isinstance(value, list) and (length is None or len(value) == length)
+            and all(_is_int(v) and v >= minimum for v in value))
+
+
+def _check_header(header, path) -> None:
+    """Raise CorruptModelError unless every field save_model writes is
+    present with its type.  Architecture sizes must be positive (a zero
+    kernel size divides by zero in the Glorot limit); other ranges are
+    left to the constructors, whose ConfigError load_model converts."""
+    def need(ok, field):
+        if not ok:
+            raise CorruptModelError(f"{path}: header field {field} missing or malformed")
+
+    need(isinstance(header, dict), "(top level)")
+    arch, stft = header.get("architecture"), header.get("stft")
+    need(isinstance(arch, dict), "architecture")
+    for key, length in (("input_shape", 3), ("resize", 2), ("conv_filters", 2)):
+        need(_int_list(arch.get(key), length), f"architecture.{key}")
+    for key in ("kernel_size", "dense_units", "class_count"):
+        need(_is_int(arch.get(key)) and arch[key] >= 1, f"architecture.{key}")
+    rates = arch.get("dropout_rates")
+    need(isinstance(rates, list) and len(rates) == 2 and all(map(_is_number, rates)),
+         "architecture.dropout_rates")
+    need(isinstance(stft, dict), "stft")
+    for key in ("frame_length", "frame_step", "fft_length"):
+        need(_is_int(stft.get(key)), f"stft.{key}")
+    need(isinstance(stft.get("window"), str), "stft.window")
+    names = header.get("class_names")
+    need(isinstance(names, list) and all(isinstance(n, str) for n in names)
+         and len(names) == arch["class_count"], "class_names")
+    need(_is_number(header.get("norm_mean")), "norm_mean")
+    need(_is_number(header.get("norm_variance")), "norm_variance")
+    need(_is_int(header.get("seed")), "seed")
+    need(isinstance(header.get("created"), str), "created")
+    shapes = header.get("param_shapes")
+    need(isinstance(shapes, list) and all(_int_list(s, minimum=0) for s in shapes),
+         "param_shapes")
+
+
 def load_model(path) -> LoadedModel:
     """Read and verify a model file written by save_model."""
     data = Path(path).read_bytes()
@@ -129,9 +178,10 @@ def load_model(path) -> LoadedModel:
         header = json.loads(data[12:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptModelError(f"{path}: unreadable header: {exc}") from exc
+    _check_header(header, path)
 
     shapes = [tuple(s) for s in header["param_shapes"]]
-    blob_len = sum(int(np.prod(s)) for s in shapes) * 4
+    blob_len = sum(math.prod(s) for s in shapes) * 4
     if len(data) != header_end + blob_len + 4:
         raise CorruptModelError(
             f"{path}: expected {header_end + blob_len + 4} bytes, file has {len(data)}"
@@ -142,36 +192,44 @@ def load_model(path) -> LoadedModel:
         raise CorruptModelError(f"{path}: parameter checksum mismatch")
 
     arch = header["architecture"]
-    net = build_network(
-        arch["class_count"],
-        input_shape=tuple(arch["input_shape"]),
-        resize=tuple(arch["resize"]),
-        conv_filters=tuple(arch["conv_filters"]),
-        kernel_size=arch["kernel_size"],
-        dense_units=arch["dense_units"],
-        dropout_rates=tuple(arch["dropout_rates"]),
-        seed=header["seed"],
-        dtype=np.float32,
-    )
-    net.set_norm_stats(header["norm_mean"], header["norm_variance"])
+    stft = header["stft"]
+    try:
+        net = build_network(
+            arch["class_count"],
+            input_shape=tuple(arch["input_shape"]),
+            resize=tuple(arch["resize"]),
+            conv_filters=tuple(arch["conv_filters"]),
+            kernel_size=arch["kernel_size"],
+            dense_units=arch["dense_units"],
+            dropout_rates=tuple(arch["dropout_rates"]),
+            seed=header["seed"],
+            dtype=np.float32,
+        )
+        net.set_norm_stats(header["norm_mean"], header["norm_variance"])
+        stft_cfg = StftConfig(
+            frame_length=stft["frame_length"],
+            frame_step=stft["frame_step"],
+            fft_length=stft["fft_length"],
+            window=stft["window"],
+        )
+    except ConfigError as exc:
+        raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
+    params = net.parameters()
+    if len(params) != len(shapes):
+        raise CorruptModelError(
+            f"{path}: {len(shapes)} stored parameters, architecture has {len(params)}"
+        )
     offset = 0
-    for p, shape in zip(net.parameters(), shapes):
+    for p, shape in zip(params, shapes):
         if p.shape != shape:
             raise CorruptModelError(
                 f"{path}: stored shape {shape} does not fit architecture {p.shape}"
             )
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset * 4)
         p[...] = values.reshape(shape)
         offset += count
 
-    stft = header["stft"]
-    stft_cfg = StftConfig(
-        frame_length=stft["frame_length"],
-        frame_step=stft["frame_step"],
-        fft_length=stft["fft_length"],
-        window=stft["window"],
-    )
     return LoadedModel(net, stft_cfg, list(header["class_names"]),
                        header["created"], header["seed"])
 

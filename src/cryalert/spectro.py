@@ -2,9 +2,11 @@
 
 The transform is a hand-written iterative radix-2 FFT (bit-reversal
 permutation, then in-place butterfly stages) applied to Hann-windowed
-frames that are zero-padded from frame_length up to fft_length.  Only
-the non-negative frequency bins are kept, so a 16000-sample clip under
-the defaults comes out as a (124, 129) magnitude array.
+frames that are zero-padded from frame_length up to fft_length.  The
+frames are real, so each is transformed as a half-length complex FFT
+and untangled into the non-negative frequency bins, the only ones kept:
+a 16000-sample clip under the defaults comes out as a (124, 129)
+magnitude array.
 """
 
 from __future__ import annotations
@@ -96,6 +98,49 @@ def _bit_reversal(n: int) -> np.ndarray:
     return rev
 
 
+@lru_cache(maxsize=16)
+def _stage_twiddles(n: int) -> tuple:
+    """exp(-i pi k / half), k < half, for each butterfly stage half = 1, 2, ..., n/2."""
+    stages = []
+    half = 1
+    while half < n:
+        tw = np.exp(-1j * np.pi * np.arange(half) / half)
+        tw.flags.writeable = False  # shared by every caller of the cache
+        stages.append(tw)
+        half *= 2
+    return tuple(stages)
+
+
+def _butterflies(work: np.ndarray) -> np.ndarray:
+    """Radix-2 DIT stages, in place, down the columns of an (n, m) array
+    whose rows are already in bit-reversed order.
+
+    Transforms run down axis 0 so that every stage, even the first with
+    its width-2 blocks, works on contiguous runs of m values.
+    """
+    n, m = work.shape
+    scratch = np.empty((n // 2, m), dtype=work.dtype)
+    for tw in _stage_twiddles(n):
+        half = len(tw)
+        blocks = work.reshape(n // (2 * half), 2 * half, m)
+        even = blocks[:, :half]
+        odd = blocks[:, half:]
+        lower = scratch.reshape(n // (2 * half), half, m)
+        np.multiply(odd, tw[:, None], out=odd)
+        np.subtract(even, odd, out=lower)
+        even += odd
+        odd[...] = lower
+    return work
+
+
+def _bit_reversed_columns(rows: np.ndarray) -> np.ndarray:
+    """(..., n) rows -> a fresh complex (n, m) array, one row per column,
+    with the n samples in bit-reversed order."""
+    n = rows.shape[-1]
+    cols = rows.reshape(-1, n).T[_bit_reversal(n)]
+    return np.ascontiguousarray(cols, dtype=np.complex128)
+
+
 def fft(x) -> np.ndarray:
     """Radix-2 DIT FFT along the last axis; length must be a power of two."""
     a = np.asarray(x)
@@ -104,20 +149,40 @@ def fft(x) -> np.ndarray:
     n = a.shape[-1]
     if n < 1 or n & (n - 1):
         raise SizeError(f"fft length must be a power of two, got {n}")
-    out = np.ascontiguousarray(a[..., _bit_reversal(n)], dtype=np.complex128)
-    half = 1
-    while half < n:
-        # butterflies for all blocks of width 2*half at once
-        tw = np.exp(-1j * np.pi * np.arange(half) / half)
-        blocks = out.reshape(out.shape[:-1] + (n // (2 * half), 2 * half))
-        even = blocks[..., :half]
-        odd = blocks[..., half:] * tw
-        upper = even + odd
-        lower = even - odd
-        blocks[..., :half] = upper
-        blocks[..., half:] = lower
-        half *= 2
-    return out
+    return _butterflies(_bit_reversed_columns(a)).T.reshape(a.shape)
+
+
+@lru_cache(maxsize=16)
+def _untangle_factors(n: int) -> tuple:
+    """A[k] = (1 - i W^k) / 2 and B[k] = (1 + i W^k) / 2, W = exp(-2 pi i / n),
+    as (n/2 + 1, 1) columns, so that X[k] = A[k] Z[k] + B[k] conj Z[-k]."""
+    w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
+    a, b = 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
+    a.flags.writeable = b.flags.writeable = False
+    return a[:, None], b[:, None]
+
+
+def _rfft(frames: np.ndarray) -> np.ndarray:
+    """Bins 0..n/2 of the DFT of each real row of an (m, n) array, n even.
+
+    Even samples go in the real part and odd samples in the imaginary
+    part of one n/2-point complex FFT Z, which splits into the even and
+    odd half-spectra E[k] = (Z[k] + conj Z[-k]) / 2 and
+    O[k] = (Z[k] - conj Z[-k]) / 2i, so X[k] = E[k] + exp(-2 pi i k / n) O[k]
+    (Sorensen et al. 1987).  Returns an (m, n/2 + 1) array.
+    """
+    n = frames.shape[-1]
+    half = n // 2
+    packed = np.ascontiguousarray(frames, dtype=np.float64).view(np.complex128)
+    z = _butterflies(_bit_reversed_columns(packed))
+    k = np.arange(half + 1)
+    a, b = _untangle_factors(n)
+    x = z[k % half]
+    x *= a
+    conj_mirror = np.conj(z[-k % half])
+    conj_mirror *= b
+    x += conj_mirror
+    return x.T
 
 
 def ifft(x) -> np.ndarray:
@@ -140,10 +205,10 @@ def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> Spe
 
     idx = np.arange(num_frames)[:, None] * cfg.frame_step + np.arange(cfg.frame_length)
     frames = samples[idx] * window_coefficients(cfg.window, cfg.frame_length)
-    padded = np.zeros((num_frames, cfg.fft_length), dtype=np.complex128)
+    padded = np.zeros((num_frames, cfg.fft_length))
     padded[:, : cfg.frame_length] = frames
-    mags = np.abs(fft(padded))[:, : cfg.num_bins]
-    return Spectrogram(mags.astype(dtype))
+    spectrum = _rfft(padded) if cfg.fft_length > 1 else padded
+    return Spectrogram(np.abs(spectrum).astype(dtype, order="C"))
 
 
 def _shortest(v) -> str:

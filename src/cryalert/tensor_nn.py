@@ -5,7 +5,9 @@ Tensors are plain numpy ndarrays in row-major order, images as
 implements forward(x, train, rng) -> (y, cache) and
 backward(cache, dy) -> (dx, param_grads); caches are explicit values
 rather than layer state, so a Network can serve concurrent inference
-without synchronization.
+without synchronization.  The first conv has no parameter layer before
+it, so it returns dx=None, and the parameter-free layers under it pass
+that None down.
 
 The canonical stack is resize -> normalize -> conv(relu) -> conv(relu)
 -> maxpool -> dropout -> flatten -> dense(relu) -> dropout -> dense,
@@ -53,10 +55,10 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
 
 
 def _resize_batch(x, rows, cols):
-    # y[n,o,p,c] = sum_{h,w} rows[o,h] cols[p,w] x[n,h,w,c]
-    t = np.tensordot(rows, x, axes=(1, 1))        # (oh, n, w, c)
-    y = np.tensordot(cols, t, axes=(1, 2))        # (ow, oh, n, c)
-    return y.transpose(2, 1, 0, 3)
+    # y[n,o,p,c] = sum_{h,w} rows[o,h] cols[p,w] x[n,h,w,c], as one batched
+    # rows @ image @ cols^T per (example, channel) plane
+    planes = np.moveaxis(x, -1, 1)                 # (n, c, h, w)
+    return np.moveaxis(rows @ planes @ cols.T, 1, -1)
 
 
 def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -94,20 +96,25 @@ def _conv_batch(x, kernel, bias):
     return y.reshape(n, oh, ow, cout), cols
 
 
-def _conv_batch_backward(cols, x_shape, kernel, dy):
+def _conv_batch_backward(cols, x_shape, kernel, dy, input_grad=True):
     kh, kw, cin, cout = kernel.shape
-    n, h, w, _ = x_shape
+    n, oh, ow, _ = dy.shape
     flat_cols = cols.reshape(-1, kh * kw * cin)
     flat_dy = dy.reshape(-1, cout)
     dkernel = (flat_cols.T @ flat_dy).reshape(kernel.shape)
     dbias = flat_dy.sum(axis=0)
-    # dx is the full correlation of dy with the spatially flipped,
-    # channel-swapped kernel
-    flipped = np.ascontiguousarray(kernel[::-1, ::-1].transpose(0, 1, 3, 2))
-    padded = np.zeros((n, dy.shape[1] + 2 * (kh - 1), dy.shape[2] + 2 * (kw - 1), cout),
-                      dtype=dy.dtype)
-    padded[:, kh - 1:kh - 1 + dy.shape[1], kw - 1:kw - 1 + dy.shape[2]] = dy
-    dx, _ = _conv_batch(padded, flipped, np.zeros(cin, dtype=dy.dtype))
+    if not input_grad:
+        return None, dkernel, dbias
+    # col2im: the patch gradient dy @ kernel^T, one kernel position at a
+    # time (contiguous blocks), added back onto the input pixels that
+    # position gathered from
+    dtype = np.result_type(dy, kernel)
+    dx = np.zeros(x_shape, dtype=dtype)
+    dcols = np.empty((n * oh * ow, cin), dtype=dtype)
+    for i in range(kh):
+        for j in range(kw):
+            np.matmul(flat_dy, kernel[i, j].T, out=dcols)
+            dx[:, i:i + oh, j:j + ow] += dcols.reshape(n, oh, ow, cin)
     return dx, dkernel, dbias
 
 
@@ -138,29 +145,38 @@ def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dy * (x > 0)
 
 
-def _pool_windows(x):
-    n, h, w, c = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-    # (n, h/2, w/2, c, 4) with the 2x2 window flattened row-major
-    return x.reshape(n, h // 2, 2, w // 2, 2, c).transpose(0, 1, 3, 5, 2, 4).reshape(
-        n, h // 2, w // 2, c, 4
-    )
+# 2x2 window positions in row-major order; ties go to the first
+_POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _maxpool_batch(x):
-    win = _pool_windows(x)
-    argmax = win.argmax(axis=-1)  # first occurrence wins ties
-    y = np.take_along_axis(win, argmax[..., None], axis=-1)[..., 0]
-    return y, argmax
+    n, h, w, c = x.shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
+    y = x[:, 0::2, 0::2].copy()
+    for i, j in _POOL_OFFSETS[1:]:
+        np.maximum(y, x[:, i::2, j::2], out=y)
+    return y
 
 
-def _maxpool_batch_backward(argmax, dy):
+def _pool_masks(x, y):
+    """Per window position, where it is the first to hold the pooled max."""
+    free = np.ones(y.shape, dtype=bool)
+    masks = []
+    for i, j in _POOL_OFFSETS:
+        hit = x[:, i::2, j::2] == y
+        hit &= free
+        free &= ~hit
+        masks.append(hit)
+    return masks
+
+
+def _maxpool_batch_backward(masks, dy):
     n, oh, ow, c = dy.shape
-    grad_win = (np.arange(4) == argmax[..., None]) * dy[..., None]
-    return grad_win.reshape(n, oh, ow, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(
-        n, oh * 2, ow * 2, c
-    ).astype(dy.dtype, copy=False)
+    dx = np.empty((n, 2 * oh, 2 * ow, c), dtype=dy.dtype)
+    for (i, j), hit in zip(_POOL_OFFSETS, masks):
+        np.multiply(dy, hit, out=dx[:, i::2, j::2])
+    return dx
 
 
 def maxpool2d(x: np.ndarray):
@@ -171,13 +187,15 @@ def maxpool2d(x: np.ndarray):
     """
     if x.ndim != 3:
         raise ShapeError(f"expected (h, w, c) image, got shape {x.shape}")
-    y, am = _maxpool_batch(x[None])
-    return y[0], am[0]
+    y = _maxpool_batch(x[None])
+    argmax = sum(k * hit for k, hit in enumerate(_pool_masks(x[None], y)))
+    return y[0], argmax[0]
 
 
 def maxpool2d_backward(dy: np.ndarray, argmax: np.ndarray) -> np.ndarray:
     """Scatter each output cotangent back to its argmax position."""
-    return _maxpool_batch_backward(argmax[None], dy[None])[0]
+    masks = [argmax[None] == k for k in range(len(_POOL_OFFSETS))]
+    return _maxpool_batch_backward(masks, dy[None])[0]
 
 
 def _dropout_mask(shape, rate, rng, dtype):
@@ -276,6 +294,8 @@ class Resize:
         return _resize_batch(x, self._rows, self._cols), None
 
     def backward(self, cache, dy):
+        if dy is None:  # nothing upstream wants the input gradient
+            return None, []
         return _resize_batch(dy, self._rows.T, self._cols.T), []
 
 
@@ -301,20 +321,28 @@ class Normalize:
         return (x - x.dtype.type(self.mean)) * inv, None
 
     def backward(self, cache, dy):
+        if dy is None:
+            return None, []
         inv = dy.dtype.type(1.0 / np.sqrt(self.variance + self.EPS))
         return dy * inv, []
 
 
 class Conv2D:
-    """Valid 3x3-style convolution with optional fused ReLU."""
+    """Valid 3x3-style convolution with optional fused ReLU.
 
-    def __init__(self, cin, cout, ksize, rng, dtype=np.float32, use_relu=True):
+    input_grad=False makes backward return dx=None; build_network sets
+    it on the first conv, which has no parameter layer before it.
+    """
+
+    def __init__(self, cin, cout, ksize, rng, dtype=np.float32, use_relu=True,
+                 input_grad=True):
         fan_in = ksize * ksize * cin
         fan_out = ksize * ksize * cout
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         self.kernel = rng.uniform(-limit, limit, (ksize, ksize, cin, cout)).astype(dtype)
         self.bias = np.zeros(cout, dtype=dtype)
         self.use_relu = use_relu
+        self.input_grad = input_grad
 
     def params(self):
         return [self.kernel, self.bias]
@@ -328,7 +356,8 @@ class Conv2D:
         cols, x_shape, pre = cache
         if pre is not None:
             dy = relu_backward(pre, dy)
-        dx, dk, db = _conv_batch_backward(cols, x_shape, self.kernel, dy)
+        dx, dk, db = _conv_batch_backward(cols, x_shape, self.kernel, dy,
+                                          self.input_grad)
         return dx, [dk, db]
 
 
@@ -337,11 +366,11 @@ class MaxPool2D:
         return []
 
     def forward(self, x, train=False, rng=None):
-        y, argmax = _maxpool_batch(x)
-        return y, argmax
+        y = _maxpool_batch(x)
+        return y, (x, y)
 
     def backward(self, cache, dy):
-        return _maxpool_batch_backward(cache, dy), []
+        return _maxpool_batch_backward(_pool_masks(*cache), dy), []
 
 
 class Dropout:
@@ -537,7 +566,7 @@ def build_network(
     layers = [
         Resize(in_h, in_w, rh, rw, dtype=dtype),
         Normalize(),
-        Conv2D(in_c, f1, k, rng, dtype=dtype),
+        Conv2D(in_c, f1, k, rng, dtype=dtype, input_grad=False),
         Conv2D(f1, f2, k, rng, dtype=dtype),
         MaxPool2D(),
         Dropout(dropout_rates[0]),

@@ -5,6 +5,7 @@ oracle is an O(n^2) matrix product, WAV bytes are assembled field by
 field, and the streaming-statistics oracle accumulates running sums.
 """
 
+import json
 import struct
 import time
 from pathlib import Path
@@ -102,6 +103,27 @@ def maxpool_loops(x):
     return out
 
 
+def read_model_header(path):
+    """The JSON header of a .cry file, parsed."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    return json.loads(data[12:12 + header_len])
+
+
+def rewrite_model_header(src, dst, header):
+    """Copy model file src to dst with its JSON header replaced.
+
+    The CRC covers only the parameter blob, so the copy still passes
+    the magic, version and checksum checks.
+    """
+    data = src.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    body = json.dumps(header).encode("utf-8")
+    dst.write_bytes(data[:8] + struct.pack("<I", len(body)) + body
+                    + data[12 + header_len:])
+    return dst
+
+
 # ---------------------------------------------------------------------------
 # session fixtures
 
@@ -127,8 +149,6 @@ def trained(synth_corpus, tmp_path_factory):
 
     Returns (exit code, model path, report dict, elapsed seconds).
     """
-    import json
-
     out = tmp_path_factory.mktemp("model") / "synth.cry"
     start = time.monotonic()
     rc = main(["train", "--data", str(synth_corpus), "--out", str(out)])

@@ -1,18 +1,26 @@
 import io
 import json
 import logging
+import os
+import select
 import shutil
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cryalert.cli import DirectoryWatcher, main
 from cryalert.errors import FormatError
-from cryalert.infer_alert import StdoutSink
+from cryalert.infer_alert import StdoutSink, save_model
+from cryalert.spectro import StftConfig
 from cryalert.synth import CLASSES
+from cryalert.tensor_nn import build_network
 
-from conftest import make_wav_bytes
+from conftest import make_wav_bytes, read_model_header, rewrite_model_header
 
 
 class TestSynthCommand:
@@ -150,6 +158,44 @@ class TestPredictCommand:
         rc = main(["predict", "--model", str(model_path), "--input", str(bad)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def untrained_model(tmp_path_factory):
+    """A freshly initialised default model: cheap, and loads like any other."""
+    path = tmp_path_factory.mktemp("untrained") / "m.cry"
+    save_model(build_network(len(CLASSES), seed=0), StftConfig(), sorted(CLASSES), path)
+    return path
+
+
+class TestCorruptModelHeader:
+    @pytest.mark.parametrize("header", [
+        {},
+        [],
+        "model",
+        {"architecture": {"class_count": "four"}},
+    ], ids=["empty-object", "empty-list", "string", "wrong-types"])
+    def test_predict_exits_one_with_one_line(self, untrained_model, small_corpus,
+                                             tmp_path, capsys, header):
+        bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
+        wav = next((small_corpus / "tone").glob("*.wav"))
+        rc = main(["predict", "--model", str(bad), "--input", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
+
+    def test_wrong_typed_field_in_valid_header(self, untrained_model, small_corpus,
+                                               tmp_path, capsys):
+        header = read_model_header(untrained_model)
+        header["param_shapes"][0] = "3x3x1x32"
+        bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
+        wav = next((small_corpus / "tone").glob("*.wav"))
+        rc = main(["predict", "--model", str(bad), "--input", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "param_shapes" in err
 
 
 class TestSpectrogramCommand:
@@ -305,6 +351,51 @@ class TestDirectoryWatcher:
         watcher.run(0.01)  # returns once the flag is seen
         timer.cancel()
         assert watcher.stop
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _watch_until_signal(model, directory, sig):
+    """Run `cryalert watch` in a child, send sig once it has emitted one
+    event, and return (exit code, stdout, stderr) with the directory
+    written as DIR and the event timestamps blanked."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cryalert.cli", "watch", "--model", str(model),
+         "--dir", str(directory), "--poll-ms", "50", "--alert-classes", "tone"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        # the event is written after run() installed its handlers
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "watcher emitted no event within 60 s"
+        first = proc.stdout.readline()
+        proc.send_signal(sig)
+        rest, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    events = [json.loads(line) | {"timestamp": ""} for line in (first + rest).splitlines()]
+    return (proc.returncode, json.dumps(events).replace(str(directory), "DIR"),
+            err.replace(str(directory), "DIR"))
+
+
+class TestWatchSignals:
+    def test_sigterm_stops_like_sigint(self, untrained_model, tmp_path):
+        results = []
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            directory = tmp_path / sig.name
+            directory.mkdir()
+            drop_wav(directory, "clip.wav", [0] * 16000)
+            results.append(_watch_until_signal(untrained_model, directory, sig))
+
+        code, events, err = results[0]
+        assert code == 0
+        assert len(json.loads(events)) == 1
+        assert "Traceback" not in err
+        assert results[1] == results[0]
 
 
 class TestMainPlumbing:

@@ -32,6 +32,8 @@ from cryalert.spectro import StftConfig
 from cryalert.tensor_nn import build_network
 from cryalert.wav_io import AudioClip
 
+from conftest import read_model_header, rewrite_model_header
+
 
 def small_net(seed=3):
     net = build_network(4, seed=seed)
@@ -136,6 +138,81 @@ class TestSaveLoad:
         bad.write_bytes(bytes(data))
         with pytest.raises(CorruptModelError):
             load_model(bad)
+
+
+def _set(path, value):
+    """Header mutation: set the field at a key path."""
+    def mutate(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return header
+    return mutate
+
+
+def _drop(path):
+    """Header mutation: delete the field at a key path."""
+    def mutate(header):
+        node = header
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        return header
+    return mutate
+
+
+def _merge_last_two_shapes(header):
+    # same parameter count as stored, one parameter fewer than the architecture
+    *rest, (a, b), (c,) = header["param_shapes"]
+    header["param_shapes"] = rest + [[a * b + c]]
+    return header
+
+
+HEADER_MUTATIONS = {
+    "empty object": lambda h: {},
+    "empty list": lambda h: [],
+    "architecture not an object": _set(["architecture"], []),
+    "kernel_size as string": _set(["architecture", "kernel_size"], "3"),
+    "input_shape with a bool": _set(["architecture", "input_shape"], [124, 129, True]),
+    "resize too short": _set(["architecture", "resize"], [32]),
+    "dropout rate as string": _set(["architecture", "dropout_rates"], ["0.25", 0.5]),
+    "class_count missing": _drop(["architecture", "class_count"]),
+    "stft window as number": _set(["stft", "window"], 5),
+    "stft missing": _drop(["stft"]),
+    "class_names as string": _set(["class_names"], "amchirpnoisetone"),
+    "class_names count off": _set(["class_names"], ["am", "chirp", "noise"]),
+    "norm_mean as string": _set(["norm_mean"], "0.1"),
+    "seed as float": _set(["seed"], 1.5),
+    "created as null": _set(["created"], None),
+    "negative shape": _set(["param_shapes", 0], [-3, 3, 1, 32]),
+    "float shape": _set(["param_shapes", 1], [32.0]),
+    "param_shapes as object": _set(["param_shapes"], {"0": [1]}),
+    "parameter count off": _merge_last_two_shapes,
+    # well-typed, but rejected by build_network / StftConfig / Normalize
+    "resize not poolable": _set(["architecture", "resize"], [33, 33]),
+    "one class": _set(["architecture", "class_count"], 1),
+    "dropout rate 1": _set(["architecture", "dropout_rates"], [1.0, 0.5]),
+    "negative variance": _set(["norm_variance"], -1.0),
+    "fft not a power of two": _set(["stft", "fft_length"], 300),
+}
+
+
+class TestHeaderValidation:
+    @pytest.mark.parametrize("name", sorted(HEADER_MUTATIONS))
+    def test_bad_header_is_corrupt_model(self, saved, tmp_path, name):
+        _, path = saved
+        header = HEADER_MUTATIONS[name](read_model_header(path))
+        bad = rewrite_model_header(path, tmp_path / "bad.cry", header)
+        with pytest.raises(CorruptModelError):
+            load_model(bad)
+
+    def test_unchanged_header_still_loads(self, saved, tmp_path):
+        net, path = saved
+        same = rewrite_model_header(path, tmp_path / "same.cry", read_model_header(path))
+        loaded = load_model(same)
+        for a, b in zip(net.parameters(), loaded.network.parameters()):
+            assert np.array_equal(a, b)
 
 
 class TestPredict:

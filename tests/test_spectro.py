@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cryalert.errors import ConfigError, SizeError, TooShortError
 from cryalert.spectro import (
     Spectrogram,
+    _stage_twiddles,
     StftConfig,
     export_spectrogram,
     fft,
@@ -100,6 +101,38 @@ class TestFft:
         assert abs(time_energy - freq_energy) / time_energy < 1e-9
 
 
+class TestTwiddleCache:
+    def test_repeat_calls_with_mixed_lengths_agree(self):
+        rng = np.random.default_rng(31)
+        lengths = (8, 256, 2, 512, 64, 1)
+        signals = {n: rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+                   for n in lengths}
+        first = {n: fft(x) for n, x in signals.items()}
+        for n in (512, 2, 64, 8, 1, 256, 8, 512, 2):
+            again = fft(signals[n])
+            assert np.array_equal(again, first[n])
+            assert rel_error(again, dft_direct(signals[n])) < 1e-9
+
+    def test_cached_stage_twiddles_are_fresh_values_and_read_only(self):
+        for n in (2, 8, 512, 8):
+            stages = _stage_twiddles(n)
+            assert len(stages) == n.bit_length() - 1
+            for s, tw in enumerate(stages):
+                half = 2 ** s
+                assert np.array_equal(tw, np.exp(-1j * np.pi * np.arange(half) / half))
+                assert not tw.flags.writeable
+
+    def test_stft_repeat_calls_with_mixed_lengths_agree(self):
+        rng = np.random.default_rng(32)
+        x = rng.uniform(-1, 1, 4000)
+        configs = [StftConfig(), StftConfig(frame_length=400, frame_step=160, fft_length=512),
+                   StftConfig(frame_length=3, frame_step=2, fft_length=4)]
+        first = [stft_magnitude(x, cfg).values for cfg in configs]
+        for _ in range(2):
+            for cfg, want in zip(reversed(configs), reversed(first)):
+                assert np.array_equal(stft_magnitude(x, cfg).values, want)
+
+
 class TestStftConfig:
     def test_defaults(self):
         cfg = StftConfig()
@@ -172,6 +205,26 @@ class TestStft:
         spec = stft_magnitude(x, cfg, dtype=np.float64)
         assert spec.values.shape == (1, 129)
         assert rel_error(spec.values[0], np.abs(dft_direct(x))[:129]) < 1e-9
+
+    @pytest.mark.parametrize("window", ["hann", "rectangular"])
+    @pytest.mark.parametrize("fft_length,frame_length", [(2, 1), (4, 3), (256, 200),
+                                                         (512, 301), (1, 1)])
+    def test_real_input_path_matches_dft_oracle(self, fft_length, frame_length, window):
+        cfg = StftConfig(frame_length=frame_length, frame_step=max(1, frame_length // 2),
+                         fft_length=fft_length, window=window)
+        rng = np.random.default_rng(fft_length + frame_length)
+        x = rng.uniform(-1, 1, 5 * frame_length + 7)
+        spec = stft_magnitude(x, cfg, dtype=np.float64)
+        k = np.arange(frame_length)
+        weights = (0.5 - 0.5 * np.cos(2 * np.pi * k / frame_length)
+                   if window == "hann" else np.ones(frame_length))
+        frames = np.zeros((spec.num_frames, fft_length))
+        for i in range(spec.num_frames):
+            start = i * cfg.frame_step
+            frames[i, :frame_length] = x[start:start + frame_length] * weights
+        expected = np.abs(dft_direct(frames))[:, :fft_length // 2 + 1]
+        assert spec.values.shape == expected.shape
+        assert rel_error(spec.values, expected) < 1e-9
 
     def test_scaling_linearity(self):
         rng = np.random.default_rng(13)

@@ -12,6 +12,7 @@ from cryalert.tensor_nn import (
     MaxPool2D,
     Normalize,
     Resize,
+    _interp_matrix,
     build_network,
     conv2d_backward,
     conv2d_forward,
@@ -102,6 +103,29 @@ class TestResize:
         assert grad_close(dx, central_diff(loss, x))
 
 
+def tensordot_resize(x, rows, cols):
+    """The double-tensordot resize: contract h with rows, then w with cols."""
+    t = np.tensordot(rows, x, axes=(1, 1))        # (oh, n, w, c)
+    y = np.tensordot(cols, t, axes=(1, 2))        # (ow, oh, n, c)
+    return y.transpose(2, 1, 0, 3)
+
+
+class TestResizeBatch:
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_tensordot_formula(self, channels):
+        rng = np.random.default_rng(41 + channels)
+        x = rng.normal(size=(4, 13, 11, channels))
+        dy = rng.normal(size=(4, 5, 7, channels))
+        layer = Resize(13, 11, 5, 7, dtype=np.float64)
+        rows, cols = _interp_matrix(13, 5), _interp_matrix(11, 7)
+        y, _ = layer.forward(x)
+        dx, _ = layer.backward(None, dy)
+        assert y.shape == (4, 5, 7, channels)
+        assert rel_error(y, tensordot_resize(x, rows, cols)) < 1e-12
+        assert dx.shape == x.shape
+        assert rel_error(dx, tensordot_resize(dy, rows.T, cols.T)) < 1e-12
+
+
 class TestConv:
     def test_ones_kernel_sums_window(self):
         x = np.ones((5, 5, 1))
@@ -172,6 +196,37 @@ class TestConv:
         assert grad_close(db, central_diff(loss, b))
 
 
+class TestConvLayer:
+    def test_batch_input_gradient_matches_fd(self):
+        rng = np.random.default_rng(43)
+        layer = Conv2D(3, 2, 3, philox_stream(43, STREAM_INIT), dtype=np.float64,
+                       use_relu=False)
+        x = rng.normal(size=(2, 6, 5, 3))
+        cot = rng.normal(size=(2, 4, 3, 2))
+
+        def loss():
+            return float((layer.forward(x)[0] * cot).sum())
+
+        _, cache = layer.forward(x)
+        dx, _ = layer.backward(cache, cot)
+        assert grad_close(dx, central_diff(loss, x))
+
+    def test_input_grad_off_returns_none_and_same_param_grads(self):
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(2, 6, 6, 2))
+        cot = rng.normal(size=(2, 4, 4, 3))
+        grads = []
+        for input_grad in (True, False):
+            layer = Conv2D(2, 3, 3, philox_stream(44, STREAM_INIT), dtype=np.float64,
+                           input_grad=input_grad)
+            _, cache = layer.forward(x)
+            dx, g = layer.backward(cache, cot)
+            assert (dx is None) is (not input_grad)
+            grads.append(g)
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
+
 class TestRelu:
     def test_examples(self):
         assert np.array_equal(relu(np.array([-1.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
@@ -238,6 +293,40 @@ class TestMaxPool:
         _, argmax = maxpool2d(x)
         dx = maxpool2d_backward(cot, argmax)
         assert grad_close(dx, central_diff(loss, x))
+
+
+class TestMaxPoolLayer:
+    def test_batch_matches_loop_oracle_and_ties_go_first(self):
+        rng = np.random.default_rng(45)
+        # values from {0, 1, 2} make many windows hold a tied max
+        x = rng.integers(0, 3, size=(3, 6, 8, 4)).astype(np.float32)
+        dy = rng.normal(size=(3, 3, 4, 4)).astype(np.float32)
+        layer = MaxPool2D()
+        y, cache = layer.forward(x)
+        for i in range(3):
+            assert np.array_equal(y[i], maxpool_loops(x[i]))
+        dx, _ = layer.backward(cache, dy)
+
+        expected = np.zeros_like(x)
+        ties = 0
+        for n, i, j, c in np.ndindex(*y.shape):
+            window = x[n, 2 * i:2 * i + 2, 2 * j:2 * j + 2, c].ravel()
+            winners = np.flatnonzero(window == window.max())
+            ties += len(winners) > 1
+            first = int(winners[0])
+            expected[n, 2 * i + first // 2, 2 * j + first % 2, c] = dy[n, i, j, c]
+        assert ties > 20
+        assert np.array_equal(dx, expected)
+
+    def test_layer_and_single_example_agree(self):
+        rng = np.random.default_rng(46)
+        x = rng.integers(0, 2, size=(1, 4, 4, 2)).astype(np.float64)
+        dy = rng.normal(size=(1, 2, 2, 2))
+        y, argmax = maxpool2d(x[0])
+        layer_y, cache = MaxPool2D().forward(x)
+        assert np.array_equal(layer_y[0], y)
+        assert np.array_equal(MaxPool2D().backward(cache, dy)[0][0],
+                              maxpool2d_backward(dy[0], argmax))
 
 
 class TestDropout:
@@ -348,6 +437,10 @@ class TestDense:
 
 
 class TestNormalize:
+    def test_layers_pass_missing_gradient_through(self):
+        assert Normalize(1.0, 2.0).backward(None, None) == (None, [])
+        assert Resize(4, 4, 2, 2).backward(None, None) == (None, [])
+
     def test_formula(self):
         x = np.array([0.0, 2.0])
         y = normalize_apply(x, 1.0, 1.0)
@@ -577,6 +670,25 @@ class TestNetwork:
         assert net.norm_stats == (1.5, 2.0)
         with pytest.raises(ConfigError):
             net.set_norm_stats(0.0, -1.0)
+
+    def test_first_conv_skips_input_gradient(self):
+        net = build_network(4, input_shape=(20, 20, 1), resize=(10, 10),
+                            conv_filters=(3, 4), dense_units=6, seed=21)
+        conv1, conv2 = net.layers[2], net.layers[3]
+        assert not conv1.input_grad and conv2.input_grad
+        x = np.random.default_rng(47).uniform(0, 1, (4, 20, 20, 1)).astype(np.float32)
+        logits, cache = net.forward(x, train=True)
+        _, dlogits = softmax_cross_entropy_batch(logits, np.array([0, 1, 2, 3]))
+        dlogits /= 4
+        dy = np.ones((4, 8, 8, 3), dtype=np.float32)
+        assert conv1.backward(cache.layer_caches[2], dy)[0] is None
+
+        skipped = net.backward(cache, dlogits)
+        conv1.input_grad = True  # a stack whose first conv still computes dx
+        full = net.backward(cache, dlogits)
+        assert len(skipped) == len(full) == len(net.parameters())
+        for a, b in zip(skipped, full):
+            assert np.array_equal(a, b)
 
     def test_end_to_end_gradient_reduced_toy(self):
         # reduced widths keep every parameter reachable by finite differences
