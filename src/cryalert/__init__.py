@@ -22,7 +22,7 @@ from .optim_train import (
 )
 from .spectro import Spectrogram, StftConfig, export_spectrogram, fft, stft_magnitude
 from .synth import generate_corpus, synth_clip
-from .tensor_nn import Network, build_network, network_backward, network_forward
+from .tensor_nn import Network, build_network
 from .wav_io import (
     AudioClip,
     LabeledDataset,
@@ -61,8 +61,6 @@ __all__ = [
     "load_dataset",
     "load_model",
     "load_wav",
-    "network_backward",
-    "network_forward",
     "parse_wav",
     "predict",
     "resample",

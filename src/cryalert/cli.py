@@ -190,6 +190,8 @@ def cmd_watch(args) -> int:
     if not directory.is_dir():
         raise ConfigError(f"watch directory {directory} does not exist")
     alert_classes = [c for c in args.alert_classes.split(",") if c]
+    # decide_alert checks this too, but only once a file arrives; a bad
+    # --alert-classes must fail at startup
     unknown = [c for c in alert_classes if c not in loaded.class_names]
     if unknown:
         raise ConfigError(

@@ -36,7 +36,7 @@ from .errors import (
     TooShortError,
 )
 from .spectro import StftConfig, stft_magnitude
-from .tensor_nn import Network, build_network, softmax
+from .tensor_nn import Network, build_network, param_shapes, softmax
 from .wav_io import (
     DEFAULT_CLIP_SAMPLES,
     DEFAULT_SAMPLE_RATE,
@@ -193,18 +193,20 @@ def load_model(path) -> LoadedModel:
 
     arch = header["architecture"]
     stft = header["stft"]
+    layout = {key: tuple(arch[key]) for key in ("input_shape", "resize", "conv_filters")}
+    layout.update(kernel_size=arch["kernel_size"], dense_units=arch["dense_units"])
     try:
-        net = build_network(
-            arch["class_count"],
-            input_shape=tuple(arch["input_shape"]),
-            resize=tuple(arch["resize"]),
-            conv_filters=tuple(arch["conv_filters"]),
-            kernel_size=arch["kernel_size"],
-            dense_units=arch["dense_units"],
-            dropout_rates=tuple(arch["dropout_rates"]),
-            seed=header["seed"],
-            dtype=np.float32,
-        )
+        # the stored shapes, bounded by the file size, must fit the
+        # architecture before build_network allocates what it claims
+        expected = param_shapes(arch["class_count"], **layout)
+        if shapes != expected:
+            raise CorruptModelError(
+                f"{path}: stored parameter shapes {shapes} do not fit the "
+                f"architecture's {expected}"
+            )
+        net = build_network(arch["class_count"], **layout,
+                            dropout_rates=tuple(arch["dropout_rates"]),
+                            seed=header["seed"], dtype=np.float32)
         net.set_norm_stats(header["norm_mean"], header["norm_variance"])
         stft_cfg = StftConfig(
             frame_length=stft["frame_length"],
@@ -214,21 +216,11 @@ def load_model(path) -> LoadedModel:
         )
     except ConfigError as exc:
         raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
-    params = net.parameters()
-    if len(params) != len(shapes):
-        raise CorruptModelError(
-            f"{path}: {len(shapes)} stored parameters, architecture has {len(params)}"
-        )
     offset = 0
-    for p, shape in zip(params, shapes):
-        if p.shape != shape:
-            raise CorruptModelError(
-                f"{path}: stored shape {shape} does not fit architecture {p.shape}"
-            )
-        count = math.prod(shape)
-        values = np.frombuffer(blob, dtype="<f4", count=count, offset=offset * 4)
-        p[...] = values.reshape(shape)
-        offset += count
+    for p in net.parameters():
+        values = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset)
+        p[...] = values.reshape(p.shape)
+        offset += 4 * p.size
 
     return LoadedModel(net, stft_cfg, list(header["class_names"]),
                        header["created"], header["seed"])

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigError, DatasetError, ShapeError
 from .rng import STREAM_SHUFFLE, philox_stream
 from .spectro import StftConfig, stft_magnitude
-from .tensor_nn import Network, normalize_apply, softmax_cross_entropy_batch
+from .tensor_nn import Network, softmax_cross_entropy_batch
 from .wav_io import LabeledDataset
 
 _EVAL_CHUNK = 128
@@ -288,14 +288,3 @@ def train(
         )
     return report
 
-
-def normalized_train_stats(net: Network, images) -> tuple[float, float]:
-    """Mean/variance of the train images after resize + normalization.
-
-    Diagnostic helper: values should sit near (0, 1) once the network's
-    stats have been fitted.
-    """
-    resized = net.resize_images(images)
-    mean, variance = net.norm_stats
-    normed = normalize_apply(np.asarray(resized, dtype=np.float64), mean, variance)
-    return float(normed.mean()), float(normed.var())

@@ -185,12 +185,6 @@ def _rfft(frames: np.ndarray) -> np.ndarray:
     return x.T
 
 
-def ifft(x) -> np.ndarray:
-    """Inverse of fft via the conjugation identity."""
-    a = np.asarray(x)
-    return np.conj(fft(np.conj(a))) / a.shape[-1]
-
-
 def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> Spectrogram:
     """Magnitude spectrogram of a clip (or bare 1-D sample array).
 

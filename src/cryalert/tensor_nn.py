@@ -1,7 +1,8 @@
-"""From-scratch CNN: layer math, single-example ops and the Network stack.
+"""From-scratch CNN: batch-first layers, their kernels and the Network stack.
 
-Tensors are plain numpy ndarrays in row-major order, images as
-(height, width, channels) and batches as (n, h, w, c).  Every layer
+Tensors are plain numpy ndarrays in row-major order.  Every layer works
+on batches, images as (n, height, width, channels) and feature vectors
+as (n, features); a single example is a batch of one.  Every layer
 implements forward(x, train, rng) -> (y, cache) and
 backward(cache, dy) -> (dx, param_grads); caches are explicit values
 rather than layer state, so a Network can serve concurrent inference
@@ -23,15 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ConsistencyError, LabelError, ShapeError
 from .rng import STREAM_DROPOUT, STREAM_INIT, philox_stream
-
-MODES = ("train", "infer")
-
-
-def _check_mode(mode: str) -> bool:
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode == "train"
-
 
 # ---------------------------------------------------------------------------
 # bilinear resize
@@ -59,17 +51,6 @@ def _resize_batch(x, rows, cols):
     # rows @ image @ cols^T per (example, channel) plane
     planes = np.moveaxis(x, -1, 1)                 # (n, c, h, w)
     return np.moveaxis(rows @ planes @ cols.T, 1, -1)
-
-
-def resize_bilinear(x: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize of one (h, w, c) image with half-pixel centers."""
-    if x.ndim != 3:
-        raise ShapeError(f"expected (h, w, c) image, got shape {x.shape}")
-    if out_h < 1 or out_w < 1:
-        raise ConfigError(f"output size must be positive, got {(out_h, out_w)}")
-    rows = _interp_matrix(x.shape[0], out_h)
-    cols = _interp_matrix(x.shape[1], out_w)
-    return _resize_batch(x[None], rows, cols)[0].astype(x.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -118,22 +99,6 @@ def _conv_batch_backward(cols, x_shape, kernel, dy, input_grad=True):
     return dx, dkernel, dbias
 
 
-def conv2d_forward(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Valid 2-D cross-correlation of an (h, w, cin) image, stride 1."""
-    if x.ndim != 3 or kernel.ndim != 4:
-        raise ShapeError(f"want (h,w,cin) x (kh,kw,cin,cout), got {x.shape} x {kernel.shape}")
-    y, _ = _conv_batch(x[None], kernel, bias)
-    return y[0]
-
-
-def conv2d_backward(x: np.ndarray, kernel: np.ndarray, dy: np.ndarray):
-    """Gradients (dx, dkernel, dbias) for conv2d_forward."""
-    x4 = x[None]
-    _, cols = _conv_batch(x4, kernel, np.zeros(kernel.shape[-1], dtype=x.dtype))
-    dx, dk, db = _conv_batch_backward(cols, x4.shape, kernel, dy[None])
-    return dx[0], dk, db
-
-
 # ---------------------------------------------------------------------------
 # pointwise and pooling ops
 
@@ -179,85 +144,11 @@ def _maxpool_batch_backward(masks, dy):
     return dx
 
 
-def maxpool2d(x: np.ndarray):
-    """2x2/stride-2 max pool of an (h, w, c) image -> (pooled, argmax).
-
-    argmax holds, per output cell, the row-major index (0..3) of the
-    winning element inside its 2x2 window; ties go to the first.
-    """
-    if x.ndim != 3:
-        raise ShapeError(f"expected (h, w, c) image, got shape {x.shape}")
-    y = _maxpool_batch(x[None])
-    argmax = sum(k * hit for k, hit in enumerate(_pool_masks(x[None], y)))
-    return y[0], argmax[0]
-
-
-def maxpool2d_backward(dy: np.ndarray, argmax: np.ndarray) -> np.ndarray:
-    """Scatter each output cotangent back to its argmax position."""
-    masks = [argmax[None] == k for k in range(len(_POOL_OFFSETS))]
-    return _maxpool_batch_backward(masks, dy[None])[0]
-
-
-def _dropout_mask(shape, rate, rng, dtype):
-    # random() is in [0, 1), so >= rate keeps with probability 1 - rate
-    return (rng.random(shape) >= rate).astype(dtype)
-
-
-def dropout(x: np.ndarray, rate: float, mode: str = "infer", rng=None) -> np.ndarray:
-    """Inverted dropout: zero with probability rate, scale survivors.
-
-    Inference mode is the identity and consumes no randomness.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not _check_mode(mode) or rate == 0.0:
-        return x
-    if rng is None:
-        raise ConfigError("train-mode dropout needs an rng")
-    mask = _dropout_mask(x.shape, rate, rng, x.dtype)
-    return x * mask * x.dtype.type(1.0 / (1.0 - rate))
-
-
-def dense(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Affine map x @ weights + bias for a single (n,) vector."""
-    if x.shape[-1] != weights.shape[0]:
-        raise ShapeError(f"input width {x.shape[-1]} != weight rows {weights.shape[0]}")
-    return x @ weights + bias
-
-
-def dense_backward(x: np.ndarray, weights: np.ndarray, dy: np.ndarray):
-    """Gradients (dx, dweights, dbias) for a single-vector dense op."""
-    return weights @ dy, np.outer(x, dy), dy.copy()
-
-
-def normalize_apply(x: np.ndarray, mean: float, variance: float,
-                    eps: float = 1e-6) -> np.ndarray:
-    """Elementwise (x - mean) / sqrt(variance + eps)."""
-    if variance < 0:
-        raise ConfigError(f"variance must be >= 0, got {variance}")
-    return (x - mean) / np.sqrt(variance + eps)
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Stable softmax along the last axis (max subtracted first)."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray, label: int):
-    """(loss, dlogits) for one logit vector against an integer label."""
-    if logits.ndim != 1:
-        raise ShapeError(f"expected a logit vector, got shape {logits.shape}")
-    if not 0 <= label < logits.shape[-1]:
-        raise LabelError(f"label {label} outside [0, {logits.shape[-1]})")
-    m = logits.max()
-    e = np.exp(logits - m)
-    z = e.sum()
-    loss = float(np.log(z) + m - logits[label])
-    dlogits = e / z
-    dlogits[label] -= 1.0
-    return loss, dlogits
 
 
 def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
@@ -387,7 +278,8 @@ class Dropout:
             return x, None
         if rng is None:
             raise ConfigError("train-mode dropout needs an rng")
-        mask = _dropout_mask(x.shape, self.rate, rng, x.dtype)
+        # random() is in [0, 1), so >= rate keeps with probability 1 - rate
+        mask = (rng.random(x.shape) >= self.rate).astype(x.dtype)
         scale = x.dtype.type(1.0 / (1.0 - self.rate))
         return x * mask * scale, (mask, scale)
 
@@ -512,23 +404,50 @@ class Network:
         if not isinstance(cache, ForwardCache) or cache.net is not self:
             raise ConsistencyError("cache does not belong to this network")
         dy = np.asarray(dlogits, dtype=self.dtype)
+        expected = (cache.batch_size, self.class_count)
         if cache.single:
-            if dy.shape != (self.class_count,):
-                raise ConsistencyError(
-                    f"dlogits shape {dy.shape} does not match cached forward "
-                    f"({(self.class_count,)})"
-                )
-            dy = dy[None]
-        elif dy.shape != (cache.batch_size, self.class_count):
+            expected = expected[1:]
+        if dy.shape != expected:
             raise ConsistencyError(
-                f"dlogits shape {dy.shape} does not match cached forward "
-                f"({(cache.batch_size, self.class_count)})"
+                f"dlogits shape {dy.shape} does not match cached forward ({expected})"
             )
+        dy = dy.reshape(cache.batch_size, self.class_count)
         grads_per_layer = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             dy, g = self.layers[i].backward(cache.layer_caches[i], dy)
             grads_per_layer[i] = g
         return [g for layer_grads in grads_per_layer for g in layer_grads]
+
+
+def param_shapes(
+    class_count: int,
+    input_shape=(124, 129, 1),
+    resize=(32, 32),
+    conv_filters=(32, 64),
+    kernel_size: int = 3,
+    dense_units: int = 128,
+) -> list:
+    """Shapes of build_network's parameters, in parameters() order.
+
+    Validates the layout without allocating anything, so a model file's
+    stored shapes can be checked before the network is built.
+    """
+    if class_count < 2:
+        raise ConfigError(f"need at least 2 classes, got {class_count}")
+    rh, rw = resize
+    f1, f2 = conv_filters
+    k = kernel_size
+
+    h, w = rh - k + 1, rw - k + 1   # conv1
+    h, w = h - k + 1, w - k + 1     # conv2
+    if h < 1 or w < 1:
+        raise ConfigError(f"resize target {resize} too small for two {k}x{k} convs")
+    if h % 2 or w % 2:
+        raise ConfigError(f"conv output {h}x{w} not divisible by the 2x2 pool")
+    flat = (h // 2) * (w // 2) * f2
+    return [(k, k, input_shape[2], f1), (f1,), (k, k, f1, f2), (f2,),
+            (flat, dense_units), (dense_units,),
+            (dense_units, class_count), (class_count,)]
 
 
 def build_network(
@@ -547,20 +466,13 @@ def build_network(
     Weight draws come from the init stream of `seed` in layer order
     (conv1, conv2, dense1, dense2); biases start at zero.
     """
-    if class_count < 2:
-        raise ConfigError(f"need at least 2 classes, got {class_count}")
+    # param_shapes validates the layout; dense1's input width is its flat size
+    flat = param_shapes(class_count, input_shape, resize, conv_filters,
+                        kernel_size, dense_units)[4][0]
     in_h, in_w, in_c = input_shape
     rh, rw = resize
     f1, f2 = conv_filters
     k = kernel_size
-
-    h, w = rh - k + 1, rw - k + 1   # conv1
-    h, w = h - k + 1, w - k + 1     # conv2
-    if h < 1 or w < 1:
-        raise ConfigError(f"resize target {resize} too small for two {k}x{k} convs")
-    if h % 2 or w % 2:
-        raise ConfigError(f"conv output {h}x{w} not divisible by the 2x2 pool")
-    flat = (h // 2) * (w // 2) * f2
 
     rng = philox_stream(seed, STREAM_INIT)
     layers = [
@@ -586,16 +498,3 @@ def build_network(
     }
     return Network(layers, class_count, input_shape, seed, dtype, arch)
 
-
-def network_forward(net: Network, image: np.ndarray, mode: str = "infer"):
-    """Forward one image through the stack -> (logits, cache)."""
-    train = _check_mode(mode)
-    x = np.asarray(image)
-    if x.shape != net.input_shape:
-        raise ShapeError(f"expected input shape {net.input_shape}, got {x.shape}")
-    return net.forward(x, train=train)
-
-
-def network_backward(net: Network, cache: ForwardCache, dlogits: np.ndarray):
-    """Backprop a logits cotangent -> gradients aligned with parameters()."""
-    return net.backward(cache, dlogits)

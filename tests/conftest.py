@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cryalert.cli import main
 from cryalert.synth import generate_corpus
@@ -122,6 +123,21 @@ def rewrite_model_header(src, dst, header):
     dst.write_bytes(data[:8] + struct.pack("<I", len(body)) + body
                     + data[12 + header_len:])
     return dst
+
+
+def mutated(base: bytes):
+    """Strategy: base with up to 8 bytes overwritten, then cut at any length."""
+    edits = st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(0, 255)),
+                     max_size=8)
+
+    def apply(args):
+        changes, length = args
+        data = bytearray(base)
+        for pos, value in changes:
+            data[pos] = value
+        return bytes(data[:length])
+
+    return st.tuples(edits, st.integers(0, len(base))).map(apply)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,10 @@ from cryalert.cli import DirectoryWatcher, main
 from cryalert.errors import CorruptModelError
 from cryalert.infer_alert import StdoutSink, load_model, predict, save_model
 from cryalert.optim_train import AdamState, TrainConfig, adam_step, confusion_matrix, train
-from cryalert.rng import philox_stream
+from cryalert.rng import STREAM_INIT, philox_stream
 from cryalert.spectro import StftConfig, stft_magnitude
 from cryalert.synth import generate_corpus, synth_clip
-from cryalert.tensor_nn import (
-    build_network,
-    conv2d_backward,
-    conv2d_forward,
-    dense,
-    dense_backward,
-    softmax_cross_entropy,
-)
+from cryalert.tensor_nn import Conv2D, Dense, build_network, softmax_cross_entropy_batch
 from cryalert.optim_train import evaluate, split_arrays
 from cryalert.wav_io import load_dataset, load_wav, write_wav
 
@@ -113,29 +106,33 @@ def test_criterion_03_gradients(capsys):
     rng = np.random.default_rng(42)
     worst = 0.0
 
-    # conv layer, both kernel and bias
-    x = rng.normal(size=(6, 6, 2))
-    k = rng.normal(size=(3, 3, 2, 3))
-    b = rng.normal(size=3)
-    cot = rng.normal(size=(4, 4, 3))
-    dx, dk, db = conv2d_backward(x, k, cot)
+    # conv layer, input, kernel and bias, on a batch of one
+    conv = Conv2D(2, 3, 3, philox_stream(0, STREAM_INIT), dtype=np.float64,
+                  use_relu=False)
+    x = rng.normal(size=(1, 6, 6, 2))
+    conv.kernel = k = rng.normal(size=(3, 3, 2, 3))
+    conv.bias = b = rng.normal(size=3)
+    cot = rng.normal(size=(1, 4, 4, 3))
+    dx, (dk, db) = conv.backward(conv.forward(x)[1], cot)
 
     def conv_loss():
-        return float((conv2d_forward(x, k, b) * cot).sum())
+        return float((conv.forward(x)[0] * cot).sum())
 
     worst = max(worst, _worst_rel(dx, _central_diff(conv_loss, x)))
     worst = max(worst, _worst_rel(dk, _central_diff(conv_loss, k)))
     worst = max(worst, _worst_rel(db, _central_diff(conv_loss, b)))
 
-    # dense layer
-    x2 = rng.normal(size=8)
-    w2 = rng.normal(size=(8, 5))
-    b2 = rng.normal(size=5)
-    cot2 = rng.normal(size=5)
-    dx2, dw2, db2 = dense_backward(x2, w2, cot2)
+    # dense layer, on a batch of one
+    dense = Dense(8, 5, philox_stream(0, STREAM_INIT), dtype=np.float64,
+                  use_relu=False)
+    x2 = rng.normal(size=(1, 8))
+    dense.weights = w2 = rng.normal(size=(8, 5))
+    dense.bias = b2 = rng.normal(size=5)
+    cot2 = rng.normal(size=(1, 5))
+    dx2, (dw2, db2) = dense.backward(dense.forward(x2)[1], cot2)
 
     def dense_loss():
-        return float((dense(x2, w2, b2) * cot2).sum())
+        return float((dense.forward(x2)[0] * cot2).sum())
 
     worst = max(worst, _worst_rel(dx2, _central_diff(dense_loss, x2)))
     worst = max(worst, _worst_rel(dw2, _central_diff(dense_loss, w2)))
@@ -145,15 +142,15 @@ def test_criterion_03_gradients(capsys):
     net = build_network(3, input_shape=(16, 18, 1), resize=(8, 8),
                         conv_filters=(2, 2), dense_units=4, seed=33,
                         dtype=np.float64)
-    image = rng.uniform(0.0, 1.0, (16, 18, 1))
-    label = 1
+    image = rng.uniform(0.0, 1.0, (1, 16, 18, 1))
+    label = np.array([1])
 
     def net_loss():
         logits, _ = net.forward(image, train=False)
-        return softmax_cross_entropy(logits, label)[0]
+        return float(softmax_cross_entropy_batch(logits, label)[0][0])
 
     logits, cache = net.forward(image, train=False)
-    _, dlogits = softmax_cross_entropy(logits, label)
+    _, dlogits = softmax_cross_entropy_batch(logits, label)
     grads = net.backward(cache, dlogits)
     for p, g in zip(net.parameters(), grads):
         worst = max(worst, _worst_rel(g, _central_diff(net_loss, p)))

@@ -408,3 +408,30 @@ class TestMainPlumbing:
         rc = main(["--help"])
         capsys.readouterr()
         assert rc == 0
+
+
+# perfbench/spans.py wraps package functions and layers by name from
+# outside the package; run its hooks so a rename or deletion under src/
+# fails here and not only in a benchmark run
+_INSTRUMENT = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import numpy as np
+import spans
+from cryalert import tensor_nn
+spans.instrument(spans.Tracer())
+net = tensor_nn.build_network(3, input_shape=(16, 18, 1), resize=(8, 8),
+                              conv_filters=(2, 2), dense_units=4)
+logits, cache = net.forward(np.zeros((2, 16, 18, 1), np.float32), train=True)
+net.backward(cache, np.zeros_like(logits))
+"""
+
+
+class TestBenchmarkHooks:
+    def test_span_tracer_installs(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", _INSTRUMENT, str(root / "src"), str(root / "perfbench")],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

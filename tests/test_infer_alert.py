@@ -4,13 +4,17 @@ import json
 import logging
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryalert.errors import (
     ConfigError,
     CorruptModelError,
+    ModelFileError,
     ModelVersionError,
     NotAModelError,
     TooShortError,
@@ -32,7 +36,7 @@ from cryalert.spectro import StftConfig
 from cryalert.tensor_nn import build_network
 from cryalert.wav_io import AudioClip
 
-from conftest import read_model_header, rewrite_model_header
+from conftest import mutated, read_model_header, rewrite_model_header
 
 
 def small_net(seed=3):
@@ -213,6 +217,48 @@ class TestHeaderValidation:
         loaded = load_model(same)
         for a, b in zip(net.parameters(), loaded.network.parameters()):
             assert np.array_equal(a, b)
+
+    def test_oversized_architecture_rejected_before_allocating(self, saved, tmp_path):
+        # the header claims an 8x wider dense layer than the stored parameters
+        _, path = saved
+        header = read_model_header(path)
+        header["architecture"]["dense_units"] = 1024
+        bad = rewrite_model_header(path, tmp_path / "wide.cry", header)
+
+        tracemalloc.start()
+        try:
+            load_model(path)
+            valid_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(CorruptModelError):
+                load_model(bad)
+            bad_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bad_peak < valid_peak
+
+
+@pytest.fixture(scope="module")
+def small_model_bytes(tmp_path_factory):
+    """A model file of the reduced gradient-check architecture, as bytes."""
+    path = tmp_path_factory.mktemp("small_model") / "small.cry"
+    net = build_network(3, input_shape=(16, 18, 1), resize=(8, 8),
+                        conv_filters=(2, 2), dense_units=4, seed=33)
+    save_model(net, StftConfig(), ["a", "b", "c"], path, timestamp=0.0)
+    return path.read_bytes(), path.with_name("mutated.cry")
+
+
+class TestModelFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mutated_file_loads_or_raises_model_file_error(self, small_model_bytes, data):
+        base, target = small_model_bytes
+        target.write_bytes(data.draw(mutated(base)))
+        try:
+            loaded = load_model(target)
+        except ModelFileError:
+            return
+        assert len(loaded.class_names) == loaded.network.class_count
 
 
 class TestPredict:

@@ -10,7 +10,6 @@ from cryalert.spectro import (
     StftConfig,
     export_spectrogram,
     fft,
-    ifft,
     stft_magnitude,
     window_coefficients,
 )
@@ -86,11 +85,6 @@ class TestFft:
         lhs = fft(2.5 * a - 1.25 * b)
         rhs = 2.5 * fft(a) - 1.25 * fft(b)
         assert rel_error(lhs, rhs) < 1e-12
-
-    def test_ifft_inverts(self):
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=256) + 1j * rng.normal(size=256)
-        assert rel_error(ifft(fft(x)), x) < 1e-9
 
     def test_parseval(self):
         rng = np.random.default_rng(5)

@@ -14,21 +14,10 @@ from cryalert.tensor_nn import (
     Resize,
     _interp_matrix,
     build_network,
-    conv2d_backward,
-    conv2d_forward,
-    dense,
-    dense_backward,
-    dropout,
-    maxpool2d,
-    maxpool2d_backward,
-    network_backward,
-    network_forward,
-    normalize_apply,
+    param_shapes,
     relu,
     relu_backward,
-    resize_bilinear,
     softmax,
-    softmax_cross_entropy,
     softmax_cross_entropy_batch,
 )
 
@@ -56,34 +45,103 @@ def grad_close(analytic, numeric, tol=1e-6):
     return float(np.max(np.abs(analytic - numeric) / denom)) < tol
 
 
+# Layers run on batches; these apply one to a single example as a batch of 1.
+
+def resize(x, out_h, out_w):
+    layer = Resize(x.shape[0], x.shape[1], out_h, out_w, dtype=x.dtype)
+    return layer.forward(x[None])[0][0]
+
+
+def conv_layer(kernel, bias):
+    """A float64 Conv2D without ReLU that holds the given kernel and bias."""
+    kh, _, cin, cout = kernel.shape
+    layer = Conv2D(cin, cout, kh, philox_stream(0, STREAM_INIT), dtype=np.float64,
+                   use_relu=False)
+    layer.kernel, layer.bias = kernel, bias
+    return layer
+
+
+def conv(x, kernel, bias):
+    return conv_layer(kernel, bias).forward(x[None])[0][0]
+
+
+def conv_grads(x, kernel, dy):
+    """(dx, dkernel, dbias) of a single-example conv."""
+    layer = conv_layer(kernel, np.zeros(kernel.shape[-1]))
+    _, cache = layer.forward(x[None])
+    dx, (dk, db) = layer.backward(cache, dy[None])
+    return dx[0], dk, db
+
+
+def maxpool(x):
+    return MaxPool2D().forward(x[None])[0][0]
+
+
+def maxpool_grad(x, dy):
+    layer = MaxPool2D()
+    _, cache = layer.forward(x[None])
+    return layer.backward(cache, dy[None])[0][0]
+
+
+def dense_layer(weights, bias):
+    """A Dense without ReLU that holds the given weights and bias."""
+    n_in, n_out = weights.shape
+    layer = Dense(n_in, n_out, philox_stream(0, STREAM_INIT), dtype=weights.dtype,
+                  use_relu=False)
+    layer.weights, layer.bias = weights, bias
+    return layer
+
+
+def dense(x, weights, bias):
+    return dense_layer(weights, bias).forward(x[None])[0][0]
+
+
+def dense_grads(x, weights, dy):
+    """(dx, dweights, dbias) of a single-vector dense map."""
+    layer = dense_layer(weights, np.zeros(weights.shape[1]))
+    _, cache = layer.forward(x[None])
+    dx, (dw, db) = layer.backward(cache, dy[None])
+    return dx[0], dw, db
+
+
+def softmax_ce(logits, label):
+    """(loss, dlogits) for one logit vector."""
+    losses, dlogits = softmax_cross_entropy_batch(logits[None], np.array([label]))
+    return float(losses[0]), dlogits[0]
+
+
 class TestResize:
     def test_identity_when_same_size(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(5, 7, 2))
-        assert np.array_equal(resize_bilinear(x, 5, 7), x)
+        assert np.array_equal(resize(x, 5, 7), x)
 
     def test_constant_stays_constant(self):
         x = np.full((11, 4, 1), 3.25)
-        y = resize_bilinear(x, 5, 9)
+        y = resize(x, 5, 9)
         assert np.allclose(y, 3.25, rtol=1e-12)
 
     def test_2x2_to_1x1_average(self):
         x = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])
-        assert resize_bilinear(x, 1, 1)[0, 0, 0] == 2.5
+        assert resize(x, 1, 1)[0, 0, 0] == 2.5
 
     def test_downsamples_shape(self):
         x = np.zeros((124, 129, 1), dtype=np.float32)
-        y = resize_bilinear(x, 32, 32)
+        y = resize(x, 32, 32)
         assert y.shape == (32, 32, 1)
         assert y.dtype == np.float32
 
     def test_bad_target(self):
-        with pytest.raises(ConfigError):
-            resize_bilinear(np.zeros((4, 4, 1)), 0, 4)
+        # the layer is only built by build_network, which validates the size
+        for target in ((0, 0), (0, 32), (32, -1)):
+            with pytest.raises(ConfigError):
+                build_network(4, resize=target)
 
     def test_bad_input_rank(self):
-        with pytest.raises(ShapeError):
-            resize_bilinear(np.zeros((4, 4)), 2, 2)
+        net = build_network(4, seed=0)
+        for shape in ((124, 129), (124,), (1, 1, 124, 129, 1)):
+            with pytest.raises(ShapeError):
+                net.forward(np.zeros(shape, dtype=np.float32))
 
     def test_gradient_distributes_weights(self):
         layer = Resize(2, 2, 1, 1, dtype=np.float64)
@@ -130,7 +188,7 @@ class TestConv:
     def test_ones_kernel_sums_window(self):
         x = np.ones((5, 5, 1))
         k = np.ones((3, 3, 1, 1))
-        y = conv2d_forward(x, k, np.zeros(1))
+        y = conv(x, k, np.zeros(1))
         assert y.shape == (3, 3, 1)
         assert np.array_equal(y[..., 0], np.full((3, 3), 9.0))
 
@@ -139,13 +197,13 @@ class TestConv:
         x = rng.normal(size=(6, 7, 1))
         k = np.zeros((3, 3, 1, 1))
         k[1, 1, 0, 0] = 1.0
-        y = conv2d_forward(x, k, np.zeros(1))
+        y = conv(x, k, np.zeros(1))
         assert np.allclose(y[..., 0], x[1:-1, 1:-1, 0], atol=1e-15)
 
     def test_bias_added_per_filter(self):
         x = np.zeros((4, 4, 2))
         k = np.zeros((3, 3, 2, 3))
-        y = conv2d_forward(x, k, np.array([1.0, -2.0, 0.5]))
+        y = conv(x, k, np.array([1.0, -2.0, 0.5]))
         assert np.array_equal(y[0, 0], [1.0, -2.0, 0.5])
 
     def test_matches_loop_oracle(self):
@@ -153,21 +211,21 @@ class TestConv:
         x = rng.normal(size=(8, 8, 2))
         k = rng.normal(size=(3, 3, 2, 4))
         b = rng.normal(size=4)
-        assert rel_error(conv2d_forward(x, k, b), conv2d_loops(x, k, b)) < 1e-10
+        assert rel_error(conv(x, k, b), conv2d_loops(x, k, b)) < 1e-10
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(np.zeros((5, 5, 3)), np.zeros((3, 3, 2, 1)), np.zeros(1))
+            conv(np.zeros((5, 5, 3)), np.zeros((3, 3, 2, 1)), np.zeros(1))
 
     def test_input_smaller_than_kernel(self):
         with pytest.raises(ShapeError):
-            conv2d_forward(np.zeros((2, 2, 1)), np.zeros((3, 3, 1, 1)), np.zeros(1))
+            conv(np.zeros((2, 2, 1)), np.zeros((3, 3, 1, 1)), np.zeros(1))
 
     def test_backward_zero_cotangent(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(5, 5, 2))
         k = rng.normal(size=(3, 3, 2, 2))
-        dx, dk, db = conv2d_backward(x, k, np.zeros((3, 3, 2)))
+        dx, dk, db = conv_grads(x, k, np.zeros((3, 3, 2)))
         assert not dx.any() and not dk.any() and not db.any()
 
     def test_backward_single_window_kernel_grad_is_input(self):
@@ -176,7 +234,7 @@ class TestConv:
         x = rng.normal(size=(3, 3, 1))
         k = rng.normal(size=(3, 3, 1, 1))
         dy = np.full((1, 1, 1), 2.0)
-        _, dk, db = conv2d_backward(x, k, dy)
+        _, dk, db = conv_grads(x, k, dy)
         assert np.allclose(dk[..., 0], 2.0 * x, atol=1e-15)
         assert db[0] == 2.0
 
@@ -188,9 +246,9 @@ class TestConv:
         cot = rng.normal(size=(4, 4, 3))
 
         def loss():
-            return float((conv2d_forward(x, k, b) * cot).sum())
+            return float((conv(x, k, b) * cot).sum())
 
-        dx, dk, db = conv2d_backward(x, k, cot)
+        dx, dk, db = conv_grads(x, k, cot)
         assert grad_close(dx, central_diff(loss, x))
         assert grad_close(dk, central_diff(loss, k))
         assert grad_close(db, central_diff(loss, b))
@@ -247,30 +305,30 @@ class TestRelu:
 class TestMaxPool:
     def test_known_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[..., None]
-        y, argmax = maxpool2d(x)
-        assert y[0, 0, 0] == 4.0
-        assert argmax[0, 0, 0] == 3  # row-major position (1, 1)
+        assert maxpool(x)[0, 0, 0] == 4.0
+        # the gradient goes to the winner, row-major position (1, 1)
+        dx = maxpool_grad(x, np.ones((1, 1, 1)))
+        assert np.array_equal(dx[..., 0], [[0.0, 0.0], [0.0, 1.0]])
 
     def test_tie_goes_to_first(self):
         x = np.full((2, 2, 1), 7.0)
-        y, argmax = maxpool2d(x)
-        assert y[0, 0, 0] == 7.0
-        assert argmax[0, 0, 0] == 0
+        assert maxpool(x)[0, 0, 0] == 7.0
+        dx = maxpool_grad(x, np.ones((1, 1, 1)))
+        assert np.array_equal(dx[..., 0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(12, 10, 3))
-        y, _ = maxpool2d(x)
-        assert np.array_equal(y, maxpool_loops(x))
+        assert np.array_equal(maxpool(x), maxpool_loops(x))
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ShapeError):
-            maxpool2d(np.zeros((5, 4, 1)))
+            maxpool(np.zeros((5, 4, 1)))
 
     def test_output_dominates_window(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(8, 8, 2))
-        y, _ = maxpool2d(x)
+        y = maxpool(x)
         for i in range(4):
             for j in range(4):
                 for c in range(2):
@@ -278,8 +336,7 @@ class TestMaxPool:
 
     def test_backward_routes_to_argmax(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[..., None]
-        _, argmax = maxpool2d(x)
-        dx = maxpool2d_backward(np.full((1, 1, 1), 5.0), argmax)
+        dx = maxpool_grad(x, np.full((1, 1, 1), 5.0))
         assert np.array_equal(dx[..., 0], [[0.0, 0.0], [0.0, 5.0]])
 
     def test_backward_matches_fd_on_distinct_values(self):
@@ -288,10 +345,9 @@ class TestMaxPool:
         cot = rng.normal(size=(3, 2, 2))
 
         def loss():
-            return float((maxpool2d(x)[0] * cot).sum())
+            return float((maxpool(x) * cot).sum())
 
-        _, argmax = maxpool2d(x)
-        dx = maxpool2d_backward(cot, argmax)
+        dx = maxpool_grad(x, cot)
         assert grad_close(dx, central_diff(loss, x))
 
 
@@ -319,51 +375,56 @@ class TestMaxPoolLayer:
         assert np.array_equal(dx, expected)
 
     def test_layer_and_single_example_agree(self):
+        # each example of a batch against a per-example argmax formula
         rng = np.random.default_rng(46)
-        x = rng.integers(0, 2, size=(1, 4, 4, 2)).astype(np.float64)
-        dy = rng.normal(size=(1, 2, 2, 2))
-        y, argmax = maxpool2d(x[0])
+        x = rng.integers(0, 2, size=(3, 4, 4, 2)).astype(np.float64)
+        dy = rng.normal(size=(3, 2, 2, 2))
         layer_y, cache = MaxPool2D().forward(x)
-        assert np.array_equal(layer_y[0], y)
-        assert np.array_equal(MaxPool2D().backward(cache, dy)[0][0],
-                              maxpool2d_backward(dy[0], argmax))
+        layer_dx, _ = MaxPool2D().backward(cache, dy)
+        for n in range(3):
+            # (2, 2, c, 4): each 2x2 window flattened in row-major order
+            windows = (x[n].reshape(2, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3)
+                       .reshape(2, 2, 2, 4))
+            assert np.array_equal(layer_y[n], windows.max(axis=-1))
+            first = windows.argmax(axis=-1)  # argmax picks the first of a tie
+            dx = np.zeros((4, 4, 2))
+            for i, j, c in np.ndindex(2, 2, 2):
+                w = first[i, j, c]
+                dx[2 * i + w // 2, 2 * j + w % 2, c] = dy[n, i, j, c]
+            assert np.array_equal(layer_dx[n], dx)
 
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
-        x = np.arange(6.0)
-        assert dropout(x, 0.0, "train", np.random.default_rng(0)) is x
+        x = np.arange(6.0).reshape(1, 6)
+        y, _ = Dropout(0.0).forward(x, train=True, rng=np.random.default_rng(0))
+        assert y is x
 
     def test_infer_mode_is_identity_and_consumes_nothing(self):
         rng = philox_stream(1, 0)
         before = rng.bit_generator.state["state"]["counter"].copy()
-        x = np.arange(6.0)
-        assert dropout(x, 0.5, "infer", rng) is x
+        x = np.arange(6.0).reshape(1, 6)
+        assert Dropout(0.5).forward(x, train=False, rng=rng)[0] is x
         assert np.array_equal(rng.bit_generator.state["state"]["counter"], before)
 
     def test_bad_rates(self):
-        x = np.zeros(3)
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ConfigError):
-                dropout(x, rate, "train", np.random.default_rng(0))
+                Dropout(rate)
 
     def test_train_needs_rng(self):
         with pytest.raises(ConfigError):
-            dropout(np.zeros(3), 0.5, "train", None)
-
-    def test_bad_mode(self):
-        with pytest.raises(ConfigError):
-            dropout(np.zeros(3), 0.5, "banana", np.random.default_rng(0))
+            Dropout(0.5).forward(np.zeros((1, 3)), train=True, rng=None)
 
     def test_survivors_scaled(self):
-        x = np.ones(1000)
-        y = dropout(x, 0.25, "train", np.random.default_rng(3))
+        x = np.ones((1, 1000))
+        y, _ = Dropout(0.25).forward(x, train=True, rng=np.random.default_rng(3))
         kept = y[y != 0]
         assert np.allclose(kept, 1.0 / 0.75)
 
     def test_mean_preserved(self):
-        x = np.ones(100_000)
-        y = dropout(x, 0.5, "train", np.random.default_rng(4))
+        x = np.ones((1, 100_000))
+        y, _ = Dropout(0.5).forward(x, train=True, rng=np.random.default_rng(4))
         assert abs(y.mean() - 1.0) < 0.02
 
     def test_layer_backward_reuses_mask(self):
@@ -406,7 +467,7 @@ class TestDense:
         def loss():
             return float((dense(x, w, b) * cot).sum())
 
-        dx, dw, db = dense_backward(x, w, cot)
+        dx, dw, db = dense_grads(x, w, cot)
         assert grad_close(dx, central_diff(loss, x))
         assert grad_close(dw, central_diff(loss, w))
         assert grad_close(db, central_diff(loss, b))
@@ -419,7 +480,11 @@ class TestDense:
         w = rng.normal(size=(12544, 128)) * 0.01
         b = np.zeros(128)
         cot = rng.normal(size=128)
-        _, dw, _ = dense_backward(x, w, cot)
+        _, dw, _ = dense_grads(x, w, cot)
+        layer = dense_layer(w, b)
+
+        def loss():
+            return float((layer.forward(x[None])[0][0] * cot).sum())
 
         h = 1e-6
         for _ in range(60):
@@ -427,9 +492,9 @@ class TestDense:
             j = rng.integers(128)
             old = w[i, j]
             w[i, j] = old + h
-            hi = float((dense(x, w, b) * cot).sum())
+            hi = loss()
             w[i, j] = old - h
-            lo = float((dense(x, w, b) * cot).sum())
+            lo = loss()
             w[i, j] = old
             num = (hi - lo) / (2 * h)
             denom = max(abs(num), abs(dw[i, j]), 1e-8)
@@ -442,16 +507,17 @@ class TestNormalize:
         assert Resize(4, 4, 2, 2).backward(None, None) == (None, [])
 
     def test_formula(self):
-        x = np.array([0.0, 2.0])
-        y = normalize_apply(x, 1.0, 1.0)
+        x = np.array([[0.0, 2.0]])
+        y, _ = Normalize(1.0, 1.0).forward(x)
         assert np.allclose(y, (x - 1.0) / np.sqrt(1.0 + 1e-6), atol=1e-15)
 
     def test_constant_maps_to_zero(self):
-        assert np.allclose(normalize_apply(np.full(5, 3.0), 3.0, 0.0), 0.0)
+        y, _ = Normalize(3.0, 0.0).forward(np.full((1, 5), 3.0))
+        assert np.allclose(y, 0.0)
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ConfigError):
-            normalize_apply(np.zeros(2), 0.0, -1.0)
+            Normalize(0.0, -1.0)
 
     def test_layer_gradient_is_inverse_scale(self):
         layer = Normalize(mean=2.0, variance=4.0)
@@ -472,20 +538,20 @@ class TestSoftmaxCrossEntropy:
         assert np.allclose(softmax(z), softmax(z + 123.456), atol=1e-12)
 
     def test_uniform_logits_give_log_c(self):
-        loss, dlogits = softmax_cross_entropy(np.zeros(4), 0)
+        loss, dlogits = softmax_ce(np.zeros(4), 0)
         assert abs(loss - np.log(4.0)) < 1e-12
         assert np.allclose(dlogits, [0.25 - 1.0, 0.25, 0.25, 0.25], atol=1e-12)
 
     def test_saturated_correct_logit(self):
         z = np.zeros(4)
         z[2] = 100.0
-        loss, _ = softmax_cross_entropy(z, 2)
+        loss, _ = softmax_ce(z, 2)
         assert 0.0 <= loss < 1e-40
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(15)
         z = rng.normal(size=6)
-        _, dlogits = softmax_cross_entropy(z, 3)
+        _, dlogits = softmax_ce(z, 3)
         expected = softmax(z).copy()
         expected[3] -= 1.0
         assert np.allclose(dlogits, expected, atol=1e-12)
@@ -495,15 +561,15 @@ class TestSoftmaxCrossEntropy:
         z = rng.normal(size=5)
 
         def loss():
-            return softmax_cross_entropy(z, 1)[0]
+            return softmax_ce(z, 1)[0]
 
-        _, dlogits = softmax_cross_entropy(z, 1)
+        _, dlogits = softmax_ce(z, 1)
         assert grad_close(dlogits, central_diff(loss, z))
 
     def test_label_out_of_range(self):
         for label in (-1, 4):
             with pytest.raises(LabelError):
-                softmax_cross_entropy(np.zeros(4), label)
+                softmax_ce(np.zeros(4), label)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
@@ -511,7 +577,11 @@ class TestSoftmaxCrossEntropy:
         labels = np.array([0, 1, 2, 3, 1, 2])
         losses, dlogits = softmax_cross_entropy_batch(z, labels)
         for i in range(6):
-            loss_i, d_i = softmax_cross_entropy(z[i], int(labels[i]))
+            # per row: log-sum-exp minus the label's logit, softmax minus one-hot
+            e = np.exp(z[i])
+            loss_i = np.log(e.sum()) - z[i, labels[i]]
+            d_i = e / e.sum()
+            d_i[labels[i]] -= 1.0
             assert abs(losses[i] - loss_i) < 1e-12
             assert np.allclose(dlogits[i], d_i, atol=1e-12)
 
@@ -539,7 +609,7 @@ class TestNetwork:
         net = build_network(4, seed=0)
         rng = np.random.default_rng(18)
         x = rng.uniform(0, 1, (124, 129, 1)).astype(np.float32)
-        logits, cache = network_forward(net, x)
+        logits, cache = net.forward(x)
         assert logits.shape == (4,)
         assert cache.shapes == CANONICAL_CHAIN
 
@@ -551,6 +621,16 @@ class TestNetwork:
             (12544, 128), (128,), (128, 4), (4,),
         ]
         assert sum(p.size for p in params) == 1_625_092
+
+    @pytest.mark.parametrize("layout", [
+        {},
+        {"input_shape": (16, 18, 3), "resize": (8, 10), "conv_filters": (2, 5),
+         "dense_units": 4},
+        {"resize": (14, 18), "kernel_size": 4},
+    ])
+    def test_param_shapes_match_built_network(self, layout):
+        net = build_network(3, seed=0, **layout)
+        assert param_shapes(3, **layout) == [p.shape for p in net.parameters()]
 
     def test_glorot_bounds_and_zero_biases(self):
         net = build_network(4, seed=9)
@@ -642,19 +722,6 @@ class TestNetwork:
         with pytest.raises(ConsistencyError):
             net.backward(cache, np.zeros((2, 5), dtype=np.float32))
 
-    def test_mode_validated(self):
-        net = build_network(4, seed=0)
-        with pytest.raises(ConfigError):
-            network_forward(net, np.zeros((124, 129, 1), dtype=np.float32), "banana")
-
-    def test_network_backward_wrapper(self):
-        net = build_network(4, seed=0)
-        x = np.random.default_rng(3).uniform(0, 1, (124, 129, 1)).astype(np.float32)
-        logits, cache = network_forward(net, x)
-        _, dlogits = softmax_cross_entropy(logits.astype(np.float64), 0)
-        grads = network_backward(net, cache, dlogits.astype(np.float32))
-        assert len(grads) == len(net.parameters())
-
     def test_class_count_below_two_rejected(self):
         with pytest.raises(ConfigError):
             build_network(1)
@@ -696,15 +763,15 @@ class TestNetwork:
                             conv_filters=(2, 2), dense_units=4, seed=33,
                             dtype=np.float64)
         rng = np.random.default_rng(34)
-        x = rng.uniform(0, 1, (16, 18, 1))
-        label = 1
+        x = rng.uniform(0, 1, (1, 16, 18, 1))
+        label = np.array([1])
 
         def loss():
             logits, _ = net.forward(x, train=False)
-            return softmax_cross_entropy(logits, label)[0]
+            return float(softmax_cross_entropy_batch(logits, label)[0][0])
 
         logits, cache = net.forward(x, train=False)
-        _, dlogits = softmax_cross_entropy(logits, label)
+        _, dlogits = softmax_cross_entropy_batch(logits, label)
         grads = net.backward(cache, dlogits)
         params = net.parameters()
         assert len(grads) == len(params)

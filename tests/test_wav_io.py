@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cryalert.errors import (
     ConfigError,
+    CryalertError,
     DatasetError,
     FormatError,
     UnsupportedCodecError,
@@ -22,7 +23,7 @@ from cryalert.wav_io import (
     write_wav,
 )
 
-from conftest import dft_direct, make_wav_bytes
+from conftest import dft_direct, make_wav_bytes, mutated
 
 
 class TestParse:
@@ -92,6 +93,27 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_wav(bad)
         parse_wav(good)
+
+
+# stereo, 48 kHz, with an odd-length unknown chunk: mutations reach chunk skipping,
+# padding and the downmix, not only the header checks
+VALID_WAV = make_wav_bytes(range(-40, 40), rate=48000, channels=2, extra_chunk=b"abc")
+
+
+class TestParseFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(
+        st.binary(max_size=64),
+        st.binary(max_size=64).map(lambda b: b"RIFF" + b[:4] + b"WAVE" + b[4:]),
+        mutated(VALID_WAV),
+    ))
+    def test_any_bytes_decode_or_raise_cryalert_error(self, data):
+        try:
+            clip = parse_wav(data)
+        except CryalertError:
+            return
+        assert isinstance(clip, AudioClip)
+        assert np.all(np.abs(clip.samples) <= 1.0)
 
 
 class TestRoundTrip:
