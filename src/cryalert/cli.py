@@ -67,10 +67,12 @@ def _ratio_triple(text: str):
 class DirectoryWatcher:
     """Polling watcher that classifies new WAV files and emits alerts.
 
-    A file is picked up once its size is stable across two consecutive
-    polls (so half-written files are left alone) and is never processed
-    twice.  A positive cooldown suppresses alert-positive emissions for
-    that many seconds after the last one.
+    A file is picked up once its size and modification time are
+    unchanged across two consecutive polls (so half-written files are
+    left alone) and is processed once per (size, mtime): a file deleted
+    and written again under the same name is classified again.  A
+    positive cooldown suppresses alert-positive emissions for that many
+    seconds after the last one.
     """
 
     def __init__(self, directory, classify, sinks, alert_classes, threshold,
@@ -83,27 +85,40 @@ class DirectoryWatcher:
         self.cooldown = cooldown
         self.clock = clock
         self.stop = False
-        self._last_sizes: dict = {}
-        self._processed: set = set()
+        self._last_seen: dict = {}   # path -> (size, mtime_ns) at the last poll
+        self._processed: dict = {}   # path -> (size, mtime_ns) it was classified at
         self._last_alert: float | None = None
 
     def poll_once(self):
-        """One scan; returns the events emitted during it."""
-        sizes = {}
+        """One scan; returns the events emitted during it.
+
+        A file that classify rejects is logged as a skip and the scan
+        goes on: CryalertError and OSError by their message, any other
+        Exception by its type as well (its traceback at debug level).
+        """
+        seen = {}
         for path in sorted(self.directory.glob("*.wav")):
             try:
-                sizes[path] = path.stat().st_size
+                st = path.stat()
             except OSError:
                 continue
+            seen[path] = (st.st_size, st.st_mtime_ns)
+        # forget files that are gone, so the map never outgrows the directory
+        self._processed = {p: sig for p, sig in self._processed.items() if p in seen}
         emitted = []
-        for path, size in sizes.items():
-            if path in self._processed or self._last_sizes.get(path) != size:
+        for path, sig in seen.items():
+            if self._processed.get(path) == sig or self._last_seen.get(path) != sig:
                 continue
-            self._processed.add(path)
+            self._processed[path] = sig
             try:
                 probs = self.classify(path)
             except (CryalertError, OSError) as exc:
                 log.warning("skipping %s: %s", path, exc)
+                continue
+            except Exception as exc:
+                log.warning("skipping %s: unexpected %s: %s", path,
+                            type(exc).__name__, exc)
+                log.debug("traceback for %s", path, exc_info=True)
                 continue
             now = self.clock()
             event = decide_alert(probs, self.alert_classes, self.threshold,
@@ -116,7 +131,7 @@ class DirectoryWatcher:
                 self._last_alert = now
             emit_alert(event, self.sinks)
             emitted.append(event)
-        self._last_sizes = sizes
+        self._last_seen = seen
         return emitted
 
     def run(self, poll_seconds: float) -> None:

@@ -196,6 +196,20 @@ def load_model(path) -> LoadedModel:
     layout = {key: tuple(arch[key]) for key in ("input_shape", "resize", "conv_filters")}
     layout.update(kernel_size=arch["kernel_size"], dense_units=arch["dense_units"])
     try:
+        stft_cfg = StftConfig(
+            frame_length=stft["frame_length"],
+            frame_step=stft["frame_step"],
+            fft_length=stft["fft_length"],
+            window=stft["window"],
+        )
+        # no stored shape bounds input_shape, yet it sizes the Resize
+        # matrices; it cannot exceed the image a canonical clip gives
+        image = (stft_cfg.num_frames(DEFAULT_CLIP_SAMPLES), stft_cfg.num_bins, 1)
+        if any(got > most for got, most in zip(layout["input_shape"], image)):
+            raise CorruptModelError(
+                f"{path}: input shape {list(layout['input_shape'])} exceeds the "
+                f"{list(image)} spectrogram of a {DEFAULT_CLIP_SAMPLES}-sample clip"
+            )
         # the stored shapes, bounded by the file size, must fit the
         # architecture before build_network allocates what it claims
         expected = param_shapes(arch["class_count"], **layout)
@@ -208,13 +222,7 @@ def load_model(path) -> LoadedModel:
                             dropout_rates=tuple(arch["dropout_rates"]),
                             seed=header["seed"], dtype=np.float32)
         net.set_norm_stats(header["norm_mean"], header["norm_variance"])
-        stft_cfg = StftConfig(
-            frame_length=stft["frame_length"],
-            frame_step=stft["frame_step"],
-            fft_length=stft["fft_length"],
-            window=stft["window"],
-        )
-    except ConfigError as exc:
+    except (ConfigError, TooShortError) as exc:
         raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
     offset = 0
     for p in net.parameters():

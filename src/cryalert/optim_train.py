@@ -24,10 +24,15 @@ _EVAL_CHUNK = 128
 
 @dataclass
 class AdamState:
-    """First/second moments per parameter plus the shared step counter."""
+    """First/second moments per parameter plus the shared step counter.
+
+    scratch holds two work buffers per parameter, so that a step
+    allocates no temporaries.
+    """
 
     m: list
     v: list
+    scratch: list
     t: int = 0
     lr: float = 1e-4
     beta1: float = 0.9
@@ -39,6 +44,7 @@ class AdamState:
         return cls(
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
+            scratch=[(np.empty_like(p), np.empty_like(p)) for p in params],
             lr=lr,
         )
 
@@ -49,6 +55,9 @@ def adam_step(params, grads, state: AdamState):
     m and v decay toward the gradient and its square, both are
     bias-corrected by 1/(1 - beta^t), and the step is
     lr * m_hat / (sqrt(v_hat) + eps) with eps added after the sqrt.
+    The operations run in place through state.scratch in the order of
+    that expression, so with gradients in the parameters' dtype the
+    result is bitwise that of evaluating it with temporaries.
     """
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ShapeError(
@@ -61,14 +70,18 @@ def adam_step(params, grads, state: AdamState):
     state.t += 1
     correct1 = 1.0 - state.beta1 ** state.t
     correct2 = 1.0 - state.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(g, 1.0 - state.beta1, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / correct1
-        v_hat = v / correct2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - state.beta2, out=a)
+        np.divide(m, correct1, out=a)            # m_hat
+        np.divide(v, correct2, out=b)            # v_hat
+        a *= state.lr
+        np.sqrt(b, out=b)
+        b += state.eps
+        a /= b
+        p -= a
     return params, state
 
 

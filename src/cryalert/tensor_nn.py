@@ -10,6 +10,11 @@ without synchronization.  The first conv has no parameter layer before
 it, so it returns dx=None, and the parameter-free layers under it pass
 that None down.
 
+A conv caches only its input and output.  Its im2col patch matrix is
+formed for _CONV_BLOCK examples at a time, multiplied straight into the
+output in forward and formed again from the cached input in backward,
+so no batch-sized patch matrix is ever held.
+
 The canonical stack is resize -> normalize -> conv(relu) -> conv(relu)
 -> maxpool -> dropout -> flatten -> dense(relu) -> dropout -> dense,
 producing class-count logits.
@@ -56,47 +61,70 @@ def _resize_batch(x, rows, cols):
 # ---------------------------------------------------------------------------
 # convolution (valid padding, stride 1, NHWC x (kh, kw, cin, cout))
 
+# Examples per im2col block, for every batch size.  A whole batch-64
+# im2col of conv2 is a 58 MB buffer that each step would write, read
+# and page-fault in again; a few examples' patches stay near cache size.
+# In a sweep of 1 to 64 on 2 vCPUs, blocks of 2 and 4 gave the fastest
+# batch-64 train step.
+_CONV_BLOCK = 4
+
+
 def _im2col(x, kh, kw):
-    # (n, h, w, c) -> (n, oh, ow, kh*kw*c) patches, window-major order
+    # (n, h, w, c) -> (n*oh*ow, kh*kw*c) patches, window-major order
     v = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, c, kh, kw)
-    n, oh, ow, c = v.shape[:4]
-    return v.transpose(0, 1, 2, 4, 5, 3).reshape(n, oh, ow, kh * kw * c)
+    return v.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
 
 
-def _conv_batch(x, kernel, bias):
+def _conv_batch(x, kernel, bias, use_relu=False):
+    """y = im2col(x) @ kernel + bias (then ReLU), one block of examples
+    at a time into a preallocated output."""
     kh, kw, cin, cout = kernel.shape
     n, h, w, c = x.shape
     if c != cin:
         raise ShapeError(f"input has {c} channels, kernel expects {cin}")
     if h < kh or w < kw:
         raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
-    cols = _im2col(x, kh, kw)
-    oh, ow = cols.shape[1], cols.shape[2]
-    y = cols.reshape(-1, kh * kw * cin) @ kernel.reshape(-1, cout)
-    y += bias
-    return y.reshape(n, oh, ow, cout), cols
+    y = np.empty((n, h - kh + 1, w - kw + 1, cout), dtype=np.result_type(x, kernel))
+    flat_kernel = kernel.reshape(-1, cout)
+    for start in range(0, n, _CONV_BLOCK):
+        block = slice(start, start + _CONV_BLOCK)
+        out = y[block].reshape(-1, cout)
+        np.matmul(_im2col(x[block], kh, kw), flat_kernel, out=out)
+        out += bias
+        if use_relu:
+            np.maximum(out, 0, out=out)
+    return y
 
 
-def _conv_batch_backward(cols, x_shape, kernel, dy, input_grad=True):
+def _conv_batch_backward(x, kernel, dy, input_grad=True):
+    """(dx, dkernel, dbias); each block's patches are formed again from x."""
     kh, kw, cin, cout = kernel.shape
     n, oh, ow, _ = dy.shape
-    flat_cols = cols.reshape(-1, kh * kw * cin)
-    flat_dy = dy.reshape(-1, cout)
-    dkernel = (flat_cols.T @ flat_dy).reshape(kernel.shape)
-    dbias = flat_dy.sum(axis=0)
-    if not input_grad:
-        return None, dkernel, dbias
-    # col2im: the patch gradient dy @ kernel^T, one kernel position at a
-    # time (contiguous blocks), added back onto the input pixels that
-    # position gathered from
-    dtype = np.result_type(dy, kernel)
-    dx = np.zeros(x_shape, dtype=dtype)
-    dcols = np.empty((n * oh * ow, cin), dtype=dtype)
-    for i in range(kh):
-        for j in range(kw):
-            np.matmul(flat_dy, kernel[i, j].T, out=dcols)
-            dx[:, i:i + oh, j:j + ow] += dcols.reshape(n, oh, ow, cin)
-    return dx, dkernel, dbias
+    dkernel = np.zeros((kh * kw * cin, cout), dtype=np.result_type(x, dy))
+    part = np.empty_like(dkernel)
+    dx = dcols = None
+    if input_grad:
+        dtype = np.result_type(dy, kernel)
+        dx = np.zeros(x.shape, dtype=dtype)
+        dcols = np.empty((min(n, _CONV_BLOCK) * oh * ow, cin), dtype=dtype)
+    for start in range(0, n, _CONV_BLOCK):
+        block = slice(start, start + _CONV_BLOCK)
+        flat_dy = dy[block].reshape(-1, cout)
+        np.matmul(_im2col(x[block], kh, kw).T, flat_dy, out=part)
+        dkernel += part
+        if dx is None:
+            continue
+        # col2im: the patch gradient dy @ kernel^T, one kernel position at
+        # a time (contiguous blocks), added back onto the input pixels that
+        # position gathered from
+        rows = dcols[:len(flat_dy)]
+        dx_block = dx[block]
+        for i in range(kh):
+            for j in range(kw):
+                np.matmul(flat_dy, kernel[i, j].T, out=rows)
+                dx_block[:, i:i + oh, j:j + ow] += rows.reshape(-1, oh, ow, cin)
+    dbias = dy.reshape(-1, cout).sum(axis=0)
+    return dx, dkernel.reshape(kernel.shape), dbias
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +267,14 @@ class Conv2D:
         return [self.kernel, self.bias]
 
     def forward(self, x, train=False, rng=None):
-        pre, cols = _conv_batch(x, self.kernel, self.bias)
-        y = relu(pre) if self.use_relu else pre
-        return y, (cols, x.shape, pre if self.use_relu else None)
+        y = _conv_batch(x, self.kernel, self.bias, self.use_relu)
+        return y, (x, y)
 
     def backward(self, cache, dy):
-        cols, x_shape, pre = cache
-        if pre is not None:
-            dy = relu_backward(pre, dy)
-        dx, dk, db = _conv_batch_backward(cols, x_shape, self.kernel, dy,
-                                          self.input_grad)
+        x, y = cache
+        if self.use_relu:
+            dy = dy * (y > 0)
+        dx, dk, db = _conv_batch_backward(x, self.kernel, dy, self.input_grad)
         return dx, [dk, db]
 
 
@@ -278,16 +304,16 @@ class Dropout:
             return x, None
         if rng is None:
             raise ConfigError("train-mode dropout needs an rng")
-        # random() is in [0, 1), so >= rate keeps with probability 1 - rate
-        mask = (rng.random(x.shape) >= self.rate).astype(x.dtype)
-        scale = x.dtype.type(1.0 / (1.0 - self.rate))
-        return x * mask * scale, (mask, scale)
+        # random() is in [0, 1), so >= rate keeps with probability 1 - rate;
+        # keep holds mask * scale, so y = x * keep in one pass
+        keep = (rng.random(x.shape) >= self.rate).astype(x.dtype)
+        keep *= x.dtype.type(1.0 / (1.0 - self.rate))
+        return x * keep, keep
 
     def backward(self, cache, dy):
         if cache is None:
             return dy, []
-        mask, scale = cache
-        return dy * mask * scale, []
+        return dy * cache, []
 
 
 class Flatten:

@@ -344,6 +344,67 @@ class TestDirectoryWatcher:
         assert len(watcher.poll_once()) == 2
         assert len(buf.getvalue().strip().splitlines()) == 2
 
+    def test_recreated_file_classified_again(self, tmp_path):
+        fake = [1000.0]
+        watcher, buf = make_watcher(tmp_path, clock=lambda: fake[0])
+        path = drop_wav(tmp_path, "one.wav")
+        watcher.poll_once()
+        assert len(watcher.poll_once()) == 1
+        # deleted and written again between two polls, same name and size;
+        # the mtime is moved on explicitly, since a filesystem with coarse
+        # timestamps could give the new file the old one's
+        path.unlink()
+        drop_wav(tmp_path, "one.wav")
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000_000))
+        fake[0] += 1.0
+        assert watcher.poll_once() == []  # not yet stable
+        assert len(watcher.poll_once()) == 1
+        assert len(buf.getvalue().strip().splitlines()) == 2
+
+    def test_processed_forgets_files_that_are_gone(self, tmp_path):
+        watcher, _ = make_watcher(tmp_path)
+        paths = [drop_wav(tmp_path, f"{i}.wav") for i in range(3)]
+        watcher.poll_once()
+        assert len(watcher.poll_once()) == 3
+        for path in paths[:2]:
+            path.unlink()
+        watcher.poll_once()
+        assert list(watcher._processed) == [paths[2]]
+        # a file gone while unseen is classified again when it returns
+        drop_wav(tmp_path, "0.wav")
+        watcher.poll_once()
+        assert [e.source for e in watcher.poll_once()] == [str(paths[0])]
+
+    def test_unexpected_classify_error_skipped_and_logged(self, tmp_path, caplog):
+        def classify(path):
+            if path.name == "a.wav":
+                raise ValueError("bad internal state")
+            return tone_probs(path)
+
+        watcher, buf = make_watcher(tmp_path, classify=classify)
+        drop_wav(tmp_path, "a.wav")
+        drop_wav(tmp_path, "b.wav")
+        watcher.poll_once()
+        with caplog.at_level(logging.WARNING, logger="cryalert"):
+            events = watcher.poll_once()
+        assert [e.source for e in events] == [str(tmp_path / "b.wav")]
+        skips = [r.getMessage() for r in caplog.records if "skipping" in r.getMessage()]
+        assert len(skips) == 1
+        assert "a.wav" in skips[0] and "ValueError" in skips[0]
+        assert len(buf.getvalue().strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+    def test_interrupt_from_classify_propagates(self, tmp_path, exc):
+        def classify(path):
+            raise exc()
+
+        watcher, _ = make_watcher(tmp_path, classify=classify)
+        drop_wav(tmp_path, "a.wav")
+        watcher.poll_once()
+        with pytest.raises(exc):
+            watcher.poll_once()
+
     def test_run_exits_on_stop_flag(self, tmp_path):
         watcher, _ = make_watcher(tmp_path)
         timer = threading.Timer(0.3, lambda: setattr(watcher, "stop", True))

@@ -199,6 +199,9 @@ HEADER_MUTATIONS = {
     "dropout rate 1": _set(["architecture", "dropout_rates"], [1.0, 0.5]),
     "negative variance": _set(["norm_variance"], -1.0),
     "fft not a power of two": _set(["stft", "fft_length"], 300),
+    "frame longer than a clip": _set(["stft"], {"frame_length": 20000, "frame_step": 128,
+                                               "fft_length": 32768, "window": "hann"}),
+    "input wider than the stft": _set(["architecture", "input_shape"], [124, 130, 1]),
 }
 
 
@@ -224,18 +227,33 @@ class TestHeaderValidation:
         header = read_model_header(path)
         header["architecture"]["dense_units"] = 1024
         bad = rewrite_model_header(path, tmp_path / "wide.cry", header)
-
-        tracemalloc.start()
-        try:
-            load_model(path)
-            valid_peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            with pytest.raises(CorruptModelError):
-                load_model(bad)
-            bad_peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        valid_peak, bad_peak = _load_peaks(path, bad)
         assert bad_peak < valid_peak
+
+    def test_oversized_input_shape_rejected_before_allocating(self, saved, tmp_path):
+        # no stored parameter depends on input_shape, but the Resize
+        # matrices grow with it; 129000 bins is 1000x the STFT's 129
+        _, path = saved
+        header = read_model_header(path)
+        header["architecture"]["input_shape"] = [124, 129000, 1]
+        bad = rewrite_model_header(path, tmp_path / "tall.cry", header)
+        valid_peak, bad_peak = _load_peaks(path, bad)
+        assert bad_peak < valid_peak
+
+
+def _load_peaks(valid, bad):
+    """tracemalloc peaks of loading `valid` and of failing to load `bad`."""
+    tracemalloc.start()
+    try:
+        load_model(valid)
+        valid_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(CorruptModelError):
+            load_model(bad)
+        bad_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return valid_peak, bad_peak
 
 
 @pytest.fixture(scope="module")

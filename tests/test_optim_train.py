@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from cryalert.optim_train import (
 )
 from cryalert.spectro import StftConfig
 from cryalert.synth import generate_corpus
-from cryalert.tensor_nn import build_network
+from cryalert.tensor_nn import build_network, softmax_cross_entropy_batch
 from cryalert.wav_io import load_dataset
 
 from conftest import streaming_mean_var
@@ -109,6 +110,33 @@ class TestAdam:
         state = AdamState.for_params([p])
         adam_step([p], [np.ones(3, dtype=np.float32)], state)
         assert p.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_expression_with_temporaries(self, dtype):
+        # the update as one expression per moment, each intermediate a
+        # fresh array; the in-place version must round identically.
+        # Parameters start at zero so that they stay as small as the
+        # steps, whose last-bit differences would otherwise round away
+        rng = np.random.default_rng(2)
+        params = [np.zeros(s, dtype=dtype) for s in ((5, 4), (7,))]
+        state = AdamState.for_params(params, lr=3e-3)
+        ref = [p.copy() for p in params]
+        ms = [np.zeros_like(p) for p in params]
+        vs = [np.zeros_like(p) for p in params]
+        for t in range(1, 6):
+            grads = [rng.normal(size=p.shape).astype(dtype) for p in params]
+            adam_step(params, grads, state)
+            for p, g, m, v in zip(ref, grads, ms, vs):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * (g * g)
+                m_hat = m / (1.0 - 0.9 ** t)
+                v_hat = v / (1.0 - 0.999 ** t)
+                p -= 3e-3 * m_hat / (np.sqrt(v_hat) + 1e-7)
+            for got, want in zip(params, ref):
+                assert got.dtype == dtype
+                assert np.array_equal(got, want)
 
 
 class TestFitNormalization:
@@ -277,6 +305,28 @@ class TestTrain:
         with pytest.raises(DatasetError):
             evaluate(net, np.zeros((0, 124, 129, 1), dtype=np.float32),
                      np.zeros(0, dtype=np.int64))
+
+
+def test_default_train_step_peak_memory():
+    # one batch-64 step of the default network: forward, backward, Adam.
+    # The conv im2col is formed a few examples at a time and Adam works
+    # in its own buffers, so no whole-batch patch matrix (58 MB for
+    # conv2) or per-step Adam temporaries are allocated
+    net = build_network(4, seed=0)
+    params = net.parameters()
+    state = AdamState.for_params(params)
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0.0, 1.0, (64, 124, 129, 1)).astype(np.float32)
+    labels = rng.integers(0, 4, 64)
+    tracemalloc.start()
+    try:
+        logits, cache = net.forward(x, train=True)
+        _, dlogits = softmax_cross_entropy_batch(logits, labels)
+        adam_step(params, net.backward(cache, dlogits / 64), state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 class TestSpectrogramImages:

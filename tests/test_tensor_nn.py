@@ -12,6 +12,7 @@ from cryalert.tensor_nn import (
     MaxPool2D,
     Normalize,
     Resize,
+    _CONV_BLOCK,
     _interp_matrix,
     build_network,
     param_shapes,
@@ -285,6 +286,53 @@ class TestConvLayer:
             assert np.array_equal(a, b)
 
 
+class TestBlockedConv:
+    """The conv walks the batch in blocks of _CONV_BLOCK examples; batch
+    sizes below, just over and past two blocks check the block edges."""
+
+    @pytest.mark.parametrize("n", [1, _CONV_BLOCK + 1, 2 * _CONV_BLOCK + 3])
+    @pytest.mark.parametrize("use_relu", [False, True])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_matches_loop_oracle_and_fd(self, n, use_relu, input_grad):
+        rng = np.random.default_rng(48 + n)
+        layer = Conv2D(2, 3, 3, philox_stream(48, STREAM_INIT), dtype=np.float64,
+                       use_relu=use_relu, input_grad=input_grad)
+        layer.bias = rng.normal(size=3)
+        x = rng.normal(size=(n, 5, 6, 2))
+        cot = rng.normal(size=(n, 3, 4, 3))
+
+        y, cache = layer.forward(x)
+        want = np.stack([conv2d_loops(ex, layer.kernel, layer.bias) for ex in x])
+        if use_relu:
+            want = np.maximum(want, 0.0)
+        assert rel_error(y, want) < 1e-10
+
+        def loss():
+            return float((layer.forward(x)[0] * cot).sum())
+
+        # h = 1e-5 keeps the rounding of a loss summed over many examples
+        # below the tolerance; away from ReLU kinks the loss is linear in
+        # each input, so the larger step costs no truncation error
+        dx, (dk, db) = layer.backward(cache, cot)
+        assert grad_close(dk, central_diff(loss, layer.kernel, h=1e-5))
+        assert grad_close(db, central_diff(loss, layer.bias, h=1e-5))
+        if not input_grad:
+            assert dx is None
+            return
+        for k in range(n):  # example k's dx depends on its own output only
+            def example_loss():
+                return float((layer.forward(x)[0][k] * cot[k]).sum())
+
+            assert grad_close(dx[k], central_diff(example_loss, x[k], h=1e-5))
+
+    def test_cache_holds_only_input_and_output(self):
+        layer = Conv2D(2, 3, 3, philox_stream(49, STREAM_INIT))
+        x = np.random.default_rng(49).normal(size=(3, 6, 6, 2)).astype(np.float32)
+        y, cache = layer.forward(x)
+        assert len(cache) == 2
+        assert cache[0] is x and cache[1] is y
+
+
 class TestRelu:
     def test_examples(self):
         assert np.array_equal(relu(np.array([-1.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
@@ -434,6 +482,19 @@ class TestDropout:
         dx, _ = layer.backward(cache, np.ones_like(x))
         # gradient passes exactly where the activation survived, same scale
         assert np.array_equal(dx, y)
+
+    def test_backward_is_dy_times_mask_times_scale(self):
+        layer = Dropout(0.25)
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 40)).astype(np.float32)
+        dy = rng.normal(size=(3, 40)).astype(np.float32)
+        y, cache = layer.forward(x, train=True, rng=philox_stream(6, 0))
+        dx, _ = layer.backward(cache, dy)
+        # the same stream redraws the mask
+        mask = (philox_stream(6, 0).random(x.shape) >= 0.25).astype(np.float32)
+        scale = np.float32(1.0 / 0.75)
+        assert np.array_equal(y, x * mask * scale)
+        assert np.array_equal(dx, dy * mask * scale)
 
     def test_layer_infer_identity(self):
         layer = Dropout(0.5)
