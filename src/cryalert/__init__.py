@@ -20,7 +20,7 @@ from .optim_train import (
     fit_normalization,
     train,
 )
-from .spectro import Spectrogram, StftConfig, export_spectrogram, fft, stft_magnitude
+from .spectro import Spectrogram, StftConfig, export_spectrogram, stft_magnitude
 from .synth import generate_corpus, synth_clip
 from .tensor_nn import Network, build_network
 from .wav_io import (
@@ -55,7 +55,6 @@ __all__ = [
     "emit_alert",
     "evaluate",
     "export_spectrogram",
-    "fft",
     "fit_normalization",
     "generate_corpus",
     "load_dataset",

@@ -38,10 +38,6 @@ class ShapeError(CryalertError, ValueError):
     """Array shape does not match what an operation requires."""
 
 
-class SizeError(CryalertError, ValueError):
-    """FFT length is not a power of two."""
-
-
 class TooShortError(CryalertError, ValueError):
     """Signal shorter than one analysis frame."""
 

@@ -20,6 +20,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import urllib.error
 import urllib.request
 import zlib
 from dataclasses import dataclass
@@ -234,9 +235,8 @@ def load_model(path) -> LoadedModel:
                        header["created"], header["seed"])
 
 
-def predict(net: Network, stft_cfg: StftConfig, clip: AudioClip, class_names,
-            sample_rate: int = DEFAULT_SAMPLE_RATE,
-            clip_samples: int = DEFAULT_CLIP_SAMPLES) -> dict[str, float]:
+def predict(net: Network, stft_cfg: StftConfig, clip: AudioClip,
+            class_names) -> dict[str, float]:
     """Class probabilities for one clip.
 
     The clip is resampled to the canonical rate and padded/truncated to
@@ -248,7 +248,7 @@ def predict(net: Network, stft_cfg: StftConfig, clip: AudioClip, class_names,
         raise TooShortError(
             f"clip has {len(clip)} samples, need at least {stft_cfg.frame_length}"
         )
-    clip = standardize_length(resample(clip, sample_rate), clip_samples)
+    clip = standardize_length(resample(clip, DEFAULT_SAMPLE_RATE), DEFAULT_CLIP_SAMPLES)
     image = stft_magnitude(clip, stft_cfg, dtype=net.dtype).values[..., None]
     logits, _ = net.forward(image, train=False)
     probs = softmax(logits.astype(np.float64))
@@ -312,7 +312,9 @@ class StdoutSink:
 
 
 class HttpSink:
-    """POSTs the JSON line to a URL, with one retry on failure."""
+    """POSTs the JSON line to a URL, with one retry on a connection
+    error or an HTTP 5xx; a 4xx means the request itself is refused,
+    so it raises at once."""
 
     def __init__(self, url: str, timeout: float = 2.0):
         self.url = url
@@ -327,7 +329,9 @@ class HttpSink:
         )
         try:
             urllib.request.urlopen(request, timeout=self.timeout).close()
-        except Exception:
+        except OSError as exc:  # URLError and HTTPError are OSErrors
+            if isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
+                raise
             urllib.request.urlopen(request, timeout=self.timeout).close()
 
 

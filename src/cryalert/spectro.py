@@ -1,12 +1,11 @@
 """STFT magnitude spectrograms.
 
-The transform is a hand-written iterative radix-2 FFT (bit-reversal
-permutation, then in-place butterfly stages) applied to Hann-windowed
-frames that are zero-padded from frame_length up to fft_length.  The
-frames are real, so each is transformed as a half-length complex FFT
-and untangled into the non-negative frequency bins, the only ones kept:
-a 16000-sample clip under the defaults comes out as a (124, 129)
-magnitude array.
+The transform is a hand-written windowed DFT computed as one matrix
+product: the frames, taken at frame_step hops, multiply a cached
+(frame_length, 2 * num_bins) basis that folds in the window and the
+zero-padding to fft_length, and yields the real and imaginary parts of
+the non-negative frequency bins, the only ones kept.  A 16000-sample
+clip under the defaults comes out as a (124, 129) magnitude array.
 """
 
 from __future__ import annotations
@@ -16,11 +15,15 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, ShapeError, SizeError, TooShortError
+from .errors import ConfigError, ShapeError, TooShortError
 from .wav_io import AudioClip
 
 WINDOW_KINDS = ("hann", "rectangular")
+# the DFT basis holds frame_length * (fft_length + 2) float64 values, at
+# most about 34 MB here; fft_length also arrives from model headers
+MAX_FFT_LENGTH = 2048
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,8 @@ class StftConfig:
             raise ConfigError(f"fft_length {n} shorter than frame_length {self.frame_length}")
         if n < 1 or n & (n - 1):
             raise ConfigError(f"fft_length must be a power of two, got {n}")
+        if n > MAX_FFT_LENGTH:
+            raise ConfigError(f"fft_length must be at most {MAX_FFT_LENGTH}, got {n}")
         if self.window not in WINDOW_KINDS:
             raise ConfigError(f"unknown window {self.window!r}, want one of {WINDOW_KINDS}")
 
@@ -87,102 +92,23 @@ def window_coefficients(kind: str, n: int) -> np.ndarray:
     raise ConfigError(f"unknown window {kind!r}, want one of {WINDOW_KINDS}")
 
 
-@lru_cache(maxsize=16)
-def _bit_reversal(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
+@lru_cache(maxsize=4)
+def _dft_basis(frame_length: int, fft_length: int, window: str) -> np.ndarray:
+    """Windowed real-DFT matrix of shape (frame_length, 2 * num_bins).
 
-
-@lru_cache(maxsize=16)
-def _stage_twiddles(n: int) -> tuple:
-    """exp(-i pi k / half), k < half, for each butterfly stage half = 1, 2, ..., n/2."""
-    stages = []
-    half = 1
-    while half < n:
-        tw = np.exp(-1j * np.pi * np.arange(half) / half)
-        tw.flags.writeable = False  # shared by every caller of the cache
-        stages.append(tw)
-        half *= 2
-    return tuple(stages)
-
-
-def _butterflies(work: np.ndarray) -> np.ndarray:
-    """Radix-2 DIT stages, in place, down the columns of an (n, m) array
-    whose rows are already in bit-reversed order.
-
-    Transforms run down axis 0 so that every stage, even the first with
-    its width-2 blocks, works on contiguous runs of m values.
+    Column k holds w[t] cos(theta) and column num_bins + k holds
+    -w[t] sin(theta), theta = 2 pi ((t k) mod n) / n, so a frame times
+    this matrix gives the real then the imaginary parts of bins 0..n/2
+    of its windowed, zero-padded n-point DFT.  The mod is taken in
+    integers, so every angle lies in [0, 2 pi) exactly.
     """
-    n, m = work.shape
-    scratch = np.empty((n // 2, m), dtype=work.dtype)
-    for tw in _stage_twiddles(n):
-        half = len(tw)
-        blocks = work.reshape(n // (2 * half), 2 * half, m)
-        even = blocks[:, :half]
-        odd = blocks[:, half:]
-        lower = scratch.reshape(n // (2 * half), half, m)
-        np.multiply(odd, tw[:, None], out=odd)
-        np.subtract(even, odd, out=lower)
-        even += odd
-        odd[...] = lower
-    return work
-
-
-def _bit_reversed_columns(rows: np.ndarray) -> np.ndarray:
-    """(..., n) rows -> a fresh complex (n, m) array, one row per column,
-    with the n samples in bit-reversed order."""
-    n = rows.shape[-1]
-    cols = rows.reshape(-1, n).T[_bit_reversal(n)]
-    return np.ascontiguousarray(cols, dtype=np.complex128)
-
-
-def fft(x) -> np.ndarray:
-    """Radix-2 DIT FFT along the last axis; length must be a power of two."""
-    a = np.asarray(x)
-    if a.ndim == 0:
-        raise SizeError("fft input must have at least one axis")
-    n = a.shape[-1]
-    if n < 1 or n & (n - 1):
-        raise SizeError(f"fft length must be a power of two, got {n}")
-    return _butterflies(_bit_reversed_columns(a)).T.reshape(a.shape)
-
-
-@lru_cache(maxsize=16)
-def _untangle_factors(n: int) -> tuple:
-    """A[k] = (1 - i W^k) / 2 and B[k] = (1 + i W^k) / 2, W = exp(-2 pi i / n),
-    as (n/2 + 1, 1) columns, so that X[k] = A[k] Z[k] + B[k] conj Z[-k]."""
-    w = np.exp(-2j * np.pi * np.arange(n // 2 + 1) / n)
-    a, b = 0.5 * (1.0 - 1j * w), 0.5 * (1.0 + 1j * w)
-    a.flags.writeable = b.flags.writeable = False
-    return a[:, None], b[:, None]
-
-
-def _rfft(frames: np.ndarray) -> np.ndarray:
-    """Bins 0..n/2 of the DFT of each real row of an (m, n) array, n even.
-
-    Even samples go in the real part and odd samples in the imaginary
-    part of one n/2-point complex FFT Z, which splits into the even and
-    odd half-spectra E[k] = (Z[k] + conj Z[-k]) / 2 and
-    O[k] = (Z[k] - conj Z[-k]) / 2i, so X[k] = E[k] + exp(-2 pi i k / n) O[k]
-    (Sorensen et al. 1987).  Returns an (m, n/2 + 1) array.
-    """
-    n = frames.shape[-1]
-    half = n // 2
-    packed = np.ascontiguousarray(frames, dtype=np.float64).view(np.complex128)
-    z = _butterflies(_bit_reversed_columns(packed))
-    k = np.arange(half + 1)
-    a, b = _untangle_factors(n)
-    x = z[k % half]
-    x *= a
-    conj_mirror = np.conj(z[-k % half])
-    conj_mirror *= b
-    x += conj_mirror
-    return x.T
+    n = fft_length
+    t = np.arange(frame_length)
+    theta = 2.0 * np.pi * (np.outer(t, np.arange(n // 2 + 1)) % n) / n
+    w = window_coefficients(window, frame_length)[:, None]
+    basis = np.concatenate([w * np.cos(theta), -w * np.sin(theta)], axis=1)
+    basis.flags.writeable = False  # shared by every caller of the cache
+    return basis
 
 
 def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> Spectrogram:
@@ -195,14 +121,11 @@ def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> Spe
     if cfg is None:
         cfg = StftConfig()
     samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
-    num_frames = cfg.num_frames(len(samples))
-
-    idx = np.arange(num_frames)[:, None] * cfg.frame_step + np.arange(cfg.frame_length)
-    frames = samples[idx] * window_coefficients(cfg.window, cfg.frame_length)
-    padded = np.zeros((num_frames, cfg.fft_length))
-    padded[:, : cfg.frame_length] = frames
-    spectrum = _rfft(padded) if cfg.fft_length > 1 else padded
-    return Spectrogram(np.abs(spectrum).astype(dtype, order="C"))
+    cfg.num_frames(len(samples))  # raises TooShortError below one frame
+    frames = sliding_window_view(samples, cfg.frame_length)[:: cfg.frame_step]
+    spectrum = frames @ _dft_basis(cfg.frame_length, cfg.fft_length, cfg.window)
+    bins = cfg.num_bins
+    return Spectrogram(np.hypot(spectrum[:, :bins], spectrum[:, bins:]).astype(dtype))
 
 
 def _shortest(v) -> str:

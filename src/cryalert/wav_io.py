@@ -193,16 +193,14 @@ def load_dataset(
     root,
     split_ratios=(0.8, 0.1, 0.1),
     seed: int = 42,
-    target_rate: int = DEFAULT_SAMPLE_RATE,
-    target_len: int = DEFAULT_CLIP_SAMPLES,
 ) -> LabeledDataset:
     """Read a directory-per-class corpus of WAV files.
 
     Class names are the sorted subdirectory names and double as label
-    indices.  Every clip is resampled to target_rate and padded or
-    truncated to target_len.  Items are shuffled with the dataset
-    stream of `seed`, then split by ratio with floor allocation for
-    val/test and the remainder going to train.
+    indices.  Every clip is resampled to DEFAULT_SAMPLE_RATE and padded
+    or truncated to DEFAULT_CLIP_SAMPLES.  Items are shuffled with the
+    dataset stream of `seed`, then split by ratio with floor allocation
+    for val/test and the remainder going to train.
     """
     root = Path(root)
     if len(split_ratios) != 3 or any(r < 0 for r in split_ratios):
@@ -228,7 +226,7 @@ def load_dataset(
                 clip = parse_wav(path.read_bytes())
             except (FormatError, UnsupportedCodecError, UnsupportedDepthError) as exc:
                 raise type(exc)(f"{path}: {exc}") from exc
-            clip = standardize_length(resample(clip, target_rate), target_len)
+            clip = standardize_length(resample(clip, DEFAULT_SAMPLE_RATE), DEFAULT_CLIP_SAMPLES)
             items.append((clip, label))
 
     order = philox_stream(seed, STREAM_DATASET).permutation(len(items))

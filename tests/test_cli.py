@@ -475,16 +475,22 @@ class TestMainPlumbing:
 # outside the package; run its hooks so a rename or deletion under src/
 # fails here and not only in a benchmark run
 _INSTRUMENT = """
-import sys
+import json, sys
 sys.path[:0] = sys.argv[1:]
 import numpy as np
 import spans
-from cryalert import tensor_nn
-spans.instrument(spans.Tracer())
+from cryalert import infer_alert, tensor_nn
+from cryalert.spectro import StftConfig
+from cryalert.wav_io import AudioClip
+tracer = spans.Tracer()
+spans.instrument(tracer)
 net = tensor_nn.build_network(3, input_shape=(16, 18, 1), resize=(8, 8),
                               conv_filters=(2, 2), dense_units=4)
 logits, cache = net.forward(np.zeros((2, 16, 18, 1), np.float32), train=True)
 net.backward(cache, np.zeros_like(logits))
+infer_alert.predict(tensor_nn.build_network(3), StftConfig(),
+                    AudioClip(np.zeros(48000), 48000), ["a", "b", "c"])
+print(json.dumps(sorted({span[0] for span in tracer.spans})))
 """
 
 
@@ -496,3 +502,7 @@ class TestBenchmarkHooks:
             cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        # predict must reach resample and the STFT through the bindings
+        # the tracer replaced, or a benchmark run sees no spans for them
+        spans = set(json.loads(proc.stdout))
+        assert {"infer_alert.predict", "wav_io.resample", "spectro.stft"} <= spans

@@ -5,6 +5,7 @@ import logging
 import struct
 import threading
 import tracemalloc
+import urllib.error
 
 import numpy as np
 import pytest
@@ -173,6 +174,13 @@ def _merge_last_two_shapes(header):
     return header
 
 
+def _huge_fft(header):
+    # input_shape stays within the image the stored STFT config gives
+    header["stft"]["fft_length"] = 2 ** 18
+    header["architecture"]["input_shape"] = [124, 2 ** 17 + 1, 1]
+    return header
+
+
 HEADER_MUTATIONS = {
     "empty object": lambda h: {},
     "empty list": lambda h: [],
@@ -202,6 +210,7 @@ HEADER_MUTATIONS = {
     "frame longer than a clip": _set(["stft"], {"frame_length": 20000, "frame_step": 128,
                                                "fft_length": 32768, "window": "hann"}),
     "input wider than the stft": _set(["architecture", "input_shape"], [124, 130, 1]),
+    "fft_length 2^18 and input as wide": _huge_fft,
 }
 
 
@@ -237,6 +246,15 @@ class TestHeaderValidation:
         header = read_model_header(path)
         header["architecture"]["input_shape"] = [124, 129000, 1]
         bad = rewrite_model_header(path, tmp_path / "tall.cry", header)
+        valid_peak, bad_peak = _load_peaks(path, bad)
+        assert bad_peak < valid_peak
+
+    def test_oversized_fft_length_rejected_before_allocating(self, saved, tmp_path):
+        # a longer fft raises the STFT image, and with it the input_shape
+        # bound, so fft_length itself must be bounded
+        _, path = saved
+        bad = rewrite_model_header(path, tmp_path / "fft.cry",
+                                   _huge_fft(read_model_header(path)))
         valid_peak, bad_peak = _load_peaks(path, bad)
         assert bad_peak < valid_peak
 
@@ -388,13 +406,14 @@ class TestAlertEvent:
 
 class _CountingHandler(http.server.BaseHTTPRequestHandler):
     fail_first = 0
+    fail_status = 500
     hits = None
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).hits.append(body)
         if len(type(self).hits) <= type(self).fail_first:
-            self.send_response(500)
+            self.send_response(type(self).fail_status)
         else:
             self.send_response(200)
         self.end_headers()
@@ -407,9 +426,9 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
 def http_server():
     servers = []
 
-    def start(fail_first):
+    def start(fail_first, fail_status=500):
         handler = type("Handler", (_CountingHandler,),
-                       {"fail_first": fail_first, "hits": []})
+                       {"fail_first": fail_first, "fail_status": fail_status, "hits": []})
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         servers.append(server)
@@ -442,6 +461,12 @@ class TestSinks:
         with pytest.raises(Exception):
             HttpSink(url).send('{"k":3}')
         assert len(handler.hits) == 2
+
+    def test_http_sink_does_not_retry_client_error(self, http_server):
+        url, handler = http_server(fail_first=10, fail_status=400)
+        with pytest.raises(urllib.error.HTTPError):
+            HttpSink(url).send('{"k":4}')
+        assert len(handler.hits) == 1
 
     def test_command_sink_pipes_stdin(self, tmp_path):
         out = tmp_path / "captured.txt"

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryalert.errors import ConfigError, SizeError, TooShortError
+from cryalert.errors import ConfigError, TooShortError
 from cryalert.spectro import (
+    MAX_FFT_LENGTH,
     Spectrogram,
-    _stage_twiddles,
     StftConfig,
+    _dft_basis,
     export_spectrogram,
-    fft,
     stft_magnitude,
     window_coefficients,
 )
@@ -42,79 +42,19 @@ class TestWindow:
             window_coefficients("hann", 0)
 
 
-class TestFft:
-    def test_impulse(self):
-        assert np.allclose(fft([1, 0, 0, 0]), np.ones(4), atol=1e-15)
-
-    def test_constant(self):
-        assert np.allclose(fft([1, 1, 1, 1]), [4, 0, 0, 0], atol=1e-15)
-
-    def test_length_one(self):
-        assert np.array_equal(fft([3.5]), [3.5 + 0j])
-
-    @pytest.mark.parametrize("n", [3, 5, 6, 12, 100])
-    def test_non_power_of_two_rejected(self, n):
-        with pytest.raises(SizeError):
-            fft(np.zeros(n))
-
-    def test_empty_rejected(self):
-        with pytest.raises(SizeError):
-            fft(np.zeros(0))
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 256, 1024])
-    def test_matches_direct_dft(self, n):
-        rng = np.random.default_rng(n)
-        x = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert rel_error(fft(x), dft_direct(x)) < 1e-9
-
-    def test_real_input_matches_oracle(self):
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, 512)
-        assert rel_error(fft(x), dft_direct(x)) < 1e-9
-
-    def test_batched_rows_match_individual(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(5, 64))
-        batched = fft(x)
-        for i in range(5):
-            assert np.array_equal(batched[i], fft(x[i]))
-
-    def test_linearity(self):
-        rng = np.random.default_rng(3)
-        a, b = rng.normal(size=(2, 128))
-        lhs = fft(2.5 * a - 1.25 * b)
-        rhs = 2.5 * fft(a) - 1.25 * fft(b)
-        assert rel_error(lhs, rhs) < 1e-12
-
-    def test_parseval(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=256)
-        spectrum = fft(x)
-        time_energy = float(np.sum(np.abs(x) ** 2))
-        freq_energy = float(np.sum(np.abs(spectrum) ** 2)) / len(x)
-        assert abs(time_energy - freq_energy) / time_energy < 1e-9
-
-
-class TestTwiddleCache:
-    def test_repeat_calls_with_mixed_lengths_agree(self):
-        rng = np.random.default_rng(31)
-        lengths = (8, 256, 2, 512, 64, 1)
-        signals = {n: rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
-                   for n in lengths}
-        first = {n: fft(x) for n, x in signals.items()}
-        for n in (512, 2, 64, 8, 1, 256, 8, 512, 2):
-            again = fft(signals[n])
-            assert np.array_equal(again, first[n])
-            assert rel_error(again, dft_direct(signals[n])) < 1e-9
-
-    def test_cached_stage_twiddles_are_fresh_values_and_read_only(self):
-        for n in (2, 8, 512, 8):
-            stages = _stage_twiddles(n)
-            assert len(stages) == n.bit_length() - 1
-            for s, tw in enumerate(stages):
-                half = 2 ** s
-                assert np.array_equal(tw, np.exp(-1j * np.pi * np.arange(half) / half))
-                assert not tw.flags.writeable
+class TestBasisCache:
+    def test_cached_basis_is_fresh_values_and_read_only(self):
+        configs = [(255, 256, "hann"), (3, 4, "rectangular"), (1, 1, "hann"),
+                   (400, 512, "hann"), (200, 256, "rectangular"), (255, 256, "hann"),
+                   (3, 4, "rectangular"), (400, 512, "hann")]
+        for frame_length, fft_length, window in configs:
+            basis = _dft_basis(frame_length, fft_length, window)
+            fresh = _dft_basis.__wrapped__(frame_length, fft_length, window)
+            assert basis.shape == (frame_length, 2 * (fft_length // 2 + 1))
+            assert np.array_equal(basis, fresh)
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0] = 1.0
 
     def test_stft_repeat_calls_with_mixed_lengths_agree(self):
         rng = np.random.default_rng(32)
@@ -150,6 +90,12 @@ class TestStftConfig:
     def test_bad_window(self):
         with pytest.raises(ConfigError):
             StftConfig(window="kaiser")
+
+    def test_fft_length_bounded(self):
+        assert StftConfig(fft_length=MAX_FFT_LENGTH).num_bins == MAX_FFT_LENGTH // 2 + 1
+        for n in (2 * MAX_FFT_LENGTH, 2 ** 18):
+            with pytest.raises(ConfigError):
+                StftConfig(fft_length=n)
 
 
 class TestStft:

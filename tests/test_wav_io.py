@@ -13,6 +13,7 @@ from cryalert.errors import (
     UnsupportedRatioError,
 )
 from cryalert.wav_io import (
+    DEFAULT_CLIP_SAMPLES,
     AudioClip,
     design_lowpass,
     encode_wav,
@@ -250,7 +251,7 @@ class TestLoadDataset:
             "zebra": [[1] * 300],
             "alpha": [[2] * 300, [3] * 300],
         })
-        ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0), target_len=300)
+        ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
         assert ds.class_names == ["alpha", "zebra"]
         labels = sorted(label for _, label in ds.items)
         assert labels == [0, 0, 1]
@@ -260,7 +261,7 @@ class TestLoadDataset:
             "a": [[0] * 64] * 50,
             "b": [[0] * 64] * 50,
         })
-        ds = load_dataset(tmp_path, target_len=64)
+        ds = load_dataset(tmp_path)
         assert [len(ds.splits[s]) for s in ("train", "val", "test")] == [80, 10, 10]
         covered = sorted(i for s in ds.splits.values() for i in s)
         assert covered == list(range(100))
@@ -270,39 +271,39 @@ class TestLoadDataset:
             "a": [[i] * 64 for i in range(8)],
             "b": [[-i] * 64 for i in range(8)],
         })
-        a = load_dataset(tmp_path, seed=3, target_len=64)
-        b = load_dataset(tmp_path, seed=3, target_len=64)
+        a = load_dataset(tmp_path, seed=3)
+        b = load_dataset(tmp_path, seed=3)
         assert [l for _, l in a.items] == [l for _, l in b.items]
         for (ca, _), (cb, _) in zip(a.items, b.items):
             assert np.array_equal(ca.samples, cb.samples)
-        c = load_dataset(tmp_path, seed=4, target_len=64)
+        c = load_dataset(tmp_path, seed=4)
         assert [l for _, l in a.items] != [l for _, l in c.items]
 
     def test_clips_standardized(self, tmp_path):
-        _write_corpus(tmp_path, {"a": [[1] * 10], "b": [[1] * 999]})
-        ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0), target_len=128)
-        assert all(len(clip) == 128 for clip, _ in ds.items)
+        _write_corpus(tmp_path, {"a": [[1] * 10], "b": [[1] * (DEFAULT_CLIP_SAMPLES + 999)]})
+        ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
+        assert all(len(clip) == DEFAULT_CLIP_SAMPLES for clip, _ in ds.items)
         assert all(clip.sample_rate == 16000 for clip, _ in ds.items)
 
     def test_empty_class_dir_rejected(self, tmp_path):
         _write_corpus(tmp_path, {"a": [[0] * 16]})
         (tmp_path / "empty").mkdir()
         with pytest.raises(DatasetError, match="empty"):
-            load_dataset(tmp_path, target_len=16)
+            load_dataset(tmp_path)
 
     def test_single_class_rejected(self, tmp_path):
         _write_corpus(tmp_path, {"only": [[0] * 16]})
         with pytest.raises(DatasetError):
-            load_dataset(tmp_path, target_len=16)
+            load_dataset(tmp_path)
 
     def test_bad_ratios_rejected(self, tmp_path):
         _write_corpus(tmp_path, {"a": [[0] * 16], "b": [[0] * 16]})
         with pytest.raises(ConfigError):
-            load_dataset(tmp_path, split_ratios=(0.5, 0.2, 0.2), target_len=16)
+            load_dataset(tmp_path, split_ratios=(0.5, 0.2, 0.2))
 
     def test_malformed_file_names_path(self, tmp_path):
         _write_corpus(tmp_path, {"a": [[0] * 16], "b": [[0] * 16]})
         bad = tmp_path / "a" / "broken.wav"
         bad.write_bytes(b"RIFFxxxxJUNK")
         with pytest.raises(FormatError, match="broken.wav"):
-            load_dataset(tmp_path, target_len=16)
+            load_dataset(tmp_path)
