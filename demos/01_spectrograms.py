@@ -25,13 +25,13 @@ print(f"writing to {out_dir}\n")
 for kind in CLASSES:
     clip = synth_clip(kind, rng)
     spec = stft_magnitude(clip, cfg)
-    peak_bin = int(np.argmax(spec.values.sum(axis=0)))
+    peak_bin = int(np.argmax(spec.sum(axis=0)))
     peak_hz = peak_bin * clip.sample_rate / cfg.fft_length
 
     export_spectrogram(spec, out_dir / f"{kind}.pgm", "pgm")
     export_spectrogram(spec, out_dir / f"{kind}.csv", "csv")
 
-    print(f"{kind:>6}: {spec.num_frames} frames x {spec.num_bins} bins, "
+    print(f"{kind:>6}: {spec.shape[0]} frames x {spec.shape[1]} bins, "
           f"energy peak at bin {peak_bin} (~{peak_hz:.0f} Hz)")
 
 print("\nopen the .pgm files in any image viewer; time runs down the rows")

@@ -20,17 +20,17 @@ from .optim_train import (
     fit_normalization,
     train,
 )
-from .spectro import Spectrogram, StftConfig, export_spectrogram, stft_magnitude
+from .spectro import StftConfig, clip_images, export_spectrogram, stft_magnitude
 from .synth import generate_corpus, synth_clip
 from .tensor_nn import Network, build_network
 from .wav_io import (
     AudioClip,
     LabeledDataset,
+    canonical_clip,
     load_dataset,
     load_wav,
     parse_wav,
     resample,
-    standardize_length,
     write_wav,
 )
 
@@ -45,12 +45,13 @@ __all__ = [
     "LabeledDataset",
     "LoadedModel",
     "Network",
-    "Spectrogram",
     "StftConfig",
     "TrainConfig",
     "TrainReport",
     "adam_step",
     "build_network",
+    "canonical_clip",
+    "clip_images",
     "decide_alert",
     "emit_alert",
     "evaluate",
@@ -64,7 +65,6 @@ __all__ = [
     "predict",
     "resample",
     "save_model",
-    "standardize_length",
     "stft_magnitude",
     "synth_clip",
     "train",

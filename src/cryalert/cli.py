@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import signal
+import stat
 import sys
 import time
 from pathlib import Path
@@ -85,8 +86,8 @@ class DirectoryWatcher:
         self.cooldown = cooldown
         self.clock = clock
         self.stop = False
-        self._last_seen: dict = {}   # path -> (size, mtime_ns) at the last poll
-        self._processed: dict = {}   # path -> (size, mtime_ns) it was classified at
+        self._last_seen: dict = {}   # path -> (size, mtime_ns, regular) at the last poll
+        self._processed: dict = {}   # path -> that signature when it was classified
         self._last_alert: float | None = None
 
     def poll_once(self):
@@ -95,6 +96,7 @@ class DirectoryWatcher:
         A file that classify rejects is logged as a skip and the scan
         goes on: CryalertError and OSError by their message, any other
         Exception by its type as well (its traceback at debug level).
+        Non-regular files (FIFOs, device links) are skipped unread.
         """
         seen = {}
         for path in sorted(self.directory.glob("*.wav")):
@@ -102,7 +104,7 @@ class DirectoryWatcher:
                 st = path.stat()
             except OSError:
                 continue
-            seen[path] = (st.st_size, st.st_mtime_ns)
+            seen[path] = (st.st_size, st.st_mtime_ns, stat.S_ISREG(st.st_mode))
         # forget files that are gone, so the map never outgrows the directory
         self._processed = {p: sig for p, sig in self._processed.items() if p in seen}
         emitted = []
@@ -110,6 +112,9 @@ class DirectoryWatcher:
             if self._processed.get(path) == sig or self._last_seen.get(path) != sig:
                 continue
             self._processed[path] = sig
+            if not sig[2]:
+                log.warning("skipping %s: not a regular file", path)
+                continue
             try:
                 probs = self.classify(path)
             except (CryalertError, OSError) as exc:
@@ -236,7 +241,7 @@ def cmd_spectrogram(args) -> int:
     fmt = out.suffix.lstrip(".").lower()
     spec = stft_magnitude(clip)
     export_spectrogram(spec, out, fmt)
-    print(f"{spec.num_frames} x {spec.num_bins}")
+    print(f"{spec.shape[0]} x {spec.shape[1]}")
     return 0
 
 

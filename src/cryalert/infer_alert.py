@@ -36,15 +36,9 @@ from .errors import (
     NotAModelError,
     TooShortError,
 )
-from .spectro import StftConfig, stft_magnitude
+from .spectro import StftConfig, clip_images
 from .tensor_nn import Network, build_network, param_shapes, softmax
-from .wav_io import (
-    DEFAULT_CLIP_SAMPLES,
-    DEFAULT_SAMPLE_RATE,
-    AudioClip,
-    resample,
-    standardize_length,
-)
+from .wav_io import DEFAULT_CLIP_SAMPLES, DEFAULT_SAMPLE_RATE, AudioClip
 
 log = logging.getLogger("cryalert")
 
@@ -239,19 +233,17 @@ def predict(net: Network, stft_cfg: StftConfig, clip: AudioClip,
             class_names) -> dict[str, float]:
     """Class probabilities for one clip.
 
-    The clip is resampled to the canonical rate and padded/truncated to
-    the canonical length, mirroring dataset preparation.  Clips shorter
-    than one analysis frame are rejected rather than padded: sub-frame
-    audio has no usable content.
+    The image is built by clip_images, exactly as for training.  Clips
+    lasting less than one analysis frame at the canonical rate are
+    rejected rather than padded: sub-frame audio has no usable content.
     """
-    if len(clip) < stft_cfg.frame_length:
+    if len(clip) * DEFAULT_SAMPLE_RATE < stft_cfg.frame_length * clip.sample_rate:
         raise TooShortError(
-            f"clip has {len(clip)} samples, need at least {stft_cfg.frame_length}"
+            f"clip has {len(clip)} samples at {clip.sample_rate} Hz, shorter than "
+            f"one {stft_cfg.frame_length}-sample frame at {DEFAULT_SAMPLE_RATE} Hz"
         )
-    clip = standardize_length(resample(clip, DEFAULT_SAMPLE_RATE), DEFAULT_CLIP_SAMPLES)
-    image = stft_magnitude(clip, stft_cfg, dtype=net.dtype).values[..., None]
-    logits, _ = net.forward(image, train=False)
-    probs = softmax(logits.astype(np.float64))
+    logits, _ = net.forward(clip_images([clip], stft_cfg, net.dtype), train=False)
+    probs = softmax(logits[0].astype(np.float64))
     return {name: float(p) for name, p in zip(class_names, probs)}
 
 

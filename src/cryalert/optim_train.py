@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, DatasetError, ShapeError
 from .rng import STREAM_SHUFFLE, philox_stream
-from .spectro import StftConfig, stft_magnitude
+from .spectro import StftConfig, clip_images
 from .tensor_nn import Network, softmax_cross_entropy_batch
 from .wav_io import LabeledDataset
 
@@ -190,17 +190,9 @@ class TrainReport:
         return "\n".join(lines)
 
 
-def spectrogram_images(clips, stft_cfg: StftConfig | None = None, dtype=np.float32) -> np.ndarray:
-    """Stack clips into an (n, frames, bins, 1) image batch."""
-    if stft_cfg is None:
-        stft_cfg = StftConfig()
-    mats = [stft_magnitude(c, stft_cfg, dtype=dtype).values for c in clips]
-    return np.stack(mats)[..., None]
-
-
 def split_arrays(dataset: LabeledDataset, split: str, stft_cfg, dtype):
     pairs = dataset.subset(split)
-    images = spectrogram_images([clip for clip, _ in pairs], stft_cfg, dtype)
+    images = clip_images([clip for clip, _ in pairs], stft_cfg, dtype)
     labels = np.array([label for _, label in pairs], dtype=np.int64)
     return images, labels
 

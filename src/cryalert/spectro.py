@@ -5,7 +5,8 @@ product: the frames, taken at frame_step hops, multiply a cached
 (frame_length, 2 * num_bins) basis that folds in the window and the
 zero-padding to fft_length, and yields the real and imaginary parts of
 the non-negative frequency bins, the only ones kept.  A 16000-sample
-clip under the defaults comes out as a (124, 129) magnitude array.
+clip under the defaults comes out as a (124, 129) magnitude array;
+`clip_images` stacks those of canonical clips as the network's input.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError, TooShortError
-from .wav_io import AudioClip
+from .wav_io import AudioClip, canonical_clip
 
 WINDOW_KINDS = ("hann", "rectangular")
 # the DFT basis holds frame_length * (fft_length + 2) float64 values, at
@@ -62,25 +63,6 @@ class StftConfig:
         return (num_samples - self.frame_length) // self.frame_step + 1
 
 
-@dataclass
-class Spectrogram:
-    """Magnitudes, frames along axis 0 and frequency bins along axis 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.values.ndim != 2:
-            raise ShapeError(f"spectrogram must be 2-D, got shape {self.values.shape}")
-
-    @property
-    def num_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.values.shape[1]
-
-
 def window_coefficients(kind: str, n: int) -> np.ndarray:
     """Analysis window of length n: periodic Hann or all-ones."""
     if n < 1:
@@ -102,21 +84,25 @@ def _dft_basis(frame_length: int, fft_length: int, window: str) -> np.ndarray:
     of its windowed, zero-padded n-point DFT.  The mod is taken in
     integers, so every angle lies in [0, 2 pi) exactly.
     """
-    n = fft_length
-    t = np.arange(frame_length)
-    theta = 2.0 * np.pi * (np.outer(t, np.arange(n // 2 + 1)) % n) / n
+    n, bins = fft_length, fft_length // 2 + 1
+    theta = 2.0 * np.pi * (np.outer(np.arange(frame_length), np.arange(bins)) % n) / n
     w = window_coefficients(window, frame_length)[:, None]
-    basis = np.concatenate([w * np.cos(theta), -w * np.sin(theta)], axis=1)
+    basis = np.empty((frame_length, 2 * bins))  # filled in place to bound the peak
+    np.cos(theta, out=basis[:, :bins])
+    np.sin(theta, out=basis[:, bins:])
+    basis[:, :bins] *= w
+    basis[:, bins:] *= -w
     basis.flags.writeable = False  # shared by every caller of the cache
     return basis
 
 
-def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> Spectrogram:
+def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> np.ndarray:
     """Magnitude spectrogram of a clip (or bare 1-D sample array).
 
-    Frames are extracted at frame_step hops, windowed, zero-padded to
-    fft_length and transformed; bins above fft_length/2 are dropped.
-    Raises TooShortError if the signal is shorter than one frame.
+    Returns a (frames, bins) array.  Frames are extracted at frame_step
+    hops, windowed, zero-padded to fft_length and transformed; bins
+    above fft_length/2 are dropped.  Raises TooShortError if the signal
+    is shorter than one frame.
     """
     if cfg is None:
         cfg = StftConfig()
@@ -125,7 +111,13 @@ def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> Spe
     frames = sliding_window_view(samples, cfg.frame_length)[:: cfg.frame_step]
     spectrum = frames @ _dft_basis(cfg.frame_length, cfg.fft_length, cfg.window)
     bins = cfg.num_bins
-    return Spectrogram(np.hypot(spectrum[:, :bins], spectrum[:, bins:]).astype(dtype))
+    return np.hypot(spectrum[:, :bins], spectrum[:, bins:]).astype(dtype)
+
+
+def clip_images(clips, cfg: StftConfig | None = None, dtype=np.float32) -> np.ndarray:
+    """The (n, frames, bins, 1) network input: stft_magnitude of each canonical_clip."""
+    mats = [stft_magnitude(canonical_clip(clip), cfg, dtype) for clip in clips]
+    return np.stack(mats)[..., None]
 
 
 def _shortest(v) -> str:
@@ -133,27 +125,29 @@ def _shortest(v) -> str:
     return np.format_float_positional(v, trim="-")
 
 
-def export_spectrogram(spec: Spectrogram, path, fmt: str) -> None:
-    """Write a spectrogram as 'csv' (raw values) or 'pgm' (8-bit image).
+def export_spectrogram(spec: np.ndarray, path, fmt: str) -> None:
+    """Write a (frames, bins) array as 'csv' (raw values) or 'pgm' (8-bit image).
 
     The PGM mapping is log1p followed by min-max scaling to 0..255,
     with time running down the vertical axis; a constant spectrogram
-    maps to all zeros.
+    maps to all zeros.  Any other rank raises ShapeError.
     """
+    if spec.ndim != 2:
+        raise ShapeError(f"spectrogram must be 2-D, got shape {spec.shape}")
     path = Path(path)
     if fmt == "csv":
         lines = []
-        for row in spec.values:
+        for row in spec:
             lines.append(",".join(_shortest(v) for v in row))
         path.write_text("\n".join(lines) + "\n")
     elif fmt == "pgm":
-        logv = np.log1p(spec.values.astype(np.float64))
+        logv = np.log1p(spec.astype(np.float64))
         lo, hi = logv.min(), logv.max()
         if hi > lo:
             pixels = np.rint((logv - lo) / (hi - lo) * 255.0).astype(np.uint8)
         else:
             pixels = np.zeros_like(logv, dtype=np.uint8)
-        header = f"P5\n{spec.num_bins} {spec.num_frames}\n255\n".encode("ascii")
+        header = f"P5\n{spec.shape[1]} {spec.shape[0]}\n255\n".encode("ascii")
         path.write_bytes(header + pixels.tobytes())
     else:
         raise ConfigError(f"unknown export format {fmt!r}, want 'csv' or 'pgm'")

@@ -1,9 +1,10 @@
-"""WAV reading/writing, decimation resampling and dataset assembly.
+"""WAV reading/writing, the canonical clip format and dataset assembly.
 
 The parser walks RIFF chunks by hand (struct, little-endian) and
 accepts only 16-bit integer PCM.  Samples are exposed as float64 in
 [-1, 1]; multi-channel audio is collapsed to mono by averaging each
-frame across channels before scaling.
+frame across channels before scaling.  `canonical_clip` owns the one
+clip format the model sees in training and prediction: 16 kHz, 1 s.
 """
 
 from __future__ import annotations
@@ -163,18 +164,16 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     return AudioClip(out, target_rate)
 
 
-def standardize_length(clip: AudioClip, target_len: int = DEFAULT_CLIP_SAMPLES) -> AudioClip:
-    """Truncate or zero-pad the tail to exactly target_len samples."""
-    if target_len < 1:
-        raise ConfigError(f"target length must be >= 1, got {target_len}")
-    n = len(clip.samples)
-    if n == target_len:
+def canonical_clip(clip: AudioClip) -> AudioClip:
+    """Resample to DEFAULT_SAMPLE_RATE, keep the first DEFAULT_CLIP_SAMPLES
+    samples and zero-pad the tail; a canonical clip comes back as is."""
+    clip = resample(clip, DEFAULT_SAMPLE_RATE)
+    if len(clip) == DEFAULT_CLIP_SAMPLES:
         return clip
-    if n > target_len:
-        return AudioClip(clip.samples[:target_len].copy(), clip.sample_rate)
-    out = np.zeros(target_len, dtype=np.float64)
-    out[:n] = clip.samples
-    return AudioClip(out, clip.sample_rate)
+    head = clip.samples[:DEFAULT_CLIP_SAMPLES]
+    out = np.zeros(DEFAULT_CLIP_SAMPLES)
+    out[:len(head)] = head
+    return AudioClip(out, DEFAULT_SAMPLE_RATE)
 
 
 @dataclass
@@ -197,10 +196,9 @@ def load_dataset(
     """Read a directory-per-class corpus of WAV files.
 
     Class names are the sorted subdirectory names and double as label
-    indices.  Every clip is resampled to DEFAULT_SAMPLE_RATE and padded
-    or truncated to DEFAULT_CLIP_SAMPLES.  Items are shuffled with the
-    dataset stream of `seed`, then split by ratio with floor allocation
-    for val/test and the remainder going to train.
+    indices.  Every clip is stored as its canonical_clip.  Items are
+    shuffled with the dataset stream of `seed`, then split by ratio with
+    floor allocation for val/test and the remainder going to train.
     """
     root = Path(root)
     if len(split_ratios) != 3 or any(r < 0 for r in split_ratios):
@@ -226,8 +224,7 @@ def load_dataset(
                 clip = parse_wav(path.read_bytes())
             except (FormatError, UnsupportedCodecError, UnsupportedDepthError) as exc:
                 raise type(exc)(f"{path}: {exc}") from exc
-            clip = standardize_length(resample(clip, DEFAULT_SAMPLE_RATE), DEFAULT_CLIP_SAMPLES)
-            items.append((clip, label))
+            items.append((canonical_clip(clip), label))
 
     order = philox_stream(seed, STREAM_DATASET).permutation(len(items))
     items = [items[i] for i in order]

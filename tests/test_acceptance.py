@@ -46,17 +46,17 @@ def test_criterion_01_shapes(capsys):
 
     start = time.monotonic()
     spec = stft_magnitude(clip, StftConfig(), dtype=np.float32)
-    logits, cache = net.forward(spec.values[..., None])
+    logits, cache = net.forward(spec[..., None])
     elapsed = time.monotonic() - start
 
     ok = (
-        spec.values.shape == (124, 129)
+        spec.shape == (124, 129)
         and cache.shapes == CHAIN
         and logits.shape == (4,)
         and elapsed < 1.0
     )
     _report(capsys, 1, ok,
-            f"spectrogram {spec.values.shape}, chain ok, {elapsed:.3f} s")
+            f"spectrogram {spec.shape}, chain ok, {elapsed:.3f} s")
 
 
 def test_criterion_02_stft_oracle(capsys):
@@ -68,7 +68,7 @@ def test_criterion_02_stft_oracle(capsys):
     worst = 0.0
     for _ in range(50):
         signal = rng.uniform(-1.0, 1.0, 16000)
-        got = stft_magnitude(signal, cfg, dtype=np.float64).values
+        got = stft_magnitude(signal, cfg, dtype=np.float64)
 
         frames = np.zeros((124, 256))
         for i in range(124):

@@ -394,6 +394,27 @@ class TestDirectoryWatcher:
         assert "a.wav" in skips[0] and "ValueError" in skips[0]
         assert len(buf.getvalue().strip().splitlines()) == 1
 
+    def test_special_files_skipped_without_classify(self, tmp_path, caplog):
+        # reading a FIFO blocks and reading /dev/zero never ends; the stub
+        # only records, so a regression fails here instead of hanging
+        os.mkfifo(tmp_path / "fifo.wav")
+        (tmp_path / "zero.wav").symlink_to("/dev/zero")
+        drop_wav(tmp_path, "real.wav")
+        seen = []
+
+        def classify(path):
+            seen.append(path.name)
+            return tone_probs(path)
+
+        watcher, _ = make_watcher(tmp_path, classify=classify)
+        with caplog.at_level(logging.WARNING, logger="cryalert"):
+            events = [e for _ in range(3) for e in watcher.poll_once()]
+        assert seen == ["real.wav"]
+        assert [e.source for e in events] == [str(tmp_path / "real.wav")]
+        skips = sorted(r.getMessage() for r in caplog.records)
+        assert skips == [f"skipping {tmp_path / name}: not a regular file"
+                         for name in ("fifo.wav", "zero.wav")]
+
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
     def test_interrupt_from_classify_propagates(self, tmp_path, exc):
         def classify(path):
@@ -476,10 +497,11 @@ class TestMainPlumbing:
 # fails here and not only in a benchmark run
 _INSTRUMENT = """
 import json, sys
+from pathlib import Path
 sys.path[:0] = sys.argv[1:]
 import numpy as np
 import spans
-from cryalert import infer_alert, tensor_nn
+from cryalert import infer_alert, optim_train, tensor_nn, wav_io
 from cryalert.spectro import StftConfig
 from cryalert.wav_io import AudioClip
 tracer = spans.Tracer()
@@ -490,8 +512,25 @@ logits, cache = net.forward(np.zeros((2, 16, 18, 1), np.float32), train=True)
 net.backward(cache, np.zeros_like(logits))
 infer_alert.predict(tensor_nn.build_network(3), StftConfig(),
                     AudioClip(np.zeros(48000), 48000), ["a", "b", "c"])
-print(json.dumps(sorted({span[0] for span in tracer.spans})))
+for name, rate in (("a", 48000), ("b", 16000)):
+    Path("corpus", name).mkdir(parents=True)
+    wav_io.write_wav(AudioClip(np.zeros(rate), rate), Path("corpus", name, "x.wav"))
+dataset = wav_io.load_dataset("corpus")
+optim_train.split_arrays(dataset, "train", StftConfig(), np.float32)
+print(json.dumps([[span[0], span[3]] for span in tracer.spans]))
 """
+
+
+def _has_ancestor(spans, name, ancestor):
+    """Whether some span called name runs inside a span called ancestor."""
+    for span_name, parent in spans:
+        if span_name != name:
+            continue
+        while parent >= 0:
+            if spans[parent][0] == ancestor:
+                return True
+            parent = spans[parent][1]
+    return False
 
 
 class TestBenchmarkHooks:
@@ -502,7 +541,11 @@ class TestBenchmarkHooks:
             cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        # predict must reach resample and the STFT through the bindings
-        # the tracer replaced, or a benchmark run sees no spans for them
-        spans = set(json.loads(proc.stdout))
-        assert {"infer_alert.predict", "wav_io.resample", "spectro.stft"} <= spans
+        # predict, load_dataset and split_arrays must reach resample and the
+        # STFT through the bindings the tracer replaced, or a benchmark run
+        # sees no spans for them
+        spans = json.loads(proc.stdout)
+        assert {"infer_alert.predict", "wav_io.resample", "spectro.stft"} <= {s[0] for s in spans}
+        assert _has_ancestor(spans, "wav_io.resample", "infer_alert.predict")
+        assert _has_ancestor(spans, "wav_io.resample", "wav_io.load_dataset")
+        assert _has_ancestor(spans, "spectro.stft", "optim_train.split_arrays")

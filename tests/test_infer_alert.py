@@ -32,12 +32,13 @@ from cryalert.infer_alert import (
     predict,
     save_model,
 )
+from cryalert.optim_train import split_arrays
 from cryalert.rng import philox_stream
 from cryalert.spectro import StftConfig
-from cryalert.tensor_nn import build_network
-from cryalert.wav_io import AudioClip
+from cryalert.tensor_nn import build_network, softmax
+from cryalert.wav_io import AudioClip, load_dataset, load_wav
 
-from conftest import mutated, read_model_header, rewrite_model_header
+from conftest import make_wav_bytes, mutated, read_model_header, rewrite_model_header
 
 
 def small_net(seed=3):
@@ -333,6 +334,38 @@ class TestPredict:
         net, _ = saved
         probs = predict(net, StftConfig(), AudioClip(np.zeros(255), 16000), NAMES)
         assert abs(sum(probs.values()) - 1.0) < 1e-9
+
+    def test_short_48k_clip_rejected_by_duration(self, saved):
+        # 764 samples at 48 kHz last less than one 255-sample frame at 16 kHz
+        net, _ = saved
+        with pytest.raises(TooShortError):
+            predict(net, StftConfig(), AudioClip(np.zeros(764), 48000), NAMES)
+
+    def test_one_frame_of_48k_audio_accepted(self, saved):
+        net, _ = saved
+        probs = predict(net, StftConfig(), AudioClip(np.zeros(765), 48000), NAMES)
+        assert abs(sum(probs.values()) - 1.0) < 1e-9
+
+    def test_same_image_as_training(self, tmp_path):
+        # one file per class, so a file's label finds its training image
+        rng = np.random.default_rng(8)
+        files = []
+        for name, rate, channels, frames in [("a", 16000, 1, 12000), ("b", 48000, 1, 60000),
+                                             ("c", 48000, 2, 40000)]:
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "x.wav"
+            ints = rng.integers(-20000, 20000, frames * channels)
+            path.write_bytes(make_wav_bytes(ints, rate=rate, channels=channels))
+            files.append(path)
+        dataset = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
+        images, labels = split_arrays(dataset, "train", StftConfig(), np.float32)
+        net = build_network(3, seed=3)
+        net.set_norm_stats(0.12, 0.45)
+        for label, path in enumerate(files):
+            image = images[list(labels).index(label)]
+            want = softmax(net.forward(image[None])[0][0].astype(np.float64))
+            probs = predict(net, StftConfig(), load_wav(path), dataset.class_names)
+            assert np.array_equal(list(probs.values()), want)
 
 
 class TestDecideAlert:

@@ -14,11 +14,10 @@ from cryalert.optim_train import (
     confusion_matrix,
     evaluate,
     fit_normalization,
-    spectrogram_images,
     split_arrays,
     train,
 )
-from cryalert.spectro import StftConfig
+from cryalert.spectro import StftConfig, clip_images
 from cryalert.synth import generate_corpus
 from cryalert.tensor_nn import build_network, softmax_cross_entropy_batch
 from cryalert.wav_io import load_dataset
@@ -332,6 +331,6 @@ def test_default_train_step_peak_memory():
 class TestSpectrogramImages:
     def test_shape_and_dtype(self, toy_setup):
         clips = [clip for clip, _ in toy_setup.items[:3]]
-        images = spectrogram_images(clips, StftConfig(), np.float32)
+        images = clip_images(clips, StftConfig(), np.float32)
         assert images.shape == (3, 124, 129, 1)
         assert images.dtype == np.float32

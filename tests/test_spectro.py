@@ -1,12 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryalert.errors import ConfigError, TooShortError
+from cryalert.errors import ConfigError, ShapeError, TooShortError
 from cryalert.spectro import (
     MAX_FFT_LENGTH,
-    Spectrogram,
     StftConfig,
     _dft_basis,
     export_spectrogram,
@@ -61,10 +62,23 @@ class TestBasisCache:
         x = rng.uniform(-1, 1, 4000)
         configs = [StftConfig(), StftConfig(frame_length=400, frame_step=160, fft_length=512),
                    StftConfig(frame_length=3, frame_step=2, fft_length=4)]
-        first = [stft_magnitude(x, cfg).values for cfg in configs]
+        first = [stft_magnitude(x, cfg) for cfg in configs]
         for _ in range(2):
             for cfg, want in zip(reversed(configs), reversed(first)):
-                assert np.array_equal(stft_magnitude(x, cfg).values, want)
+                assert np.array_equal(stft_magnitude(x, cfg), want)
+
+
+    def test_largest_basis_builds_without_temporaries(self):
+        # the (2048, 1025) basis keeps 33.6 MB; building it must not hold a
+        # second full-size copy (it peaked at 84 MB with temporaries)
+        tracemalloc.start()
+        try:
+            basis = _dft_basis.__wrapped__(MAX_FFT_LENGTH, MAX_FFT_LENGTH, "hann")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert basis.nbytes > 33e6
+        assert peak < 55e6
 
 
 class TestStftConfig:
@@ -102,15 +116,15 @@ class TestStft:
     def test_standard_clip_shape(self):
         clip = AudioClip(np.zeros(16000), 16000)
         spec = stft_magnitude(clip)
-        assert (spec.num_frames, spec.num_bins) == (124, 129)
-        assert spec.values.dtype == np.float32
+        assert spec.shape == (124, 129)
+        assert spec.dtype == np.float32
 
     def test_zero_signal_zero_spectrogram(self):
         spec = stft_magnitude(np.zeros(16000))
-        assert np.array_equal(spec.values, np.zeros((124, 129), dtype=np.float32))
+        assert np.array_equal(spec, np.zeros((124, 129), dtype=np.float32))
 
     def test_single_frame_at_exact_length(self):
-        assert stft_magnitude(np.zeros(255)).num_frames == 1
+        assert stft_magnitude(np.zeros(255)).shape[0] == 1
 
     def test_too_short_rejected(self):
         with pytest.raises(TooShortError):
@@ -120,7 +134,7 @@ class TestStft:
         # 1000 Hz at 16 kHz with 62.5 Hz bins -> bin 16
         t = np.arange(16000) / 16000
         spec = stft_magnitude(0.5 * np.sin(2 * np.pi * 1000 * t), dtype=np.float64)
-        interior = spec.values[5:-5]
+        interior = spec[5:-5]
         assert np.all(interior.argmax(axis=1) == 16)
 
     def test_matches_windowed_dft_oracle(self):
@@ -130,12 +144,12 @@ class TestStft:
         spec = stft_magnitude(x, cfg, dtype=np.float64)
         k = np.arange(cfg.frame_length)
         window = 0.5 - 0.5 * np.cos(2 * np.pi * k / cfg.frame_length)
-        for frame_idx in range(spec.num_frames):
+        for frame_idx in range(len(spec)):
             start = frame_idx * cfg.frame_step
             frame = np.zeros(cfg.fft_length)
             frame[:cfg.frame_length] = x[start:start + cfg.frame_length] * window
             expected = np.abs(dft_direct(frame))[:cfg.num_bins]
-            assert rel_error(spec.values[frame_idx], expected) < 1e-9
+            assert rel_error(spec[frame_idx], expected) < 1e-9
 
     def test_rectangular_single_frame_equals_dft_magnitude(self):
         cfg = StftConfig(frame_length=256, frame_step=256, fft_length=256,
@@ -143,8 +157,8 @@ class TestStft:
         rng = np.random.default_rng(12)
         x = rng.uniform(-1, 1, 256)
         spec = stft_magnitude(x, cfg, dtype=np.float64)
-        assert spec.values.shape == (1, 129)
-        assert rel_error(spec.values[0], np.abs(dft_direct(x))[:129]) < 1e-9
+        assert spec.shape == (1, 129)
+        assert rel_error(spec[0], np.abs(dft_direct(x))[:129]) < 1e-9
 
     @pytest.mark.parametrize("window", ["hann", "rectangular"])
     @pytest.mark.parametrize("fft_length,frame_length", [(2, 1), (4, 3), (256, 200),
@@ -158,53 +172,52 @@ class TestStft:
         k = np.arange(frame_length)
         weights = (0.5 - 0.5 * np.cos(2 * np.pi * k / frame_length)
                    if window == "hann" else np.ones(frame_length))
-        frames = np.zeros((spec.num_frames, fft_length))
-        for i in range(spec.num_frames):
+        frames = np.zeros((len(spec), fft_length))
+        for i in range(len(spec)):
             start = i * cfg.frame_step
             frames[i, :frame_length] = x[start:start + frame_length] * weights
         expected = np.abs(dft_direct(frames))[:, :fft_length // 2 + 1]
-        assert spec.values.shape == expected.shape
-        assert rel_error(spec.values, expected) < 1e-9
+        assert spec.shape == expected.shape
+        assert rel_error(spec, expected) < 1e-9
 
     def test_scaling_linearity(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(-0.4, 0.4, 4000)
-        a = stft_magnitude(x, dtype=np.float64).values
-        b = stft_magnitude(2.0 * x, dtype=np.float64).values
+        a = stft_magnitude(x, dtype=np.float64)
+        b = stft_magnitude(2.0 * x, dtype=np.float64)
         assert rel_error(b, 2.0 * a) < 1e-12
 
     def test_accepts_audio_clip_and_array(self):
         samples = np.zeros(300)
         via_clip = stft_magnitude(AudioClip(samples, 16000))
         via_array = stft_magnitude(samples)
-        assert np.array_equal(via_clip.values, via_array.values)
+        assert np.array_equal(via_clip, via_array)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(255, 48000))
     def test_shape_law(self, n):
         cfg = StftConfig()
         spec = stft_magnitude(np.zeros(n), cfg)
-        assert spec.num_frames == (n - cfg.frame_length) // cfg.frame_step + 1
-        assert spec.num_bins == 129
+        assert spec.shape == ((n - cfg.frame_length) // cfg.frame_step + 1, 129)
 
 
 class TestExport:
     def test_csv_known_values(self, tmp_path):
-        spec = Spectrogram(np.array([[0.0, 1.0], [2.0, 3.0]], dtype=np.float32))
+        spec = np.array([[0.0, 1.0], [2.0, 3.0]], dtype=np.float32)
         path = tmp_path / "s.csv"
         export_spectrogram(spec, path, "csv")
         assert path.read_text() == "0,1\n2,3\n"
 
     def test_csv_round_trips_float32(self, tmp_path):
         rng = np.random.default_rng(21)
-        spec = Spectrogram(rng.uniform(0, 30, (6, 9)).astype(np.float32))
+        spec = rng.uniform(0, 30, (6, 9)).astype(np.float32)
         path = tmp_path / "s.csv"
         export_spectrogram(spec, path, "csv")
         back = np.loadtxt(path, delimiter=",", dtype=np.float64).astype(np.float32)
-        assert np.array_equal(back, spec.values)
+        assert np.array_equal(back, spec)
 
     def test_pgm_header_and_size(self, tmp_path):
-        spec = Spectrogram(np.arange(124 * 129, dtype=np.float32).reshape(124, 129))
+        spec = np.arange(124 * 129, dtype=np.float32).reshape(124, 129)
         path = tmp_path / "s.pgm"
         export_spectrogram(spec, path, "pgm")
         blob = path.read_bytes()
@@ -214,7 +227,7 @@ class TestExport:
         assert max(pixels) == 255 and min(pixels) == 0
 
     def test_pgm_constant_maps_to_zero(self, tmp_path):
-        spec = Spectrogram(np.full((4, 5), 7.0, dtype=np.float32))
+        spec = np.full((4, 5), 7.0, dtype=np.float32)
         path = tmp_path / "s.pgm"
         export_spectrogram(spec, path, "pgm")
         pixels = path.read_bytes().split(b"255\n", 1)[1]
@@ -224,7 +237,7 @@ class TestExport:
         # energy grows with the frame index, so pixel rows must brighten
         values = np.outer(np.arange(1, 9), np.ones(5)).astype(np.float32)
         path = tmp_path / "s.pgm"
-        export_spectrogram(Spectrogram(values), path, "pgm")
+        export_spectrogram(values, path, "pgm")
         pixels = np.frombuffer(path.read_bytes().split(b"255\n", 1)[1], np.uint8)
         rows = pixels.reshape(8, 5)
         assert rows[0, 0] < rows[-1, 0]
@@ -232,9 +245,14 @@ class TestExport:
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
-            export_spectrogram(Spectrogram(np.zeros((2, 2))), tmp_path / "s.bmp", "bmp")
+            export_spectrogram(np.zeros((2, 2)), tmp_path / "s.bmp", "bmp")
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 3, 4)])
+    def test_rank_other_than_two_rejected(self, tmp_path, shape):
+        with pytest.raises(ShapeError):
+            export_spectrogram(np.zeros(shape), tmp_path / "s.csv", "csv")
 
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            export_spectrogram(Spectrogram(np.zeros((2, 2))),
+            export_spectrogram(np.zeros((2, 2)),
                                tmp_path / "no" / "such" / "dir" / "s.csv", "csv")

@@ -15,12 +15,12 @@ from cryalert.errors import (
 from cryalert.wav_io import (
     DEFAULT_CLIP_SAMPLES,
     AudioClip,
+    canonical_clip,
     design_lowpass,
     encode_wav,
     load_dataset,
     parse_wav,
     resample,
-    standardize_length,
     write_wav,
 )
 
@@ -208,32 +208,34 @@ class TestResample:
         assert np.max(np.abs(out.samples)) <= 1.0
 
 
-class TestStandardize:
+class TestCanonicalClip:
     def test_pad(self):
         clip = AudioClip(np.ones(10) * 0.25, 16000)
-        out = standardize_length(clip, 16)
-        assert len(out) == 16
+        out = canonical_clip(clip)
+        assert (len(out), out.sample_rate) == (DEFAULT_CLIP_SAMPLES, 16000)
         assert np.array_equal(out.samples[:10], clip.samples)
-        assert np.array_equal(out.samples[10:], np.zeros(6))
+        assert np.array_equal(out.samples[10:], np.zeros(DEFAULT_CLIP_SAMPLES - 10))
 
     def test_truncate(self):
-        clip = AudioClip(np.arange(20) / 32.0, 16000)
-        out = standardize_length(clip, 12)
-        assert np.array_equal(out.samples, clip.samples[:12])
+        clip = AudioClip(np.arange(20000) / 32768.0, 16000)
+        out = canonical_clip(clip)
+        assert np.array_equal(out.samples, clip.samples[:DEFAULT_CLIP_SAMPLES])
 
     def test_identity(self):
-        clip = AudioClip(np.zeros(16), 16000)
-        assert standardize_length(clip, 16) is clip
+        clip = AudioClip(np.zeros(DEFAULT_CLIP_SAMPLES), 16000)
+        assert canonical_clip(clip) is clip
 
-    def test_bad_target(self):
-        with pytest.raises(ConfigError):
-            standardize_length(AudioClip(np.zeros(4), 16000), 0)
+    def test_resamples_before_cutting(self):
+        # 2 s at 48 kHz: decimate first, so the kept second is the first one
+        clip = AudioClip(np.random.default_rng(3).uniform(-0.5, 0.5, 96000), 48000)
+        out = canonical_clip(clip)
+        assert np.array_equal(out.samples, resample(clip, 16000).samples[:DEFAULT_CLIP_SAMPLES])
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 400), st.integers(1, 400))
-    def test_always_exact_length(self, n, target):
-        clip = AudioClip(np.zeros(n), 16000)
-        assert len(standardize_length(clip, target)) == target
+    @given(st.integers(1, 3 * DEFAULT_CLIP_SAMPLES), st.sampled_from([16000, 48000]))
+    def test_always_exact_length(self, n, rate):
+        out = canonical_clip(AudioClip(np.zeros(n), rate))
+        assert (len(out), out.sample_rate) == (DEFAULT_CLIP_SAMPLES, 16000)
 
 
 def _write_corpus(root, spec):
