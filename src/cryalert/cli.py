@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import signal
 import stat
@@ -52,17 +53,37 @@ def _resolve_seed(flag_value, default: int) -> int:
     return default
 
 
+def _number(cast, ok, want):
+    """argparse type: cast the text, keep it if finite and ok(value) (NaN fails ok)."""
+    def parse(text):
+        value = cast(text)
+        # ints are finite, and math.isfinite overflows on a huge one
+        if not ((cast is int or math.isfinite(value)) and ok(value)):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # so argparse says "invalid int value"
+    return parse
+
+
+_count = _number(int, lambda v: v >= 1, ">= 1")
+_positive = _number(float, lambda v: v > 0, "finite and > 0")
+_non_negative = _number(float, lambda v: v >= 0, "finite and >= 0")
+_share = _number(float, lambda v: 0 < v <= 1, "in (0, 1]")
+# time.sleep overflows on a huge interval; one hour is plenty
+_poll_ms = _number(int, lambda v: 1 <= v <= 3_600_000, "in [1, 3600000]")
+
+
 def _ratio_triple(text: str):
     parts = text.split(",")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("want three comma-separated ratios, e.g. 0.8,0.1,0.1")
-    try:
-        vals = tuple(float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad ratio in {text!r}")
-    if any(v < 0 for v in vals) or abs(sum(vals) - 1.0) > 1e-9:
-        raise argparse.ArgumentTypeError("ratios must be non-negative and sum to 1")
+    vals = tuple(map(_non_negative, parts))
+    if not abs(sum(vals) - 1.0) <= 1e-9:
+        raise argparse.ArgumentTypeError(f"ratios must sum to 1, got {text}")
     return vals
+
+
+_ratio_triple.__name__ = "ratio"  # argparse: "invalid ratio value"
 
 
 class DirectoryWatcher:
@@ -236,11 +257,8 @@ def cmd_watch(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    clip = load_wav(args.input)
-    out = Path(args.out)
-    fmt = out.suffix.lstrip(".").lower()
-    spec = stft_magnitude(clip)
-    export_spectrogram(spec, out, fmt)
+    spec = stft_magnitude(load_wav(args.input))
+    export_spectrogram(spec, args.out, Path(args.out).suffix.lstrip(".").lower())
     print(f"{spec.shape[0]} x {spec.shape[1]}")
     return 0
 
@@ -252,34 +270,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
-def _threshold(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
-    return value
-
-
-def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cryalert",
                                      description="audio distress classifier")
@@ -288,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a directory-per-class corpus")
     p.add_argument("--data", required=True, help="dataset root directory")
     p.add_argument("--out", required=True, help="model file to write")
-    p.add_argument("--epochs", type=_positive_int, default=10)
-    p.add_argument("--batch", type=_positive_int, default=64)
-    p.add_argument("--lr", type=_positive_float, default=1e-4)
+    p.add_argument("--epochs", type=_count, default=10)
+    p.add_argument("--batch", type=_count, default=64)
+    p.add_argument("--lr", type=_positive, default=1e-4)
     p.add_argument("--seed", type=int, default=None, help="default 42")
     p.add_argument("--split", type=_ratio_triple, default=(0.8, 0.1, 0.1),
                    help="train,val,test ratios (default 0.8,0.1,0.1)")
-    p.add_argument("--patience", type=_positive_int, default=None,
+    p.add_argument("--patience", type=_count, default=None,
                    help="stop after N epochs without val-loss improvement")
     p.set_defaults(func=cmd_train)
 
@@ -318,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("watch", help="watch a directory and alert on distress clips")
     p.add_argument("--model", required=True)
     p.add_argument("--dir", required=True)
-    p.add_argument("--threshold", type=_threshold, default=0.5)
+    p.add_argument("--threshold", type=_share, default=0.5)
     p.add_argument("--alert-classes", default=",".join(DEFAULT_ALERT_CLASSES),
                    help="comma-separated class names that may alert")
     p.add_argument("--alert-url", default=None, help="also POST alerts to this URL")
     p.add_argument("--alert-cmd", default=None, help="also pipe alerts to this command")
-    p.add_argument("--cooldown", type=_non_negative_float, default=0.0,
+    p.add_argument("--cooldown", type=_non_negative, default=0.0,
                    help="seconds to suppress repeat alerts")
-    p.add_argument("--poll-ms", type=_positive_int, default=500)
+    p.add_argument("--poll-ms", type=_poll_ms, default=500)
     p.set_defaults(func=cmd_watch)
 
     p = sub.add_parser("spectrogram", help="export a spectrogram as .pgm or .csv")
@@ -335,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate the synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--per-class", type=_positive_int, default=200)
+    p.add_argument("--per-class", type=_count, default=200)
     p.add_argument("--seed", type=int, default=None, help="default 7")
     p.set_defaults(func=cmd_synth)
 

@@ -110,8 +110,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < np.inf:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
         if self.patience is not None and self.patience < 1:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
 

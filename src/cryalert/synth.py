@@ -53,9 +53,7 @@ def synth_clip(kind: str, rng, sample_rate: int = DEFAULT_SAMPLE_RATE,
     return AudioClip(np.clip(x, -1.0, 1.0), sample_rate)
 
 
-def generate_corpus(root, per_class: int = 200, seed: int = 7,
-                    sample_rate: int = DEFAULT_SAMPLE_RATE,
-                    num_samples: int = DEFAULT_SAMPLE_RATE) -> list[Path]:
+def generate_corpus(root, per_class: int = 200, seed: int = 7) -> list[Path]:
     """Write per_class clips for each class under root/<class>/.
 
     Deterministic for a fixed seed: clips are drawn from the synth
@@ -70,7 +68,7 @@ def generate_corpus(root, per_class: int = 200, seed: int = 7,
         class_dir = root / kind
         class_dir.mkdir(parents=True, exist_ok=True)
         for i in range(per_class):
-            clip = synth_clip(kind, rng, sample_rate, num_samples)
+            clip = synth_clip(kind, rng)
             path = class_dir / f"{kind}_{i:04d}.wav"
             write_wav(clip, path)
             written.append(path)

@@ -128,15 +128,7 @@ def _conv_batch_backward(x, kernel, dy, input_grad=True):
 
 
 # ---------------------------------------------------------------------------
-# pointwise and pooling ops
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    return dy * (x > 0)
-
+# max pooling
 
 # 2x2 window positions in row-major order; ties go to the first
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -227,8 +219,8 @@ class Normalize:
         self.set_stats(mean, variance)
 
     def set_stats(self, mean, variance):
-        if variance < 0:
-            raise ConfigError(f"variance must be >= 0, got {variance}")
+        if not (np.isfinite(mean) and 0 <= variance < np.inf):
+            raise ConfigError(f"need a finite mean and variance >= 0, got {mean}, {variance}")
         self.mean = float(mean)
         self.variance = float(variance)
 
@@ -344,14 +336,16 @@ class Dense:
             raise ShapeError(
                 f"input width {x.shape[-1]} != weight rows {self.weights.shape[0]}"
             )
-        pre = x @ self.weights + self.bias
-        y = relu(pre) if self.use_relu else pre
-        return y, (x, pre if self.use_relu else None)
+        y = x @ self.weights
+        y += self.bias
+        if self.use_relu:
+            np.maximum(y, 0, out=y)
+        return y, (x, y)
 
     def backward(self, cache, dy):
-        x, pre = cache
-        if pre is not None:
-            dy = relu_backward(pre, dy)
+        x, y = cache
+        if self.use_relu:
+            dy = dy * (y > 0)
         dx = dy @ self.weights.T
         return dx, [x.T @ dy, dy.sum(axis=0)]
 
@@ -362,7 +356,6 @@ class Dense:
 @dataclass
 class ForwardCache:
     net: "Network"
-    train: bool
     single: bool
     batch_size: int
     layer_caches: list
@@ -423,7 +416,7 @@ class Network:
             caches.append(c)
             shapes.append(x.shape[1:])
         logits = x[0] if single else x
-        return logits, ForwardCache(self, train, single, x.shape[0], caches, shapes)
+        return logits, ForwardCache(self, single, x.shape[0], caches, shapes)
 
     def backward(self, cache: ForwardCache, dlogits):
         """Gradients for every parameter, aligned with parameters()."""

@@ -132,13 +132,12 @@ def write_wav(clip: AudioClip, path) -> None:
     Path(path).write_bytes(encode_wav(clip))
 
 
-def design_lowpass(rate: int, cutoff_hz: float, num_taps: int = _RESAMPLE_TAPS) -> np.ndarray:
-    """Windowed-sinc FIR low-pass, normalized to unit DC gain."""
-    mid = num_taps // 2
-    n = np.arange(num_taps) - mid
+def design_lowpass(rate: int, cutoff_hz: float) -> np.ndarray:
+    """Windowed-sinc FIR low-pass of _RESAMPLE_TAPS taps, unit DC gain."""
+    k = np.arange(_RESAMPLE_TAPS)
     nu = cutoff_hz / rate  # cycles per input sample
-    taps = 2.0 * nu * np.sinc(2.0 * nu * n)
-    taps *= 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(num_taps) / (num_taps - 1))
+    taps = 2.0 * nu * np.sinc(2.0 * nu * (k - _RESAMPLE_TAPS // 2))
+    taps *= 0.5 - 0.5 * np.cos(2.0 * np.pi * k / (_RESAMPLE_TAPS - 1))
     return taps / taps.sum()
 
 
@@ -201,9 +200,9 @@ def load_dataset(
     floor allocation for val/test and the remainder going to train.
     """
     root = Path(root)
-    if len(split_ratios) != 3 or any(r < 0 for r in split_ratios):
+    if len(split_ratios) != 3 or not all(r >= 0 for r in split_ratios):
         raise ConfigError(f"split ratios must be three non-negative numbers, got {split_ratios}")
-    if abs(sum(split_ratios) - 1.0) > 1e-9:
+    if not abs(sum(split_ratios) - 1.0) <= 1e-9:
         raise ConfigError(f"split ratios must sum to 1, got {split_ratios}")
     if not root.is_dir():
         raise DatasetError(f"dataset root {root} is not a directory")
@@ -221,7 +220,7 @@ def load_dataset(
             raise DatasetError(f"class directory {class_dir} holds no .wav files")
         for path in wavs:
             try:
-                clip = parse_wav(path.read_bytes())
+                clip = load_wav(path)
             except (FormatError, UnsupportedCodecError, UnsupportedDepthError) as exc:
                 raise type(exc)(f"{path}: {exc}") from exc
             items.append((canonical_clip(clip), label))

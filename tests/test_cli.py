@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import logging
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cryalert.cli import DirectoryWatcher, main
+from cryalert.cli import DirectoryWatcher, build_parser, main
 from cryalert.errors import FormatError
 from cryalert.infer_alert import StdoutSink, save_model
 from cryalert.spectro import StftConfig
@@ -67,12 +68,31 @@ class TestTrainCommand:
         assert report["epochs"] == 10
         assert len(report["val_loss"]) == 10
 
-    def test_usage_errors(self):
+    def test_usage_errors(self, capsys):
         assert main([]) == 2
         assert main(["train"]) == 2  # missing required flags
-        assert main(["train", "--data", "x", "--out", "y", "--lr", "-1"]) == 2
-        assert main(["train", "--data", "x", "--out", "y", "--epochs", "0"]) == 2
-        assert main(["train", "--data", "x", "--out", "y", "--split", "1,1"]) == 2
+        train = ["train", "--data", "x", "--out", "y"]
+        watch = ["watch", "--model", "m", "--dir", "."]
+        for argv in [
+            train + ["--lr", "-1"],
+            train + ["--epochs", "0"],
+            train + ["--split", "1,1"],
+            train + ["--lr", "nan"],
+            train + ["--lr", "inf"],
+            train + ["--split", "0.5,nan,0.5"],
+            train + ["--split", "0.5,x,0.5"],
+            watch + ["--cooldown", "nan"],
+            watch + ["--cooldown", "inf"],
+            watch + ["--threshold", "nan"],
+            watch + ["--poll-ms", "3600001"],
+            watch + ["--poll-ms", "100000000000000000000"],
+            watch + ["--poll-ms", "9" * 400],
+        ]:
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert err.splitlines()[-1].startswith(f"cryalert {argv[0]}: error: argument")
 
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
@@ -196,6 +216,22 @@ class TestCorruptModelHeader:
         assert rc == 1
         assert len(err.strip().splitlines()) == 1
         assert "param_shapes" in err
+
+
+    @pytest.mark.parametrize("key, value", [
+        ("norm_variance", float("nan")), ("norm_mean", float("inf")),
+    ])
+    def test_non_finite_norm_stat(self, untrained_model, small_corpus, tmp_path,
+                                  capsys, key, value):
+        header = read_model_header(untrained_model)
+        header[key] = value  # written as NaN / Infinity, which json reads back
+        bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
+        wav = next((small_corpus / "tone").glob("*.wav"))
+        rc = main(["predict", "--model", str(bad), "--input", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "describes no valid model" in err
 
 
 class TestSpectrogramCommand:
@@ -478,6 +514,32 @@ class TestWatchSignals:
         assert len(json.loads(events)) == 1
         assert "Traceback" not in err
         assert results[1] == results[0]
+
+
+def _typed_flags():
+    """(command, option) for every subcommand flag that parses its value."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[0])
+            for name, command in sub.choices.items()
+            for action in command._actions if action.type is not None]
+
+
+class TestNumericFlags:
+    def test_walk_finds_the_numeric_flags(self):
+        flags = _typed_flags()
+        assert {("train", "--lr"), ("watch", "--cooldown"), ("watch", "--poll-ms"),
+                ("eval", "--split-ratios"), ("synth", "--seed")} <= set(flags)
+
+    @pytest.mark.parametrize("command, option", _typed_flags(),
+                             ids=lambda v: v.lstrip("-"))
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_is_usage_error(self, command, option, value, capsys):
+        rc = main([command, option, value])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"cryalert {command}: error: argument {option}")
 
 
 class TestMainPlumbing:

@@ -207,6 +207,10 @@ HEADER_MUTATIONS = {
     "one class": _set(["architecture", "class_count"], 1),
     "dropout rate 1": _set(["architecture", "dropout_rates"], [1.0, 0.5]),
     "negative variance": _set(["norm_variance"], -1.0),
+    "NaN variance": _set(["norm_variance"], float("nan")),
+    "Infinity variance": _set(["norm_variance"], float("inf")),
+    "NaN mean": _set(["norm_mean"], float("nan")),
+    "-Infinity mean": _set(["norm_mean"], float("-inf")),
     "fft not a power of two": _set(["stft", "fft_length"], 300),
     "frame longer than a clip": _set(["stft"], {"frame_length": 20000, "frame_step": 128,
                                                "fft_length": 32768, "window": "hann"}),

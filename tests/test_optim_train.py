@@ -175,8 +175,9 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(lr=-1.0)
+        for lr in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                TrainConfig(lr=lr)
         with pytest.raises(ConfigError):
             TrainConfig(patience=0)
 

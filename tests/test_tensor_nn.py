@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cryalert.errors import ConfigError, ConsistencyError, LabelError, ShapeError
 from cryalert.rng import STREAM_INIT, philox_stream
@@ -16,8 +14,6 @@ from cryalert.tensor_nn import (
     _interp_matrix,
     build_network,
     param_shapes,
-    relu,
-    relu_backward,
     softmax,
     softmax_cross_entropy_batch,
 )
@@ -333,23 +329,6 @@ class TestBlockedConv:
         assert cache[0] is x and cache[1] is y
 
 
-class TestRelu:
-    def test_examples(self):
-        assert np.array_equal(relu(np.array([-1.0, 0.0, 3.0])), [0.0, 0.0, 3.0])
-
-    def test_backward_masks(self):
-        x = np.array([-2.0, 0.0, 5.0])
-        dy = np.array([10.0, 10.0, 10.0])
-        assert np.array_equal(relu_backward(x, dy), [0.0, 0.0, 10.0])
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
-    def test_nonnegative_and_dominates(self, values):
-        x = np.array(values)
-        y = relu(x)
-        assert np.all(y >= 0) and np.all(y >= x)
-
-
 class TestMaxPool:
     def test_known_window(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])[..., None]
@@ -534,6 +513,25 @@ class TestDense:
         assert grad_close(db, central_diff(loss, b))
         assert np.array_equal(db, cot)
 
+    def test_fused_relu_matches_oracle_and_fd(self):
+        rng = np.random.default_rng(13)
+        layer = Dense(6, 5, philox_stream(13, STREAM_INIT), dtype=np.float64)
+        layer.bias = rng.normal(size=5)
+        x = rng.normal(size=(3, 6))
+        cot = rng.normal(size=(3, 5))
+        y, cache = layer.forward(x)
+        want = np.maximum(x @ layer.weights + layer.bias, 0.0)
+        assert np.array_equal(y, want)
+        assert 0 < np.count_nonzero(y) < y.size  # both sides of the kink
+
+        def loss():
+            return float((layer.forward(x)[0] * cot).sum())
+
+        dx, (dw, db) = layer.backward(cache, cot)
+        assert grad_close(dx, central_diff(loss, x))
+        assert grad_close(dw, central_diff(loss, layer.weights))
+        assert grad_close(db, central_diff(loss, layer.bias))
+
     def test_backward_sampled_at_production_width(self):
         # spot-check the 12544 -> 128 layer on a random subset of weights
         rng = np.random.default_rng(12)
@@ -577,8 +575,11 @@ class TestNormalize:
         assert np.allclose(y, 0.0)
 
     def test_negative_variance_rejected(self):
-        with pytest.raises(ConfigError):
-            Normalize(0.0, -1.0)
+        nan, inf = float("nan"), float("inf")
+        # a NaN or infinite statistic would make every prediction NaN
+        for mean, variance in [(0.0, -1.0), (nan, 1.0), (inf, 1.0), (0.0, nan), (0.0, inf)]:
+            with pytest.raises(ConfigError):
+                Normalize(mean, variance)
 
     def test_layer_gradient_is_inverse_scale(self):
         layer = Normalize(mean=2.0, variance=4.0)

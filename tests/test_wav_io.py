@@ -300,8 +300,10 @@ class TestLoadDataset:
 
     def test_bad_ratios_rejected(self, tmp_path):
         _write_corpus(tmp_path, {"a": [[0] * 16], "b": [[0] * 16]})
-        with pytest.raises(ConfigError):
-            load_dataset(tmp_path, split_ratios=(0.5, 0.2, 0.2))
+        nan, inf = float("nan"), float("inf")
+        for ratios in [(0.5, 0.2, 0.2), (0.5, nan, 0.5), (nan, 0.0, 0.0), (inf, 0.0, 0.0)]:
+            with pytest.raises(ConfigError):
+                load_dataset(tmp_path, split_ratios=ratios)
 
     def test_malformed_file_names_path(self, tmp_path):
         _write_corpus(tmp_path, {"a": [[0] * 16], "b": [[0] * 16]})
