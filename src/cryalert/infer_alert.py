@@ -3,8 +3,10 @@
 Model files are a small binary container: magic, format version, a
 JSON header (architecture, STFT config, class names, normalization
 stats) and the raw little-endian float32 parameter blobs in layer
-order, closed by a CRC-32 of the parameter region.  Loading verifies
-magic, version and CRC before touching the payload.
+order, closed by a CRC-32 of the parameter region.  Loading reads the
+magic and version before the rest of the file, and verifies the CRC
+before touching the payload.  No input size is stored: the network
+resizes whatever image the STFT config gives.
 
 Alerts are single-line JSON events with a fixed key order so
 downstream consumers can rely on the schema.
@@ -23,9 +25,8 @@ import sys
 import urllib.error
 import urllib.request
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -61,8 +62,8 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
     """Serialize network + preprocessing config to a model file.
 
     timestamp (unix seconds) defaults to now; the SOURCE_DATE_EPOCH
-    environment variable overrides the default so builds can be made
-    reproducible.
+    environment variable (whole seconds, as reproducible-builds defines
+    it) overrides the default so builds can be made reproducible.
     """
     if len(class_names) != net.class_count:
         raise ConfigError(
@@ -70,9 +71,17 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
         )
     if timestamp is None:
         env = os.environ.get("SOURCE_DATE_EPOCH")
-        timestamp = float(env) if env else datetime.now(tz=timezone.utc).timestamp()
+        if env and not (env.isascii() and env.isdigit()):
+            raise ConfigError(f"SOURCE_DATE_EPOCH must be whole seconds since 1970, got {env!r}")
+        timestamp = int(env) if env else datetime.now(tz=timezone.utc).timestamp()
+    try:
+        created = _rfc3339(timestamp)
+    except (OverflowError, OSError, ValueError) as exc:
+        raise ConfigError(f"creation time {timestamp} is out of range: {exc}") from exc
 
     params = net.parameters()
+    if not all(np.isfinite(p).all() for p in params):
+        raise ConfigError("not saving a network with non-finite parameters")
     mean, variance = net.norm_stats
     header = {
         "architecture": net.arch,
@@ -86,7 +95,7 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
         "norm_mean": mean,
         "norm_variance": variance,
         "seed": net.seed,
-        "created": _rfc3339(timestamp),
+        "created": created,
         "param_shapes": [list(p.shape) for p in params],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
@@ -133,7 +142,7 @@ def _check_header(header, path) -> None:
     need(isinstance(header, dict), "(top level)")
     arch, stft = header.get("architecture"), header.get("stft")
     need(isinstance(arch, dict), "architecture")
-    for key, length in (("input_shape", 3), ("resize", 2), ("conv_filters", 2)):
+    for key, length in (("resize", 2), ("conv_filters", 2)):
         need(_int_list(arch.get(key), length), f"architecture.{key}")
     for key in ("kernel_size", "dense_units", "class_count"):
         need(_is_int(arch.get(key)) and arch[key] >= 1, f"architecture.{key}")
@@ -158,14 +167,16 @@ def _check_header(header, path) -> None:
 
 def load_model(path) -> LoadedModel:
     """Read and verify a model file written by save_model."""
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != MODEL_MAGIC:
-        raise NotAModelError(f"{path}: not a model file (bad magic)")
-    version, header_len = struct.unpack_from("<II", data, 4)
-    if version != MODEL_VERSION:
-        raise ModelVersionError(
-            f"{path}: format version {version}, this build reads {MODEL_VERSION}"
-        )
+    with open(path, "rb") as fh:
+        data = fh.read(12)
+        if len(data) < 12 or data[:4] != MODEL_MAGIC:
+            raise NotAModelError(f"{path}: not a model file (bad magic)")
+        version, header_len = struct.unpack_from("<II", data, 4)
+        if version != MODEL_VERSION:
+            raise ModelVersionError(
+                f"{path}: format version {version}, this build reads {MODEL_VERSION}"
+            )
+        data += fh.read()
     header_end = 12 + header_len
     if len(data) < header_end + 4:
         raise CorruptModelError(f"{path}: truncated header")
@@ -185,10 +196,12 @@ def load_model(path) -> LoadedModel:
     (crc,) = struct.unpack_from("<I", data, header_end + blob_len)
     if zlib.crc32(blob) != crc:
         raise CorruptModelError(f"{path}: parameter checksum mismatch")
+    if not np.isfinite(np.frombuffer(blob, dtype="<f4")).all():
+        raise CorruptModelError(f"{path}: non-finite parameter value")
 
     arch = header["architecture"]
     stft = header["stft"]
-    layout = {key: tuple(arch[key]) for key in ("input_shape", "resize", "conv_filters")}
+    layout = {key: tuple(arch[key]) for key in ("resize", "conv_filters")}
     layout.update(kernel_size=arch["kernel_size"], dense_units=arch["dense_units"])
     try:
         stft_cfg = StftConfig(
@@ -197,14 +210,7 @@ def load_model(path) -> LoadedModel:
             fft_length=stft["fft_length"],
             window=stft["window"],
         )
-        # no stored shape bounds input_shape, yet it sizes the Resize
-        # matrices; it cannot exceed the image a canonical clip gives
-        image = (stft_cfg.num_frames(DEFAULT_CLIP_SAMPLES), stft_cfg.num_bins, 1)
-        if any(got > most for got, most in zip(layout["input_shape"], image)):
-            raise CorruptModelError(
-                f"{path}: input shape {list(layout['input_shape'])} exceeds the "
-                f"{list(image)} spectrogram of a {DEFAULT_CLIP_SAMPLES}-sample clip"
-            )
+        stft_cfg.num_frames(DEFAULT_CLIP_SAMPLES)  # a frame must fit in a clip
         # the stored shapes, bounded by the file size, must fit the
         # architecture before build_network allocates what it claims
         expected = param_shapes(arch["class_count"], **layout)
@@ -257,15 +263,7 @@ class AlertEvent:
     threshold: float
 
     def to_json(self) -> str:
-        payload = {
-            "timestamp": self.timestamp,
-            "source": self.source,
-            "predicted_label": self.predicted_label,
-            "probabilities": self.probabilities,
-            "alert": self.alert,
-            "threshold": self.threshold,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 def decide_alert(probabilities: dict[str, float], alert_classes, threshold: float,

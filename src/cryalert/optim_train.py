@@ -9,7 +9,7 @@ order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -165,15 +165,7 @@ class TrainReport:
         return len(self.train_loss)
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs_run,
-            "train_loss": self.train_loss,
-            "train_accuracy": self.train_accuracy,
-            "val_loss": self.val_loss,
-            "val_accuracy": self.val_accuracy,
-            "test_loss": self.test_loss,
-            "test_accuracy": self.test_accuracy,
-        }
+        return {"epochs": self.epochs_run, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

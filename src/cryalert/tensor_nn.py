@@ -2,8 +2,10 @@
 
 Tensors are plain numpy ndarrays in row-major order.  Every layer works
 on batches, images as (n, height, width, channels) and feature vectors
-as (n, features); a single example is a batch of one.  Every layer
-implements forward(x, train, rng) -> (y, cache) and
+as (n, features); a single example is a batch of one.  The Network
+takes an (n, h, w, 1) batch of spectrograms of any size, since the
+resize reads h and w from its input.  Every layer implements
+forward(x, train, rng) -> (y, cache) and
 backward(cache, dy) -> (dx, param_grads); caches are explicit values
 rather than layer state, so a Network can serve concurrent inference
 without synchronization.  The first conv has no parameter layer before
@@ -23,6 +25,7 @@ producing class-count logits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,12 +36,13 @@ from .rng import STREAM_DROPOUT, STREAM_INIT, philox_stream
 # ---------------------------------------------------------------------------
 # bilinear resize
 
-def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
-    """Row-stochastic (n_out, n_in) matrix of bilinear weights.
+@lru_cache(maxsize=8)
+def _interp_matrix(n_in: int, n_out: int, dtype=np.float64) -> np.ndarray:
+    """Read-only row-stochastic (n_out, n_in) matrix of bilinear weights.
 
     Source coordinates use half-pixel centers, src = (dst + 0.5) * n_in
     / n_out - 0.5, clamped to the valid range; each row holds the <= 2
-    nonzero weights of one output sample.
+    nonzero weights of one output sample, computed in float64.
     """
     dst = np.arange(n_out)
     src = np.clip((dst + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
@@ -48,6 +52,8 @@ def _interp_matrix(n_in: int, n_out: int) -> np.ndarray:
     mat = np.zeros((n_out, n_in))
     np.add.at(mat, (dst, lo), 1.0 - frac)
     np.add.at(mat, (dst, hi), frac)
+    mat = mat.astype(dtype)
+    mat.flags.writeable = False  # shared by every caller of the cache
     return mat
 
 
@@ -191,23 +197,26 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
 # layers
 
 class Resize:
-    """Fixed bilinear resize to (out_h, out_w)."""
+    """Bilinear resize of any input size to (out_h, out_w); the cache carries
+    the input's interpolation matrices to backward, so no state is per size."""
 
-    def __init__(self, in_h, in_w, out_h, out_w, dtype=np.float32):
+    def __init__(self, out_h, out_w):
         self.out_h, self.out_w = out_h, out_w
-        self._rows = _interp_matrix(in_h, out_h).astype(dtype)
-        self._cols = _interp_matrix(in_w, out_w).astype(dtype)
 
     def params(self):
         return []
 
     def forward(self, x, train=False, rng=None):
-        return _resize_batch(x, self._rows, self._cols), None
+        _, h, w, _ = x.shape
+        rows = _interp_matrix(h, self.out_h, x.dtype)
+        cols = _interp_matrix(w, self.out_w, x.dtype)
+        return _resize_batch(x, rows, cols), (rows, cols)
 
     def backward(self, cache, dy):
         if dy is None:  # nothing upstream wants the input gradient
             return None, []
-        return _resize_batch(dy, self._rows.T, self._cols.T), []
+        rows, cols = cache
+        return _resize_batch(dy, rows.T, cols.T), []
 
 
 class Normalize:
@@ -356,10 +365,8 @@ class Dense:
 @dataclass
 class ForwardCache:
     net: "Network"
-    single: bool
     batch_size: int
     layer_caches: list
-    shapes: list  # per-layer output shapes, batch axis dropped
 
 
 class Network:
@@ -371,10 +378,9 @@ class Network:
     makes same-seed runs reproduce bit for bit.
     """
 
-    def __init__(self, layers, class_count, input_shape, seed, dtype, arch):
+    def __init__(self, layers, class_count, seed, dtype, arch):
         self.layers = layers
         self.class_count = class_count
-        self.input_shape = tuple(input_shape)
         self.seed = seed
         self.dtype = np.dtype(dtype)
         self.arch = arch
@@ -393,30 +399,23 @@ class Network:
 
     def resize_images(self, images):
         """Just the resize stage, for fitting pixel statistics."""
-        x = self._coerce(images)[0]
-        return self.layers[0].forward(x)[0]
+        return self.layers[0].forward(self._coerce(images))[0]
 
     def _coerce(self, images):
         x = np.asarray(images, dtype=self.dtype)
-        orig = x.shape
-        single = x.ndim == 3
-        if single:
-            x = x[None]
-        if x.ndim != 4 or x.shape[1:] != self.input_shape:
-            raise ShapeError(f"expected input shape {self.input_shape}, got {orig}")
-        return x, single
+        if x.ndim != 4 or x.shape[3] != 1 or min(x.shape[1:3]) < 1:
+            raise ShapeError(f"expected an (n, h, w, 1) batch, got shape {x.shape}")
+        return x
 
     def forward(self, images, train: bool = False):
-        """Run the stack; returns (logits, cache) with cache feeding backward."""
-        x, single = self._coerce(images)
+        """Run the stack on an (n, h, w, 1) batch; returns (logits, cache)
+        with cache feeding backward."""
+        x = self._coerce(images)
         caches = []
-        shapes = []
         for layer in self.layers:
             x, c = layer.forward(x, train=train, rng=self.dropout_rng)
             caches.append(c)
-            shapes.append(x.shape[1:])
-        logits = x[0] if single else x
-        return logits, ForwardCache(self, single, x.shape[0], caches, shapes)
+        return x, ForwardCache(self, x.shape[0], caches)
 
     def backward(self, cache: ForwardCache, dlogits):
         """Gradients for every parameter, aligned with parameters()."""
@@ -424,13 +423,10 @@ class Network:
             raise ConsistencyError("cache does not belong to this network")
         dy = np.asarray(dlogits, dtype=self.dtype)
         expected = (cache.batch_size, self.class_count)
-        if cache.single:
-            expected = expected[1:]
         if dy.shape != expected:
             raise ConsistencyError(
                 f"dlogits shape {dy.shape} does not match cached forward ({expected})"
             )
-        dy = dy.reshape(cache.batch_size, self.class_count)
         grads_per_layer = [None] * len(self.layers)
         for i in range(len(self.layers) - 1, -1, -1):
             dy, g = self.layers[i].backward(cache.layer_caches[i], dy)
@@ -440,7 +436,6 @@ class Network:
 
 def param_shapes(
     class_count: int,
-    input_shape=(124, 129, 1),
     resize=(32, 32),
     conv_filters=(32, 64),
     kernel_size: int = 3,
@@ -464,14 +459,13 @@ def param_shapes(
     if h % 2 or w % 2:
         raise ConfigError(f"conv output {h}x{w} not divisible by the 2x2 pool")
     flat = (h // 2) * (w // 2) * f2
-    return [(k, k, input_shape[2], f1), (f1,), (k, k, f1, f2), (f2,),
+    return [(k, k, 1, f1), (f1,), (k, k, f1, f2), (f2,),
             (flat, dense_units), (dense_units,),
             (dense_units, class_count), (class_count,)]
 
 
 def build_network(
     class_count: int,
-    input_shape=(124, 129, 1),
     resize=(32, 32),
     conv_filters=(32, 64),
     kernel_size: int = 3,
@@ -486,18 +480,17 @@ def build_network(
     (conv1, conv2, dense1, dense2); biases start at zero.
     """
     # param_shapes validates the layout; dense1's input width is its flat size
-    flat = param_shapes(class_count, input_shape, resize, conv_filters,
-                        kernel_size, dense_units)[4][0]
-    in_h, in_w, in_c = input_shape
+    flat = param_shapes(class_count, resize, conv_filters, kernel_size,
+                        dense_units)[4][0]
     rh, rw = resize
     f1, f2 = conv_filters
     k = kernel_size
 
     rng = philox_stream(seed, STREAM_INIT)
     layers = [
-        Resize(in_h, in_w, rh, rw, dtype=dtype),
+        Resize(rh, rw),
         Normalize(),
-        Conv2D(in_c, f1, k, rng, dtype=dtype, input_grad=False),
+        Conv2D(1, f1, k, rng, dtype=dtype, input_grad=False),
         Conv2D(f1, f2, k, rng, dtype=dtype),
         MaxPool2D(),
         Dropout(dropout_rates[0]),
@@ -507,7 +500,6 @@ def build_network(
         Dense(dense_units, class_count, rng, dtype=dtype, use_relu=False),
     ]
     arch = {
-        "input_shape": list(input_shape),
         "resize": list(resize),
         "conv_filters": list(conv_filters),
         "kernel_size": kernel_size,
@@ -515,5 +507,5 @@ def build_network(
         "dropout_rates": list(dropout_rates),
         "class_count": class_count,
     }
-    return Network(layers, class_count, input_shape, seed, dtype, arch)
+    return Network(layers, class_count, seed, dtype, arch)
 

@@ -41,18 +41,22 @@ CHAIN = [
 def test_criterion_01_shapes(capsys):
     clip = synth_clip("tone", philox_stream(0, 4))
     net = build_network(4, seed=0)
-    warm = np.zeros((124, 129, 1), dtype=np.float32)
+    warm = np.zeros((1, 124, 129, 1), dtype=np.float32)
     net.forward(warm)  # absorb first-touch allocation cost
 
     start = time.monotonic()
     spec = stft_magnitude(clip, StftConfig(), dtype=np.float32)
-    logits, cache = net.forward(spec[..., None])
+    logits, _ = net.forward(spec[None, ..., None])
     elapsed = time.monotonic() - start
 
+    x, shapes = spec[None, ..., None], []
+    for layer in net.layers:
+        x = layer.forward(x)[0]
+        shapes.append(x.shape[1:])
     ok = (
         spec.shape == (124, 129)
-        and cache.shapes == CHAIN
-        and logits.shape == (4,)
+        and shapes == CHAIN
+        and logits.shape == (1, 4)
         and elapsed < 1.0
     )
     _report(capsys, 1, ok,
@@ -139,8 +143,7 @@ def test_criterion_03_gradients(capsys):
     worst = max(worst, _worst_rel(db2, _central_diff(dense_loss, b2)))
 
     # whole network on a reduced toy, every parameter, 64-bit
-    net = build_network(3, input_shape=(16, 18, 1), resize=(8, 8),
-                        conv_filters=(2, 2), dense_units=4, seed=33,
+    net = build_network(3, resize=(8, 8), conv_filters=(2, 2), dense_units=4, seed=33,
                         dtype=np.float64)
     image = rng.uniform(0.0, 1.0, (1, 16, 18, 1))
     label = np.array([1])
@@ -295,7 +298,7 @@ def test_criterion_09_persistence(capsys, trained, tmp_path):
     rng = philox_stream(9, 0)
     bitwise = True
     for _ in range(10):
-        x = rng.uniform(0.0, 1.0, (124, 129, 1)).astype(np.float32)
+        x = rng.uniform(0.0, 1.0, (1, 124, 129, 1)).astype(np.float32)
         a, _ = first.network.forward(x)
         b, _ = second.network.forward(x)
         bitwise &= bool(np.array_equal(a, b))

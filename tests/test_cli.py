@@ -94,6 +94,17 @@ class TestTrainCommand:
             assert "Traceback" not in err
             assert err.splitlines()[-1].startswith(f"cryalert {argv[0]}: error: argument")
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergent_training_saves_no_model(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "m.cry"
+        rc = main(["train", "--data", str(small_corpus), "--out", str(out),
+                   "--epochs", "1", "--batch", "8", "--lr", "1e30"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.splitlines()[-1].startswith("error:") and "non-finite" in err
+        assert not out.exists()
+
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.cry")])
@@ -170,6 +181,17 @@ class TestPredictCommand:
         rc = main(["predict", "--model", str(model_path), "--input", str(wav)])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_endless_model_file(self, small_corpus, tmp_path, capsys):
+        # load_model reads the magic before the rest, so /dev/zero is not
+        # read until memory runs out
+        link = tmp_path / "zero.cry"
+        link.symlink_to("/dev/zero")
+        wav = next((small_corpus / "tone").glob("*.wav"))
+        rc = main(["predict", "--model", str(link), "--input", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "bad magic" in err
 
     def test_malformed_input(self, trained, tmp_path, capsys):
         _, model_path, _, _ = trained
@@ -568,12 +590,13 @@ from cryalert.spectro import StftConfig
 from cryalert.wav_io import AudioClip
 tracer = spans.Tracer()
 spans.instrument(tracer)
-net = tensor_nn.build_network(3, input_shape=(16, 18, 1), resize=(8, 8),
-                              conv_filters=(2, 2), dense_units=4)
+net = tensor_nn.build_network(3, resize=(8, 8), conv_filters=(2, 2), dense_units=4)
 logits, cache = net.forward(np.zeros((2, 16, 18, 1), np.float32), train=True)
 net.backward(cache, np.zeros_like(logits))
-infer_alert.predict(tensor_nn.build_network(3), StftConfig(),
-                    AudioClip(np.zeros(48000), 48000), ["a", "b", "c"])
+infer_alert.save_model(tensor_nn.build_network(3), StftConfig(), ["a", "b", "c"], "m.cry")
+model = infer_alert.load_model("m.cry")
+infer_alert.predict(model.network, model.stft_config, AudioClip(np.zeros(48000), 48000),
+                    model.class_names)
 for name, rate in (("a", 48000), ("b", 16000)):
     Path("corpus", name).mkdir(parents=True)
     wav_io.write_wav(AudioClip(np.zeros(rate), rate), Path("corpus", name, "x.wav"))
@@ -609,5 +632,8 @@ class TestBenchmarkHooks:
         spans = json.loads(proc.stdout)
         assert {"infer_alert.predict", "wav_io.resample", "spectro.stft"} <= {s[0] for s in spans}
         assert _has_ancestor(spans, "wav_io.resample", "infer_alert.predict")
+        # load_model builds through the patched build_network, so the loaded
+        # network's layers are wrapped too
+        assert _has_ancestor(spans, "tensor_nn.resize.forward", "infer_alert.predict")
         assert _has_ancestor(spans, "wav_io.resample", "wav_io.load_dataset")
         assert _has_ancestor(spans, "spectro.stft", "optim_train.split_arrays")

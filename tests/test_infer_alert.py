@@ -6,6 +6,7 @@ import struct
 import threading
 import tracemalloc
 import urllib.error
+import zlib
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ class TestSaveLoad:
         loaded = load_model(path)
         rng = philox_stream(99, 0)
         for _ in range(10):
-            x = rng.uniform(0, 1, (124, 129, 1)).astype(np.float32)
+            x = rng.uniform(0, 1, (1, 124, 129, 1)).astype(np.float32)
             a, _ = net.forward(x)
             b, _ = loaded.network.forward(x)
             assert np.array_equal(a, b)
@@ -93,6 +94,36 @@ class TestSaveLoad:
         save_model(net, StftConfig(), NAMES, p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert load_model(p1).created == "2025-01-01T00:00:00Z"
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "1e20", "1.5", "-1", " 1", "٣",
+                                       "9" * 30, str(2 ** 62)])
+    def test_bad_source_date_epoch_is_config_error(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        path = tmp_path / "m.cry"
+        with pytest.raises(ConfigError, match="SOURCE_DATE_EPOCH|out of range"):
+            save_model(small_net(), StftConfig(), NAMES, path)
+        assert not path.exists()
+
+    def test_non_finite_parameter_not_saved(self, tmp_path):
+        net = small_net()
+        net.parameters()[-1][0] = np.nan
+        path = tmp_path / "nan.cry"
+        with pytest.raises(ConfigError, match="non-finite"):
+            save_model(net, StftConfig(), NAMES, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_not_loaded(self, saved, tmp_path, value):
+        # a valid CRC over a blob holding a NaN or infinity
+        _, path = saved
+        data = bytearray(path.read_bytes())
+        (header_len,) = struct.unpack_from("<I", data, 8)
+        struct.pack_into("<f", data, 12 + header_len, value)
+        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[12 + header_len:-4]))
+        bad = tmp_path / "nan.cry"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(CorruptModelError, match="non-finite"):
+            load_model(bad)
 
     def test_class_name_count_checked(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -176,7 +207,8 @@ def _merge_last_two_shapes(header):
 
 
 def _huge_fft(header):
-    # input_shape stays within the image the stored STFT config gives
+    # plus an input_shape as wide as that fft's image, which older
+    # headers carry and loading ignores
     header["stft"]["fft_length"] = 2 ** 18
     header["architecture"]["input_shape"] = [124, 2 ** 17 + 1, 1]
     return header
@@ -187,7 +219,6 @@ HEADER_MUTATIONS = {
     "empty list": lambda h: [],
     "architecture not an object": _set(["architecture"], []),
     "kernel_size as string": _set(["architecture", "kernel_size"], "3"),
-    "input_shape with a bool": _set(["architecture", "input_shape"], [124, 129, True]),
     "resize too short": _set(["architecture", "resize"], [32]),
     "dropout rate as string": _set(["architecture", "dropout_rates"], ["0.25", 0.5]),
     "class_count missing": _drop(["architecture", "class_count"]),
@@ -214,7 +245,6 @@ HEADER_MUTATIONS = {
     "fft not a power of two": _set(["stft", "fft_length"], 300),
     "frame longer than a clip": _set(["stft"], {"frame_length": 20000, "frame_step": 128,
                                                "fft_length": 32768, "window": "hann"}),
-    "input wider than the stft": _set(["architecture", "input_shape"], [124, 130, 1]),
     "fft_length 2^18 and input as wide": _huge_fft,
 }
 
@@ -244,19 +274,39 @@ class TestHeaderValidation:
         valid_peak, bad_peak = _load_peaks(path, bad)
         assert bad_peak < valid_peak
 
-    def test_oversized_input_shape_rejected_before_allocating(self, saved, tmp_path):
-        # no stored parameter depends on input_shape, but the Resize
-        # matrices grow with it; 129000 bins is 1000x the STFT's 129
+    def test_oversized_input_shape_loads_within_valid_peak(self, saved, tmp_path):
+        # older headers carry input_shape, which once sized the Resize
+        # matrices: 129000 bins (1000x the STFT's 129) meant a 33 MB one.
+        # It sizes nothing now; 64 KiB covers tracemalloc's noise between loads
         _, path = saved
         header = read_model_header(path)
         header["architecture"]["input_shape"] = [124, 129000, 1]
-        bad = rewrite_model_header(path, tmp_path / "tall.cry", header)
-        valid_peak, bad_peak = _load_peaks(path, bad)
-        assert bad_peak < valid_peak
+        old = rewrite_model_header(path, tmp_path / "tall.cry", header)
+        tracemalloc.start()
+        try:
+            peaks = []
+            for model in (path, old):
+                tracemalloc.reset_peak()
+                load_model(model)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 2 ** 16
+
+    def test_old_header_input_shape_ignored(self, saved, tmp_path):
+        # an input_shape smaller than the STFT image once loaded, and then
+        # every predict raised ShapeError
+        net, path = saved
+        header = read_model_header(path)
+        header["architecture"]["input_shape"] = [100, 129, 1]
+        old = load_model(rewrite_model_header(path, tmp_path / "old.cry", header))
+        clip = AudioClip(np.random.default_rng(8).uniform(-1, 1, 16000), 16000)
+        assert (predict(old.network, old.stft_config, clip, NAMES)
+                == predict(net, StftConfig(), clip, NAMES))
 
     def test_oversized_fft_length_rejected_before_allocating(self, saved, tmp_path):
-        # a longer fft raises the STFT image, and with it the input_shape
-        # bound, so fft_length itself must be bounded
+        # the DFT basis and the STFT image grow with fft_length, so
+        # fft_length itself must be bounded
         _, path = saved
         bad = rewrite_model_header(path, tmp_path / "fft.cry",
                                    _huge_fft(read_model_header(path)))
@@ -283,8 +333,7 @@ def _load_peaks(valid, bad):
 def small_model_bytes(tmp_path_factory):
     """A model file of the reduced gradient-check architecture, as bytes."""
     path = tmp_path_factory.mktemp("small_model") / "small.cry"
-    net = build_network(3, input_shape=(16, 18, 1), resize=(8, 8),
-                        conv_filters=(2, 2), dense_units=4, seed=33)
+    net = build_network(3, resize=(8, 8), conv_filters=(2, 2), dense_units=4, seed=33)
     save_model(net, StftConfig(), ["a", "b", "c"], path, timestamp=0.0)
     return path.read_bytes(), path.with_name("mutated.cry")
 

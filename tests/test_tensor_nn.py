@@ -45,8 +45,7 @@ def grad_close(analytic, numeric, tol=1e-6):
 # Layers run on batches; these apply one to a single example as a batch of 1.
 
 def resize(x, out_h, out_w):
-    layer = Resize(x.shape[0], x.shape[1], out_h, out_w, dtype=x.dtype)
-    return layer.forward(x[None])[0][0]
+    return Resize(out_h, out_w).forward(x[None])[0][0]
 
 
 def conv_layer(kernel, bias):
@@ -141,20 +140,21 @@ class TestResize:
                 net.forward(np.zeros(shape, dtype=np.float32))
 
     def test_gradient_distributes_weights(self):
-        layer = Resize(2, 2, 1, 1, dtype=np.float64)
-        dx, _ = layer.backward(None, np.ones((1, 1, 1, 1)))
+        layer = Resize(1, 1)
+        _, cache = layer.forward(np.zeros((1, 2, 2, 1)))
+        dx, _ = layer.backward(cache, np.ones((1, 1, 1, 1)))
         assert np.array_equal(dx[0, :, :, 0], np.full((2, 2), 0.25))
 
     def test_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 4, 5, 2))
         cot = rng.normal(size=(1, 3, 3, 2))
-        layer = Resize(4, 5, 3, 3, dtype=np.float64)
+        layer = Resize(3, 3)
 
         def loss():
             return float((layer.forward(x)[0] * cot).sum())
 
-        dx, _ = layer.backward(None, cot)
+        dx, _ = layer.backward(layer.forward(x)[1], cot)
         assert grad_close(dx, central_diff(loss, x))
 
 
@@ -171,10 +171,10 @@ class TestResizeBatch:
         rng = np.random.default_rng(41 + channels)
         x = rng.normal(size=(4, 13, 11, channels))
         dy = rng.normal(size=(4, 5, 7, channels))
-        layer = Resize(13, 11, 5, 7, dtype=np.float64)
+        layer = Resize(5, 7)
         rows, cols = _interp_matrix(13, 5), _interp_matrix(11, 7)
-        y, _ = layer.forward(x)
-        dx, _ = layer.backward(None, dy)
+        y, cache = layer.forward(x)
+        dx, _ = layer.backward(cache, dy)
         assert y.shape == (4, 5, 7, channels)
         assert rel_error(y, tensordot_resize(x, rows, cols)) < 1e-12
         assert dx.shape == x.shape
@@ -563,7 +563,7 @@ class TestDense:
 class TestNormalize:
     def test_layers_pass_missing_gradient_through(self):
         assert Normalize(1.0, 2.0).backward(None, None) == (None, [])
-        assert Resize(4, 4, 2, 2).backward(None, None) == (None, [])
+        assert Resize(2, 2).backward(None, None) == (None, [])
 
     def test_formula(self):
         x = np.array([[0.0, 2.0]])
@@ -670,10 +670,14 @@ class TestNetwork:
     def test_canonical_shape_chain(self):
         net = build_network(4, seed=0)
         rng = np.random.default_rng(18)
-        x = rng.uniform(0, 1, (124, 129, 1)).astype(np.float32)
-        logits, cache = net.forward(x)
-        assert logits.shape == (4,)
-        assert cache.shapes == CANONICAL_CHAIN
+        x = rng.uniform(0, 1, (1, 124, 129, 1)).astype(np.float32)
+        logits, _ = net.forward(x)
+        assert logits.shape == (1, 4)
+        shapes = []
+        for layer in net.layers:  # each layer's output shape, batch axis dropped
+            x = layer.forward(x)[0]
+            shapes.append(x.shape[1:])
+        assert shapes == CANONICAL_CHAIN
 
     def test_parameter_inventory(self):
         net = build_network(4, seed=0)
@@ -686,8 +690,7 @@ class TestNetwork:
 
     @pytest.mark.parametrize("layout", [
         {},
-        {"input_shape": (16, 18, 3), "resize": (8, 10), "conv_filters": (2, 5),
-         "dense_units": 4},
+        {"resize": (8, 10), "conv_filters": (2, 5), "dense_units": 4},
         {"resize": (14, 18), "kernel_size": 4},
     ])
     def test_param_shapes_match_built_network(self, layout):
@@ -734,13 +737,29 @@ class TestNetwork:
             assert np.array_equal(match[0], expected)
 
     def test_wrong_input_shape(self):
+        # only an (n, h, w, 1) batch with h, w >= 1 is an input
         net = build_network(4, seed=0)
-        with pytest.raises(ShapeError):
-            net.forward(np.zeros((100, 129, 1), dtype=np.float32))
+        for shape in ((100, 129, 1), (1, 100, 129, 3), (1, 0, 129, 1), (1, 100, 0, 1)):
+            with pytest.raises(ShapeError):
+                net.forward(np.zeros(shape, dtype=np.float32))
+
+    def test_any_image_size_accepted(self):
+        net = build_network(4, conv_filters=(3, 4), dense_units=6, seed=3)
+        resize = net.layers[0]
+        for shape in ((2, 100, 129, 1), (1, 372, 257, 1), (3, 5, 7, 1)):
+            logits, cache = net.forward(np.ones(shape, dtype=np.float32), train=True)
+            assert logits.shape == (shape[0], 4)
+            grads = net.backward(cache, np.ones_like(logits))
+            assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+        # the matrices live in a shared read-only cache, not on the layer
+        assert vars(resize) == {"out_h": 32, "out_w": 32}
+        rows, _ = cache.layer_caches[0]
+        assert rows is _interp_matrix(5, 32, np.dtype(np.float32))
+        assert not rows.flags.writeable
 
     def test_infer_deterministic_despite_dropout(self):
         net = build_network(4, seed=1)
-        x = np.ones((124, 129, 1), dtype=np.float32)
+        x = np.ones((1, 124, 129, 1), dtype=np.float32)
         first, _ = net.forward(x)
         net.forward(np.ones((2, 124, 129, 1), dtype=np.float32), train=True)
         second, _ = net.forward(x)
@@ -748,8 +767,7 @@ class TestNetwork:
 
     def test_train_mode_same_seed_bitwise_gradients(self):
         def run():
-            net = build_network(4, input_shape=(20, 20, 1), resize=(10, 10),
-                                conv_filters=(3, 4), dense_units=6, seed=21)
+            net = build_network(4, resize=(10, 10), conv_filters=(3, 4), dense_units=6, seed=21)
             rng = np.random.default_rng(0)
             x = rng.uniform(0, 1, (4, 20, 20, 1)).astype(np.float32)
             labels = np.array([0, 1, 2, 3])
@@ -761,8 +779,7 @@ class TestNetwork:
             assert np.array_equal(ga, gb)
 
     def test_backward_zero_cotangent_gives_zero_grads(self):
-        net = build_network(4, input_shape=(20, 20, 1), resize=(10, 10),
-                            conv_filters=(3, 4), dense_units=6, seed=2)
+        net = build_network(4, resize=(10, 10), conv_filters=(3, 4), dense_units=6, seed=2)
         x = np.ones((2, 20, 20, 1), dtype=np.float32)
         _, cache = net.forward(x)
         grads = net.backward(cache, np.zeros((2, 4), dtype=np.float32))
@@ -771,10 +788,10 @@ class TestNetwork:
     def test_stale_cache_rejected(self):
         a = build_network(4, seed=0)
         b = build_network(4, seed=0)
-        x = np.zeros((124, 129, 1), dtype=np.float32)
+        x = np.zeros((1, 124, 129, 1), dtype=np.float32)
         _, cache = a.forward(x)
         with pytest.raises(ConsistencyError):
-            b.backward(cache, np.zeros(4, dtype=np.float32))
+            b.backward(cache, np.zeros((1, 4), dtype=np.float32))
 
     def test_mismatched_dlogits_rejected(self):
         net = build_network(4, seed=0)
@@ -801,8 +818,7 @@ class TestNetwork:
             net.set_norm_stats(0.0, -1.0)
 
     def test_first_conv_skips_input_gradient(self):
-        net = build_network(4, input_shape=(20, 20, 1), resize=(10, 10),
-                            conv_filters=(3, 4), dense_units=6, seed=21)
+        net = build_network(4, resize=(10, 10), conv_filters=(3, 4), dense_units=6, seed=21)
         conv1, conv2 = net.layers[2], net.layers[3]
         assert not conv1.input_grad and conv2.input_grad
         x = np.random.default_rng(47).uniform(0, 1, (4, 20, 20, 1)).astype(np.float32)
@@ -821,8 +837,7 @@ class TestNetwork:
 
     def test_end_to_end_gradient_reduced_toy(self):
         # reduced widths keep every parameter reachable by finite differences
-        net = build_network(3, input_shape=(16, 18, 1), resize=(8, 8),
-                            conv_filters=(2, 2), dense_units=4, seed=33,
+        net = build_network(3, resize=(8, 8), conv_filters=(2, 2), dense_units=4, seed=33,
                             dtype=np.float64)
         rng = np.random.default_rng(34)
         x = rng.uniform(0, 1, (1, 16, 18, 1))
