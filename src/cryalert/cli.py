@@ -185,9 +185,10 @@ def cmd_train(args) -> int:
                       seed=seed, patience=args.patience)
     stft_cfg = StftConfig()
     report = train(net, dataset, cfg, stft_cfg)
-    save_model(net, stft_cfg, dataset.class_names, args.out)
+    # written first, so a run that diverged still shows where
     report_path = Path(str(args.out) + ".report.json")
     report_path.write_text(report.to_json())
+    save_model(net, stft_cfg, dataset.class_names, args.out)
     print(report.to_text())
     print(f"model: {args.out}")
     print(f"report: {report_path}")
@@ -196,7 +197,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     loaded = load_model(args.model)
-    seed = _resolve_seed(args.seed, 42)
+    seed = _resolve_seed(args.seed, loaded.seed)
     dataset = load_dataset(args.data, split_ratios=args.split_ratios, seed=seed)
     if loaded.class_names != dataset.class_names:
         raise ConfigError(
@@ -294,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
     p.add_argument("--confusion", action="store_true", help="print the confusion matrix")
     p.add_argument("--seed", type=int, default=None,
-                   help="dataset shuffle seed (default 42, must match training)")
+                   help="dataset shuffle seed (default: the seed stored in the model)")
     p.add_argument("--split-ratios", type=_ratio_triple, default=(0.8, 0.1, 0.1),
                    dest="split_ratios")
     p.set_defaults(func=cmd_eval)

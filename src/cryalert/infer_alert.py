@@ -3,10 +3,10 @@
 Model files are a small binary container: magic, format version, a
 JSON header (architecture, STFT config, class names, normalization
 stats) and the raw little-endian float32 parameter blobs in layer
-order, closed by a CRC-32 of the parameter region.  Loading reads the
-magic and version before the rest of the file, and verifies the CRC
-before touching the payload.  No input size is stored: the network
-resizes whatever image the STFT config gives.
+order, closed by a CRC-32 of the parameter region.  The header holds
+nothing derivable: param_shapes gives the shapes, and the STFT config
+the input size.  Loading reads the magic and version before the rest
+of the file, and checks its length, CRC and finiteness before building.
 
 Alerts are single-line JSON events with a fixed key order so
 downstream consumers can rely on the schema.
@@ -96,7 +96,6 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
         "norm_variance": variance,
         "seed": net.seed,
         "created": created,
-        "param_shapes": [list(p.shape) for p in params],
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes() for p in params)
@@ -125,16 +124,11 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _int_list(value, length=None, minimum=1) -> bool:
-    return (isinstance(value, list) and (length is None or len(value) == length)
-            and all(_is_int(v) and v >= minimum for v in value))
-
-
 def _check_header(header, path) -> None:
     """Raise CorruptModelError unless every field save_model writes is
-    present with its type.  Architecture sizes must be positive (a zero
-    kernel size divides by zero in the Glorot limit); other ranges are
-    left to the constructors, whose ConfigError load_model converts."""
+    present with its type.  Architecture sizes must be positive; other
+    ranges are left to param_shapes and the constructors, whose
+    ConfigError load_model converts."""
     def need(ok, field):
         if not ok:
             raise CorruptModelError(f"{path}: header field {field} missing or malformed")
@@ -142,31 +136,27 @@ def _check_header(header, path) -> None:
     need(isinstance(header, dict), "(top level)")
     arch, stft = header.get("architecture"), header.get("stft")
     need(isinstance(arch, dict), "architecture")
-    for key, length in (("resize", 2), ("conv_filters", 2)):
-        need(_int_list(arch.get(key), length), f"architecture.{key}")
-    for key in ("kernel_size", "dense_units", "class_count"):
-        need(_is_int(arch.get(key)) and arch[key] >= 1, f"architecture.{key}")
-    rates = arch.get("dropout_rates")
-    need(isinstance(rates, list) and len(rates) == 2 and all(map(_is_number, rates)),
-         "architecture.dropout_rates")
+    for key in ("resize", "conv_filters"):
+        pair = arch.get(key)
+        need(isinstance(pair, list) and len(pair) == 2
+             and all(_is_int(v) and v >= 1 for v in pair), f"architecture.{key}")
+    need(_is_int(arch.get("dense_units")) and arch["dense_units"] >= 1,
+         "architecture.dense_units")
     need(isinstance(stft, dict), "stft")
     for key in ("frame_length", "frame_step", "fft_length"):
         need(_is_int(stft.get(key)), f"stft.{key}")
     need(isinstance(stft.get("window"), str), "stft.window")
     names = header.get("class_names")
-    need(isinstance(names, list) and all(isinstance(n, str) for n in names)
-         and len(names) == arch["class_count"], "class_names")
+    need(isinstance(names, list) and all(isinstance(n, str) for n in names), "class_names")
     need(_is_number(header.get("norm_mean")), "norm_mean")
     need(_is_number(header.get("norm_variance")), "norm_variance")
     need(_is_int(header.get("seed")), "seed")
     need(isinstance(header.get("created"), str), "created")
-    shapes = header.get("param_shapes")
-    need(isinstance(shapes, list) and all(_int_list(s, minimum=0) for s in shapes),
-         "param_shapes")
 
 
 def load_model(path) -> LoadedModel:
-    """Read and verify a model file written by save_model."""
+    """Read and verify a model file written by save_model; older files'
+    param_shapes, class_count, kernel_size, dropout_rates and input_shape are ignored."""
     with open(path, "rb") as fh:
         data = fh.read(12)
         if len(data) < 12 or data[:4] != MODEL_MAGIC:
@@ -186,23 +176,8 @@ def load_model(path) -> LoadedModel:
         raise CorruptModelError(f"{path}: unreadable header: {exc}") from exc
     _check_header(header, path)
 
-    shapes = [tuple(s) for s in header["param_shapes"]]
-    blob_len = sum(math.prod(s) for s in shapes) * 4
-    if len(data) != header_end + blob_len + 4:
-        raise CorruptModelError(
-            f"{path}: expected {header_end + blob_len + 4} bytes, file has {len(data)}"
-        )
-    blob = data[header_end:header_end + blob_len]
-    (crc,) = struct.unpack_from("<I", data, header_end + blob_len)
-    if zlib.crc32(blob) != crc:
-        raise CorruptModelError(f"{path}: parameter checksum mismatch")
-    if not np.isfinite(np.frombuffer(blob, dtype="<f4")).all():
-        raise CorruptModelError(f"{path}: non-finite parameter value")
-
-    arch = header["architecture"]
-    stft = header["stft"]
-    layout = {key: tuple(arch[key]) for key in ("resize", "conv_filters")}
-    layout.update(kernel_size=arch["kernel_size"], dense_units=arch["dense_units"])
+    arch, stft, class_names = header["architecture"], header["stft"], header["class_names"]
+    layout = {key: arch[key] for key in ("resize", "conv_filters", "dense_units")}
     try:
         stft_cfg = StftConfig(
             frame_length=stft["frame_length"],
@@ -211,17 +186,21 @@ def load_model(path) -> LoadedModel:
             window=stft["window"],
         )
         stft_cfg.num_frames(DEFAULT_CLIP_SAMPLES)  # a frame must fit in a clip
-        # the stored shapes, bounded by the file size, must fit the
-        # architecture before build_network allocates what it claims
-        expected = param_shapes(arch["class_count"], **layout)
-        if shapes != expected:
+        # the file's length bounds what the architecture may claim, so
+        # it is checked, with the blob, before build_network allocates
+        blob_len = sum(math.prod(s) for s in param_shapes(len(class_names), **layout)) * 4
+        if len(data) != header_end + blob_len + 4:
             raise CorruptModelError(
-                f"{path}: stored parameter shapes {shapes} do not fit the "
-                f"architecture's {expected}"
+                f"{path}: expected {header_end + blob_len + 4} bytes, file has {len(data)}"
             )
-        net = build_network(arch["class_count"], **layout,
-                            dropout_rates=tuple(arch["dropout_rates"]),
-                            seed=header["seed"], dtype=np.float32)
+        blob = data[header_end:header_end + blob_len]
+        (crc,) = struct.unpack_from("<I", data, header_end + blob_len)
+        if zlib.crc32(blob) != crc:
+            raise CorruptModelError(f"{path}: parameter checksum mismatch")
+        if not np.isfinite(np.frombuffer(blob, dtype="<f4")).all():
+            raise CorruptModelError(f"{path}: non-finite parameter value")
+        net = build_network(len(class_names), **layout, seed=header["seed"],
+                            dtype=np.float32)
         net.set_norm_stats(header["norm_mean"], header["norm_variance"])
     except (ConfigError, TooShortError) as exc:
         raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
@@ -231,7 +210,7 @@ def load_model(path) -> LoadedModel:
         p[...] = values.reshape(p.shape)
         offset += 4 * p.size
 
-    return LoadedModel(net, stft_cfg, list(header["class_names"]),
+    return LoadedModel(net, stft_cfg, list(class_names),
                        header["created"], header["seed"])
 
 

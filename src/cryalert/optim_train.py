@@ -9,6 +9,7 @@ order.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -165,7 +166,12 @@ class TrainReport:
         return len(self.train_loss)
 
     def to_dict(self) -> dict:
-        return {"epochs": self.epochs_run, **asdict(self)}
+        """The report as strict JSON values: a non-finite loss becomes None."""
+        def finite(v):
+            return None if isinstance(v, float) and not math.isfinite(v) else v
+        fields = {key: [finite(x) for x in v] if isinstance(v, list) else finite(v)
+                  for key, v in asdict(self).items()}
+        return {"epochs": self.epochs_run, **fields}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -222,6 +228,7 @@ def train(
     network before the first epoch.  Each epoch reshuffles the train
     split from the shuffle stream, runs batched forward/backward in
     train mode, applies Adam, then scores the val split in infer mode.
+    Training stops after the first epoch whose mean loss is not finite.
     """
     if cfg is None:
         cfg = TrainConfig()
@@ -269,6 +276,8 @@ def train(
         report.val_loss.append(val_loss)
         report.val_accuracy.append(val_acc)
 
+        if not math.isfinite(report.train_loss[-1]):
+            break  # diverged: no later epoch can recover
         if cfg.patience is not None:
             if val_loss < best_val:
                 best_val = val_loss

@@ -19,11 +19,12 @@ so no batch-sized patch matrix is ever held.
 
 The canonical stack is resize -> normalize -> conv(relu) -> conv(relu)
 -> maxpool -> dropout -> flatten -> dense(relu) -> dropout -> dense,
-producing class-count logits.
+producing class-count logits.  param_shapes alone gives its shapes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ConsistencyError, LabelError, ShapeError
 from .rng import STREAM_DROPOUT, STREAM_INIT, philox_stream
+
+# the paper's 3x3 kernels, and its dropout after the pool and after dense1
+KERNEL_SIZE = 3
+DROPOUT_RATES = (0.25, 0.5)
 
 # ---------------------------------------------------------------------------
 # bilinear resize
@@ -248,19 +253,15 @@ class Normalize:
 
 
 class Conv2D:
-    """Valid 3x3-style convolution with optional fused ReLU.
+    """Valid convolution by a (kh, kw, cin, cout) kernel, optional fused ReLU.
 
     input_grad=False makes backward return dx=None; build_network sets
     it on the first conv, which has no parameter layer before it.
     """
 
-    def __init__(self, cin, cout, ksize, rng, dtype=np.float32, use_relu=True,
-                 input_grad=True):
-        fan_in = ksize * ksize * cin
-        fan_out = ksize * ksize * cout
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        self.kernel = rng.uniform(-limit, limit, (ksize, ksize, cin, cout)).astype(dtype)
-        self.bias = np.zeros(cout, dtype=dtype)
+    def __init__(self, kernel, use_relu=True, input_grad=True):
+        self.kernel = kernel
+        self.bias = np.zeros(kernel.shape[-1], dtype=kernel.dtype)
         self.use_relu = use_relu
         self.input_grad = input_grad
 
@@ -329,12 +330,11 @@ class Flatten:
 
 
 class Dense:
-    """Affine layer with optional fused ReLU."""
+    """Affine layer of (n_in, n_out) weights with optional fused ReLU."""
 
-    def __init__(self, n_in, n_out, rng, dtype=np.float32, use_relu=True):
-        limit = np.sqrt(6.0 / (n_in + n_out))
-        self.weights = rng.uniform(-limit, limit, (n_in, n_out)).astype(dtype)
-        self.bias = np.zeros(n_out, dtype=dtype)
+    def __init__(self, weights, use_relu=True):
+        self.weights = weights
+        self.bias = np.zeros(weights.shape[1], dtype=weights.dtype)
         self.use_relu = use_relu
 
     def params(self):
@@ -438,19 +438,18 @@ def param_shapes(
     class_count: int,
     resize=(32, 32),
     conv_filters=(32, 64),
-    kernel_size: int = 3,
     dense_units: int = 128,
 ) -> list:
     """Shapes of build_network's parameters, in parameters() order.
 
     Validates the layout without allocating anything, so a model file's
-    stored shapes can be checked before the network is built.
+    length can be checked before the network is built.
     """
     if class_count < 2:
         raise ConfigError(f"need at least 2 classes, got {class_count}")
     rh, rw = resize
     f1, f2 = conv_filters
-    k = kernel_size
+    k = KERNEL_SIZE
 
     h, w = rh - k + 1, rw - k + 1   # conv1
     h, w = h - k + 1, w - k + 1     # conv2
@@ -464,13 +463,19 @@ def param_shapes(
             (dense_units, class_count), (class_count,)]
 
 
+def _glorot(rng, shape, dtype):
+    """Glorot-uniform (Glorot & Bengio 2010) conv kernel or dense matrix."""
+    fan_in = math.prod(shape[:-1])
+    fan_out = math.prod(shape[:-2]) * shape[-1]
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, shape).astype(dtype)
+
+
 def build_network(
     class_count: int,
     resize=(32, 32),
     conv_filters=(32, 64),
-    kernel_size: int = 3,
     dense_units: int = 128,
-    dropout_rates=(0.25, 0.5),
     seed: int = 0,
     dtype=np.float32,
 ) -> Network:
@@ -479,33 +484,25 @@ def build_network(
     Weight draws come from the init stream of `seed` in layer order
     (conv1, conv2, dense1, dense2); biases start at zero.
     """
-    # param_shapes validates the layout; dense1's input width is its flat size
-    flat = param_shapes(class_count, resize, conv_filters, kernel_size,
-                        dense_units)[4][0]
-    rh, rw = resize
-    f1, f2 = conv_filters
-    k = kernel_size
-
+    shapes = param_shapes(class_count, resize, conv_filters, dense_units)
     rng = philox_stream(seed, STREAM_INIT)
+    conv1, conv2, dense1, dense2 = [_glorot(rng, s, dtype) for s in shapes[::2]]
     layers = [
-        Resize(rh, rw),
+        Resize(*resize),
         Normalize(),
-        Conv2D(1, f1, k, rng, dtype=dtype, input_grad=False),
-        Conv2D(f1, f2, k, rng, dtype=dtype),
+        Conv2D(conv1, input_grad=False),
+        Conv2D(conv2),
         MaxPool2D(),
-        Dropout(dropout_rates[0]),
+        Dropout(DROPOUT_RATES[0]),
         Flatten(),
-        Dense(flat, dense_units, rng, dtype=dtype),
-        Dropout(dropout_rates[1]),
-        Dense(dense_units, class_count, rng, dtype=dtype, use_relu=False),
+        Dense(dense1),
+        Dropout(DROPOUT_RATES[1]),
+        Dense(dense2, use_relu=False),
     ]
     arch = {
         "resize": list(resize),
         "conv_filters": list(conv_filters),
-        "kernel_size": kernel_size,
         "dense_units": dense_units,
-        "dropout_rates": list(dropout_rates),
-        "class_count": class_count,
     }
     return Network(layers, class_count, seed, dtype, arch)
 

@@ -9,6 +9,8 @@ clip format the model sees in training and prediction: 16 kHz, 1 s.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -125,7 +127,15 @@ def encode_wav(clip: AudioClip) -> bytes:
 
 
 def load_wav(path) -> AudioClip:
-    return parse_wav(Path(path).read_bytes())
+    """Decode a regular WAV file; a FIFO, device or directory is a FormatError."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            raise FormatError("not a regular file")
+        with open(fd, "rb", closefd=False) as fh:
+            return parse_wav(fh.read())
+    finally:
+        os.close(fd)
 
 
 def write_wav(clip: AudioClip, path) -> None:

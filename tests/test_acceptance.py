@@ -16,7 +16,7 @@ from cryalert.cli import DirectoryWatcher, main
 from cryalert.errors import CorruptModelError
 from cryalert.infer_alert import StdoutSink, load_model, predict, save_model
 from cryalert.optim_train import AdamState, TrainConfig, adam_step, confusion_matrix, train
-from cryalert.rng import STREAM_INIT, philox_stream
+from cryalert.rng import philox_stream
 from cryalert.spectro import StftConfig, stft_magnitude
 from cryalert.synth import generate_corpus, synth_clip
 from cryalert.tensor_nn import Conv2D, Dense, build_network, softmax_cross_entropy_batch
@@ -111,10 +111,9 @@ def test_criterion_03_gradients(capsys):
     worst = 0.0
 
     # conv layer, input, kernel and bias, on a batch of one
-    conv = Conv2D(2, 3, 3, philox_stream(0, STREAM_INIT), dtype=np.float64,
-                  use_relu=False)
     x = rng.normal(size=(1, 6, 6, 2))
-    conv.kernel = k = rng.normal(size=(3, 3, 2, 3))
+    k = rng.normal(size=(3, 3, 2, 3))
+    conv = Conv2D(k, use_relu=False)
     conv.bias = b = rng.normal(size=3)
     cot = rng.normal(size=(1, 4, 4, 3))
     dx, (dk, db) = conv.backward(conv.forward(x)[1], cot)
@@ -127,10 +126,9 @@ def test_criterion_03_gradients(capsys):
     worst = max(worst, _worst_rel(db, _central_diff(conv_loss, b)))
 
     # dense layer, on a batch of one
-    dense = Dense(8, 5, philox_stream(0, STREAM_INIT), dtype=np.float64,
-                  use_relu=False)
     x2 = rng.normal(size=(1, 8))
-    dense.weights = w2 = rng.normal(size=(8, 5))
+    w2 = rng.normal(size=(8, 5))
+    dense = Dense(w2, use_relu=False)
     dense.bias = b2 = rng.normal(size=5)
     cot2 = rng.normal(size=(1, 5))
     dx2, (dw2, db2) = dense.backward(dense.forward(x2)[1], cot2)

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import resource
 import select
 import shutil
 import signal
@@ -105,6 +106,33 @@ class TestTrainCommand:
         assert err.splitlines()[-1].startswith("error:") and "non-finite" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergent_training_stops_with_a_report(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "m.cry"
+        rc = main(["train", "--data", str(small_corpus), "--out", str(out),
+                   "--epochs", "4", "--batch", "8", "--lr", "1e30"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert not out.exists()
+
+        def refuse(name):
+            raise AssertionError(f"{name} in the report")
+
+        report = json.loads(Path(str(out) + ".report.json").read_text(),
+                            parse_constant=refuse)
+        assert report["epochs"] == 1 and report["train_loss"] == [None]
+
+    def test_fifo_in_corpus(self, tmp_path):
+        main(["synth", "--out", str(tmp_path / "c"), "--per-class", "1"])
+        os.mkfifo(tmp_path / "c" / "tone" / "fifo.wav")
+        proc = _bounded_cli(["train", "--data", str(tmp_path / "c"),
+                             "--out", str(tmp_path / "m.cry")])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {tmp_path / 'c' / 'tone' / 'fifo.wav'}: not a regular file"]
+
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.cry")])
@@ -144,6 +172,23 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert "tone" in err and "zway" in err
+
+    def test_seed_defaults_to_the_models(self, small_corpus, tmp_path, capsys, monkeypatch):
+        # the split must be the one training saw, or test clips were trained on
+        monkeypatch.delenv("CRYALERT_SEED", raising=False)
+        model = tmp_path / "m.cry"
+        assert main(["train", "--data", str(small_corpus), "--out", str(model),
+                     "--epochs", "1", "--batch", "8", "--seed", "5"]) == 0
+        capsys.readouterr()
+
+        def score(*extra):
+            assert main(["eval", "--model", str(model), "--data", str(small_corpus),
+                         *extra]) == 0
+            return capsys.readouterr().out
+
+        assert score() == score("--seed", "5")
+        monkeypatch.setenv("CRYALERT_SEED", "42")
+        assert score() == score("--seed", "42")
 
     def test_missing_model(self, synth_corpus, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "no.cry"),
@@ -193,6 +238,18 @@ class TestPredictCommand:
         assert rc == 1
         assert err.startswith("error:") and "bad magic" in err
 
+    @pytest.mark.parametrize("kind", ["fifo", "zero"])
+    def test_non_regular_input(self, untrained_model, tmp_path, kind):
+        # a plain open of a FIFO blocks and /dev/zero never ends
+        wav = tmp_path / "x.wav"
+        if kind == "fifo":
+            os.mkfifo(wav)
+        else:
+            wav.symlink_to("/dev/zero")
+        proc = _bounded_cli(["predict", "--model", str(untrained_model), "--input", str(wav)])
+        assert proc.returncode == 1
+        assert proc.stderr == "error: not a regular file\n"
+
     def test_malformed_input(self, trained, tmp_path, capsys):
         _, model_path, _, _ = trained
         bad = tmp_path / "bad.wav"
@@ -215,7 +272,7 @@ class TestCorruptModelHeader:
         {},
         [],
         "model",
-        {"architecture": {"class_count": "four"}},
+        {"architecture": {"resize": "four"}},
     ], ids=["empty-object", "empty-list", "string", "wrong-types"])
     def test_predict_exits_one_with_one_line(self, untrained_model, small_corpus,
                                              tmp_path, capsys, header):
@@ -230,14 +287,14 @@ class TestCorruptModelHeader:
     def test_wrong_typed_field_in_valid_header(self, untrained_model, small_corpus,
                                                tmp_path, capsys):
         header = read_model_header(untrained_model)
-        header["param_shapes"][0] = "3x3x1x32"
+        header["architecture"]["resize"] = "32x32"
         bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
         wav = next((small_corpus / "tone").glob("*.wav"))
         rc = main(["predict", "--model", str(bad), "--input", str(wav)])
         err = capsys.readouterr().err
         assert rc == 1
         assert len(err.strip().splitlines()) == 1
-        assert "param_shapes" in err
+        assert "architecture.resize" in err
 
 
     @pytest.mark.parametrize("key, value", [
@@ -496,16 +553,30 @@ class TestDirectoryWatcher:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def _bounded_cli(argv):
+    """Run cryalert in a child with 1 GiB of address space and 60 s, so an
+    input that blocks or never ends fails the test instead of stalling it."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+    return subprocess.run([sys.executable, "-m", "cryalert.cli", *argv], env=_child_env(),
+                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+
+
 def _watch_until_signal(model, directory, sig):
     """Run `cryalert watch` in a child, send sig once it has emitted one
     event, and return (exit code, stdout, stderr) with the directory
     written as DIR and the event timestamps blanked."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cryalert.cli", "watch", "--model", str(model),
          "--dir", str(directory), "--poll-ms", "50", "--alert-classes", "tone"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
     try:
         # the event is written after run() installed its handlers
         ready, _, _ = select.select([proc.stdout], [], [], 60)

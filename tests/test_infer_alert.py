@@ -199,11 +199,11 @@ def _drop(path):
     return mutate
 
 
-def _merge_last_two_shapes(header):
-    # same parameter count as stored, one parameter fewer than the architecture
-    *rest, (a, b), (c,) = header["param_shapes"]
-    header["param_shapes"] = rest + [[a * b + c]]
-    return header
+def _leaf_paths(node, prefix=()):
+    """Key paths of every value in a nested header that is not an object."""
+    if not isinstance(node, dict):
+        return [prefix]
+    return [path for key, value in node.items() for path in _leaf_paths(value, prefix + (key,))]
 
 
 def _huge_fft(header):
@@ -218,10 +218,7 @@ HEADER_MUTATIONS = {
     "empty object": lambda h: {},
     "empty list": lambda h: [],
     "architecture not an object": _set(["architecture"], []),
-    "kernel_size as string": _set(["architecture", "kernel_size"], "3"),
     "resize too short": _set(["architecture", "resize"], [32]),
-    "dropout rate as string": _set(["architecture", "dropout_rates"], ["0.25", 0.5]),
-    "class_count missing": _drop(["architecture", "class_count"]),
     "stft window as number": _set(["stft", "window"], 5),
     "stft missing": _drop(["stft"]),
     "class_names as string": _set(["class_names"], "amchirpnoisetone"),
@@ -229,14 +226,9 @@ HEADER_MUTATIONS = {
     "norm_mean as string": _set(["norm_mean"], "0.1"),
     "seed as float": _set(["seed"], 1.5),
     "created as null": _set(["created"], None),
-    "negative shape": _set(["param_shapes", 0], [-3, 3, 1, 32]),
-    "float shape": _set(["param_shapes", 1], [32.0]),
-    "param_shapes as object": _set(["param_shapes"], {"0": [1]}),
-    "parameter count off": _merge_last_two_shapes,
-    # well-typed, but rejected by build_network / StftConfig / Normalize
+    # well-typed, but rejected by param_shapes / StftConfig / Normalize
     "resize not poolable": _set(["architecture", "resize"], [33, 33]),
-    "one class": _set(["architecture", "class_count"], 1),
-    "dropout rate 1": _set(["architecture", "dropout_rates"], [1.0, 0.5]),
+    "one class": _set(["class_names"], ["am"]),
     "negative variance": _set(["norm_variance"], -1.0),
     "NaN variance": _set(["norm_variance"], float("nan")),
     "Infinity variance": _set(["norm_variance"], float("inf")),
@@ -303,6 +295,38 @@ class TestHeaderValidation:
         clip = AudioClip(np.random.default_rng(8).uniform(-1, 1, 16000), 16000)
         assert (predict(old.network, old.stft_config, clip, NAMES)
                 == predict(net, StftConfig(), clip, NAMES))
+
+    def test_old_header_derivable_fields_ignored(self, saved, tmp_path):
+        # older files also store what param_shapes derives, and the
+        # dropout rates, which inference never uses
+        net, path = saved
+        header = read_model_header(path)
+        header["architecture"].update(kernel_size=3, dropout_rates=[0.25, 0.5],
+                                      class_count=len(NAMES))
+        header["param_shapes"] = [list(p.shape) for p in net.parameters()]
+        old = load_model(rewrite_model_header(path, tmp_path / "old.cry", header))
+        new = load_model(path)
+        for a, b in zip(new.network.parameters(), old.network.parameters(), strict=True):
+            assert a.tobytes() == b.tobytes()
+        clip = AudioClip(np.random.default_rng(8).uniform(-1, 1, 16000), 16000)
+        assert (predict(old.network, old.stft_config, clip, NAMES)
+                == predict(new.network, new.stft_config, clip, NAMES))
+
+    def test_every_saved_field_is_required(self, saved, tmp_path):
+        # a field load_model can do without is one it could derive, so
+        # save_model should not write it
+        _, path = saved
+        leaves = _leaf_paths(read_model_header(path))
+        assert sorted(leaves) == sorted(
+            [("architecture", key) for key in ("resize", "conv_filters", "dense_units")]
+            + [("stft", key) for key in ("frame_length", "frame_step", "fft_length", "window")]
+            + [(key,) for key in ("class_names", "norm_mean", "norm_variance", "seed",
+                                  "created")])
+        for leaf in leaves:
+            header = _drop(list(leaf))(read_model_header(path))
+            bad = rewrite_model_header(path, tmp_path / "drop.cry", header)
+            with pytest.raises(CorruptModelError):
+                load_model(bad)
 
     def test_oversized_fft_length_rejected_before_allocating(self, saved, tmp_path):
         # the DFT basis and the STFT image grow with fft_length, so

@@ -264,6 +264,27 @@ class TestTrain:
         assert any(len(part.split(".")[-1]) == 4
                    for part in text.split() if "." in part)
 
+    def test_non_finite_loss_written_as_null(self):
+        report = TrainReport([1.5, float("nan")], [0.5, 0.25], [float("inf"), 2.0],
+                             [0.5, 0.5], float("-inf"), 0.25)
+        d = report.to_dict()
+        assert d["train_loss"] == [1.5, None] and d["val_loss"] == [None, 2.0]
+        assert d["test_loss"] is None and d["test_accuracy"] == 0.25
+
+        def refuse(name):
+            raise AssertionError(f"{name} in the report")
+
+        assert json.loads(report.to_json(), parse_constant=refuse) == d
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_divergence_stops_training(self, toy_setup):
+        net = build_network(len(toy_setup.class_names), seed=3)
+        report = train(net, toy_setup, TrainConfig(epochs=3, batch_size=2, lr=1e30, seed=3))
+        assert report.epochs_run == 1
+        assert len(report.val_loss) == 1
+        assert not np.isfinite(report.train_loss[0])
+
     def test_class_count_mismatch(self, toy_setup):
         net = build_network(len(toy_setup.class_names) + 1, seed=0)
         with pytest.raises(ConfigError):

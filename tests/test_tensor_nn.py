@@ -11,6 +11,7 @@ from cryalert.tensor_nn import (
     Normalize,
     Resize,
     _CONV_BLOCK,
+    _glorot,
     _interp_matrix,
     build_network,
     param_shapes,
@@ -42,6 +43,11 @@ def grad_close(analytic, numeric, tol=1e-6):
     return float(np.max(np.abs(analytic - numeric) / denom)) < tol
 
 
+def glorot(seed, shape, dtype=np.float64):
+    """Weights drawn from the init stream of `seed`, as build_network draws them."""
+    return _glorot(philox_stream(seed, STREAM_INIT), shape, dtype)
+
+
 # Layers run on batches; these apply one to a single example as a batch of 1.
 
 def resize(x, out_h, out_w):
@@ -50,10 +56,8 @@ def resize(x, out_h, out_w):
 
 def conv_layer(kernel, bias):
     """A float64 Conv2D without ReLU that holds the given kernel and bias."""
-    kh, _, cin, cout = kernel.shape
-    layer = Conv2D(cin, cout, kh, philox_stream(0, STREAM_INIT), dtype=np.float64,
-                   use_relu=False)
-    layer.kernel, layer.bias = kernel, bias
+    layer = Conv2D(kernel, use_relu=False)
+    layer.bias = bias
     return layer
 
 
@@ -81,10 +85,8 @@ def maxpool_grad(x, dy):
 
 def dense_layer(weights, bias):
     """A Dense without ReLU that holds the given weights and bias."""
-    n_in, n_out = weights.shape
-    layer = Dense(n_in, n_out, philox_stream(0, STREAM_INIT), dtype=weights.dtype,
-                  use_relu=False)
-    layer.weights, layer.bias = weights, bias
+    layer = Dense(weights, use_relu=False)
+    layer.bias = bias
     return layer
 
 
@@ -254,8 +256,7 @@ class TestConv:
 class TestConvLayer:
     def test_batch_input_gradient_matches_fd(self):
         rng = np.random.default_rng(43)
-        layer = Conv2D(3, 2, 3, philox_stream(43, STREAM_INIT), dtype=np.float64,
-                       use_relu=False)
+        layer = Conv2D(glorot(43, (3, 3, 3, 2)), use_relu=False)
         x = rng.normal(size=(2, 6, 5, 3))
         cot = rng.normal(size=(2, 4, 3, 2))
 
@@ -272,8 +273,7 @@ class TestConvLayer:
         cot = rng.normal(size=(2, 4, 4, 3))
         grads = []
         for input_grad in (True, False):
-            layer = Conv2D(2, 3, 3, philox_stream(44, STREAM_INIT), dtype=np.float64,
-                           input_grad=input_grad)
+            layer = Conv2D(glorot(44, (3, 3, 2, 3)), input_grad=input_grad)
             _, cache = layer.forward(x)
             dx, g = layer.backward(cache, cot)
             assert (dx is None) is (not input_grad)
@@ -291,8 +291,8 @@ class TestBlockedConv:
     @pytest.mark.parametrize("input_grad", [True, False])
     def test_matches_loop_oracle_and_fd(self, n, use_relu, input_grad):
         rng = np.random.default_rng(48 + n)
-        layer = Conv2D(2, 3, 3, philox_stream(48, STREAM_INIT), dtype=np.float64,
-                       use_relu=use_relu, input_grad=input_grad)
+        layer = Conv2D(glorot(48, (3, 3, 2, 3)), use_relu=use_relu,
+                       input_grad=input_grad)
         layer.bias = rng.normal(size=3)
         x = rng.normal(size=(n, 5, 6, 2))
         cot = rng.normal(size=(n, 3, 4, 3))
@@ -322,7 +322,7 @@ class TestBlockedConv:
             assert grad_close(dx[k], central_diff(example_loss, x[k], h=1e-5))
 
     def test_cache_holds_only_input_and_output(self):
-        layer = Conv2D(2, 3, 3, philox_stream(49, STREAM_INIT))
+        layer = Conv2D(glorot(49, (3, 3, 2, 3), np.float32))
         x = np.random.default_rng(49).normal(size=(3, 6, 6, 2)).astype(np.float32)
         y, cache = layer.forward(x)
         assert len(cache) == 2
@@ -515,7 +515,7 @@ class TestDense:
 
     def test_fused_relu_matches_oracle_and_fd(self):
         rng = np.random.default_rng(13)
-        layer = Dense(6, 5, philox_stream(13, STREAM_INIT), dtype=np.float64)
+        layer = Dense(glorot(13, (6, 5)))
         layer.bias = rng.normal(size=5)
         x = rng.normal(size=(3, 6))
         cot = rng.normal(size=(3, 5))
@@ -691,7 +691,7 @@ class TestNetwork:
     @pytest.mark.parametrize("layout", [
         {},
         {"resize": (8, 10), "conv_filters": (2, 5), "dense_units": 4},
-        {"resize": (14, 18), "kernel_size": 4},
+        {"resize": (14, 18)},
     ])
     def test_param_shapes_match_built_network(self, layout):
         net = build_network(3, seed=0, **layout)

@@ -19,6 +19,7 @@ from cryalert.wav_io import (
     design_lowpass,
     encode_wav,
     load_dataset,
+    load_wav,
     parse_wav,
     resample,
     write_wav,
@@ -137,6 +138,16 @@ class TestRoundTrip:
         write_wav(clip, path)
         again = parse_wav(path.read_bytes())
         assert np.allclose(again.samples, clip.samples, atol=1 / 32768)
+        assert np.array_equal(load_wav(path).samples, again.samples)
+
+    def test_device_or_directory_not_read(self, tmp_path):
+        # /dev/null ends at once, so a regression fails here rather than
+        # hanging; test_cli runs the FIFO and /dev/zero in bounded children
+        (tmp_path / "null.wav").symlink_to("/dev/null")
+        (tmp_path / "dir.wav").mkdir()
+        for name in ("null.wav", "dir.wav"):
+            with pytest.raises(FormatError, match="^not a regular file$"):
+                load_wav(tmp_path / name)
 
 
 class TestAudioClip:
@@ -310,4 +321,10 @@ class TestLoadDataset:
         bad = tmp_path / "a" / "broken.wav"
         bad.write_bytes(b"RIFFxxxxJUNK")
         with pytest.raises(FormatError, match="broken.wav"):
+            load_dataset(tmp_path)
+
+    def test_device_names_path(self, tmp_path):
+        _write_corpus(tmp_path, {"a": [[0] * 16], "b": [[0] * 16]})
+        (tmp_path / "b" / "null.wav").symlink_to("/dev/null")
+        with pytest.raises(FormatError, match="null.wav: not a regular file"):
             load_dataset(tmp_path)
