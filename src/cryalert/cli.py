@@ -2,9 +2,11 @@
 
 Subcommands: train, eval, predict, watch, spectrogram, synth.
 Exit codes: 0 on success, 1 for runtime/data problems (one-line
-diagnostic on stderr), 2 for usage errors.  Where a command has a
-default seed, the CRYALERT_SEED environment variable overrides it and
-an explicit --seed flag beats both.
+diagnostic on stderr), 2 for usage errors.  train and synth have a
+default seed; the CRYALERT_SEED environment variable overrides it and
+an explicit --seed flag beats both.  train splits the dataset 0.8/0.1/0.1
+with its seed, and eval repeats that split with the seed stored in the
+model, so it scores exactly the clips training held out.
 """
 
 from __future__ import annotations
@@ -71,19 +73,6 @@ _non_negative = _number(float, lambda v: v >= 0, "finite and >= 0")
 _share = _number(float, lambda v: 0 < v <= 1, "in (0, 1]")
 # time.sleep overflows on a huge interval; one hour is plenty
 _poll_ms = _number(int, lambda v: 1 <= v <= 3_600_000, "in [1, 3600000]")
-
-
-def _ratio_triple(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("want three comma-separated ratios, e.g. 0.8,0.1,0.1")
-    vals = tuple(map(_non_negative, parts))
-    if not abs(sum(vals) - 1.0) <= 1e-9:
-        raise argparse.ArgumentTypeError(f"ratios must sum to 1, got {text}")
-    return vals
-
-
-_ratio_triple.__name__ = "ratio"  # argparse: "invalid ratio value"
 
 
 class DirectoryWatcher:
@@ -179,7 +168,7 @@ class DirectoryWatcher:
 
 def cmd_train(args) -> int:
     seed = _resolve_seed(args.seed, 42)
-    dataset = load_dataset(args.data, split_ratios=args.split, seed=seed)
+    dataset = load_dataset(args.data, seed=seed)
     net = build_network(len(dataset.class_names), seed=seed)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
                       seed=seed, patience=args.patience)
@@ -197,8 +186,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     loaded = load_model(args.model)
-    seed = _resolve_seed(args.seed, loaded.seed)
-    dataset = load_dataset(args.data, split_ratios=args.split_ratios, seed=seed)
+    dataset = load_dataset(args.data, seed=loaded.network.seed)
     if loaded.class_names != dataset.class_names:
         raise ConfigError(
             f"model classes {loaded.class_names} do not match dataset classes "
@@ -283,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_count, default=64)
     p.add_argument("--lr", type=_positive, default=1e-4)
     p.add_argument("--seed", type=int, default=None, help="default 42")
-    p.add_argument("--split", type=_ratio_triple, default=(0.8, 0.1, 0.1),
-                   help="train,val,test ratios (default 0.8,0.1,0.1)")
     p.add_argument("--patience", type=_count, default=None,
                    help="stop after N epochs without val-loss improvement")
     p.set_defaults(func=cmd_train)
@@ -292,12 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score a trained model on a dataset split")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", choices=("train", "val", "test"), default="test")
+    p.add_argument("--split", choices=("train", "val", "test"), default="test",
+                   help="part of the 0.8/0.1/0.1 split train made with the model's seed")
     p.add_argument("--confusion", action="store_true", help="print the confusion matrix")
-    p.add_argument("--seed", type=int, default=None,
-                   help="dataset shuffle seed (default: the seed stored in the model)")
-    p.add_argument("--split-ratios", type=_ratio_triple, default=(0.8, 0.1, 0.1),
-                   dest="split_ratios")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="classify one WAV file")

@@ -5,8 +5,9 @@ JSON header (architecture, STFT config, class names, normalization
 stats) and the raw little-endian float32 parameter blobs in layer
 order, closed by a CRC-32 of the parameter region.  The header holds
 nothing derivable: param_shapes gives the shapes, and the STFT config
-the input size.  Loading reads the magic and version before the rest
-of the file, and checks its length, CRC and finiteness before building.
+the input size.  Loading reads only a regular file, reads the magic and
+version first, reads no part the file's size cannot hold, and checks
+the length, CRC and finiteness before building.
 
 Alerts are single-line JSON events with a fixed key order so
 downstream consumers can rely on the schema.
@@ -33,18 +34,20 @@ import numpy as np
 from .errors import (
     ConfigError,
     CorruptModelError,
+    ModelFileError,
     ModelVersionError,
     NotAModelError,
     TooShortError,
 )
 from .spectro import StftConfig, clip_images
 from .tensor_nn import Network, build_network, param_shapes, softmax
-from .wav_io import DEFAULT_CLIP_SAMPLES, DEFAULT_SAMPLE_RATE, AudioClip
+from .wav_io import DEFAULT_CLIP_SAMPLES, DEFAULT_SAMPLE_RATE, AudioClip, open_regular
 
 log = logging.getLogger("cryalert")
 
 MODEL_MAGIC = b"CRYA"
 MODEL_VERSION = 1
+MAX_HEADER_BYTES = 1 << 20  # a header is a few hundred bytes; more is hostile
 DEFAULT_ALERT_CLASSES = ("crying", "screaming")
 
 
@@ -113,7 +116,6 @@ class LoadedModel:
     stft_config: StftConfig
     class_names: list[str]
     created: str
-    seed: int
 
 
 def _is_int(value) -> bool:
@@ -157,7 +159,7 @@ def _check_header(header, path) -> None:
 def load_model(path) -> LoadedModel:
     """Read and verify a model file written by save_model; older files'
     param_shapes, class_count, kernel_size, dropout_rates and input_shape are ignored."""
-    with open(path, "rb") as fh:
+    with open_regular(path, lambda msg: ModelFileError(f"{path}: {msg}")) as (fh, size):
         data = fh.read(12)
         if len(data) < 12 or data[:4] != MODEL_MAGIC:
             raise NotAModelError(f"{path}: not a model file (bad magic)")
@@ -166,52 +168,53 @@ def load_model(path) -> LoadedModel:
             raise ModelVersionError(
                 f"{path}: format version {version}, this build reads {MODEL_VERSION}"
             )
-        data += fh.read()
-    header_end = 12 + header_len
-    if len(data) < header_end + 4:
-        raise CorruptModelError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[12:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptModelError(f"{path}: unreadable header: {exc}") from exc
-    _check_header(header, path)
+        header_end = 12 + header_len
+        if header_len > MAX_HEADER_BYTES or size < header_end + 4:
+            raise CorruptModelError(f"{path}: header length {header_len} does not fit")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptModelError(f"{path}: unreadable header: {exc}") from exc
+        _check_header(header, path)
 
-    arch, stft, class_names = header["architecture"], header["stft"], header["class_names"]
-    layout = {key: arch[key] for key in ("resize", "conv_filters", "dense_units")}
-    try:
-        stft_cfg = StftConfig(
-            frame_length=stft["frame_length"],
-            frame_step=stft["frame_step"],
-            fft_length=stft["fft_length"],
-            window=stft["window"],
-        )
-        stft_cfg.num_frames(DEFAULT_CLIP_SAMPLES)  # a frame must fit in a clip
-        # the file's length bounds what the architecture may claim, so
-        # it is checked, with the blob, before build_network allocates
-        blob_len = sum(math.prod(s) for s in param_shapes(len(class_names), **layout)) * 4
-        if len(data) != header_end + blob_len + 4:
-            raise CorruptModelError(
-                f"{path}: expected {header_end + blob_len + 4} bytes, file has {len(data)}"
+        arch, stft, class_names = header["architecture"], header["stft"], header["class_names"]
+        layout = {key: arch[key] for key in ("resize", "conv_filters", "dense_units")}
+        try:
+            stft_cfg = StftConfig(
+                frame_length=stft["frame_length"],
+                frame_step=stft["frame_step"],
+                fft_length=stft["fft_length"],
+                window=stft["window"],
             )
-        blob = data[header_end:header_end + blob_len]
-        (crc,) = struct.unpack_from("<I", data, header_end + blob_len)
-        if zlib.crc32(blob) != crc:
-            raise CorruptModelError(f"{path}: parameter checksum mismatch")
-        if not np.isfinite(np.frombuffer(blob, dtype="<f4")).all():
-            raise CorruptModelError(f"{path}: non-finite parameter value")
-        net = build_network(len(class_names), **layout, seed=header["seed"],
-                            dtype=np.float32)
-        net.set_norm_stats(header["norm_mean"], header["norm_variance"])
-    except (ConfigError, TooShortError) as exc:
-        raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
+            stft_cfg.num_frames(DEFAULT_CLIP_SAMPLES)  # a frame must fit in a clip
+            # the file's length bounds what the architecture may claim, so
+            # it is checked, with the blob, before build_network allocates
+            blob_len = sum(math.prod(s) for s in param_shapes(len(class_names), **layout)) * 4
+            if size != header_end + blob_len + 4:
+                raise CorruptModelError(
+                    f"{path}: expected {header_end + blob_len + 4} bytes, file has {size}"
+                )
+            data = fh.read(blob_len + 4)
+            if len(data) != blob_len + 4:  # the file shrank after it was opened
+                raise CorruptModelError(f"{path}: truncated parameters")
+            blob = data[:blob_len]
+            (crc,) = struct.unpack_from("<I", data, blob_len)
+            if zlib.crc32(blob) != crc:
+                raise CorruptModelError(f"{path}: parameter checksum mismatch")
+            if not np.isfinite(np.frombuffer(blob, dtype="<f4")).all():
+                raise CorruptModelError(f"{path}: non-finite parameter value")
+            net = build_network(len(class_names), **layout, seed=header["seed"],
+                                dtype=np.float32)
+            net.set_norm_stats(header["norm_mean"], header["norm_variance"])
+        except (ConfigError, TooShortError) as exc:
+            raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
     offset = 0
     for p in net.parameters():
         values = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset)
         p[...] = values.reshape(p.shape)
         offset += 4 * p.size
 
-    return LoadedModel(net, stft_cfg, list(class_names),
-                       header["created"], header["seed"])
+    return LoadedModel(net, stft_cfg, list(class_names), header["created"])
 
 
 def predict(net: Network, stft_cfg: StftConfig, clip: AudioClip,

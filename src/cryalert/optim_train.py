@@ -21,6 +21,10 @@ from .tensor_nn import Network, softmax_cross_entropy_batch
 from .wav_io import LabeledDataset
 
 _EVAL_CHUNK = 128
+# Adam's decay rates and stabiliser; only the learning rate is configurable
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-7
 
 
 @dataclass
@@ -36,9 +40,6 @@ class AdamState:
     scratch: list
     t: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
     @classmethod
     def for_params(cls, params, lr: float = 1e-4) -> "AdamState":
@@ -69,18 +70,18 @@ def adam_step(params, grads, state: AdamState):
         if p.shape != g.shape:
             raise ShapeError(f"gradient shape {g.shape} != parameter shape {p.shape}")
     state.t += 1
-    correct1 = 1.0 - state.beta1 ** state.t
-    correct2 = 1.0 - state.beta2 ** state.t
+    correct1 = 1.0 - BETA1 ** state.t
+    correct2 = 1.0 - BETA2 ** state.t
     for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=a)
-        v *= state.beta2
-        v += np.multiply(np.multiply(g, g, out=a), 1.0 - state.beta2, out=a)
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=a)
+        v *= BETA2
+        v += np.multiply(np.multiply(g, g, out=a), 1.0 - BETA2, out=a)
         np.divide(m, correct1, out=a)            # m_hat
         np.divide(v, correct2, out=b)            # v_hat
         a *= state.lr
         np.sqrt(b, out=b)
-        b += state.eps
+        b += EPS
         a /= b
         p -= a
     return params, state
@@ -257,40 +258,42 @@ def train(
     best_val = np.inf
     stale = 0
 
-    for _epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(len(train_y))
-        loss_sum = 0.0
-        correct = 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            logits, cache = net.forward(train_x[batch], train=True)
-            losses, dlogits = softmax_cross_entropy_batch(logits, train_y[batch])
-            loss_sum += float(losses.sum())
-            correct += int((logits.argmax(axis=-1) == train_y[batch]).sum())
-            grads = net.backward(cache, dlogits / len(batch))
-            adam_step(params, grads, state)
-        report.train_loss.append(loss_sum / len(order))
-        report.train_accuracy.append(correct / len(order))
+    # a diverging run stops on its non-finite loss, so numpy's warnings add nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(train_y))
+            loss_sum = 0.0
+            correct = 0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                logits, cache = net.forward(train_x[batch], train=True)
+                losses, dlogits = softmax_cross_entropy_batch(logits, train_y[batch])
+                loss_sum += float(losses.sum())
+                correct += int((logits.argmax(axis=-1) == train_y[batch]).sum())
+                grads = net.backward(cache, dlogits / len(batch))
+                adam_step(params, grads, state)
+            report.train_loss.append(loss_sum / len(order))
+            report.train_accuracy.append(correct / len(order))
 
-        val_loss, val_acc, _ = evaluate(net, val_x, val_y, dataset.class_names)
-        report.val_loss.append(val_loss)
-        report.val_accuracy.append(val_acc)
+            val_loss, val_acc, _ = evaluate(net, val_x, val_y, dataset.class_names)
+            report.val_loss.append(val_loss)
+            report.val_accuracy.append(val_acc)
 
-        if not math.isfinite(report.train_loss[-1]):
-            break  # diverged: no later epoch can recover
-        if cfg.patience is not None:
-            if val_loss < best_val:
-                best_val = val_loss
-                stale = 0
-            else:
-                stale += 1
-                if stale >= cfg.patience:
-                    break
+            if not math.isfinite(report.train_loss[-1]):
+                break  # diverged: no later epoch can recover
+            if cfg.patience is not None:
+                if val_loss < best_val:
+                    best_val = val_loss
+                    stale = 0
+                else:
+                    stale += 1
+                    if stale >= cfg.patience:
+                        break
 
-    if dataset.splits.get("test"):
-        test_x, test_y = split_arrays(dataset, "test", stft_cfg, net.dtype)
-        report.test_loss, report.test_accuracy, _ = evaluate(
-            net, test_x, test_y, dataset.class_names
-        )
+        if dataset.splits.get("test"):
+            test_x, test_y = split_arrays(dataset, "test", stft_cfg, net.dtype)
+            report.test_loss, report.test_accuracy, _ = evaluate(
+                net, test_x, test_y, dataset.class_names
+            )
     return report
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 import stat
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,16 +127,23 @@ def encode_wav(clip: AudioClip) -> bytes:
     return header + data
 
 
+@contextmanager
+def open_regular(path, error=FormatError):
+    """Yield (binary file, size) for a regular file; the open does not block
+    on a FIFO, and anything but a regular file raises error("not a regular file")."""
+    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    st = os.fstat(fd)
+    if not stat.S_ISREG(st.st_mode):
+        os.close(fd)
+        raise error("not a regular file")
+    with open(fd, "rb") as fh:
+        yield fh, st.st_size
+
+
 def load_wav(path) -> AudioClip:
     """Decode a regular WAV file; a FIFO, device or directory is a FormatError."""
-    fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-    try:
-        if not stat.S_ISREG(os.fstat(fd).st_mode):
-            raise FormatError("not a regular file")
-        with open(fd, "rb", closefd=False) as fh:
-            return parse_wav(fh.read())
-    finally:
-        os.close(fd)
+    with open_regular(path) as (fh, _size):
+        return parse_wav(fh.read())
 
 
 def write_wav(clip: AudioClip, path) -> None:

@@ -2,6 +2,7 @@ import http.server
 import io
 import json
 import logging
+import os
 import struct
 import threading
 import tracemalloc
@@ -74,7 +75,7 @@ class TestSaveLoad:
         assert loaded.stft_config == StftConfig()
         assert loaded.network.norm_stats == net.norm_stats
         assert loaded.created == "2023-11-14T22:13:20Z"
-        assert loaded.seed == 3
+        assert loaded.network.seed == 3
 
     def test_round_trip_logits_bitwise(self, saved):
         net, path = saved
@@ -165,6 +166,23 @@ class TestSaveLoad:
         bad = tmp_path / "trunc.cry"
         bad.write_bytes(data[:-100])
         with pytest.raises(CorruptModelError):
+            load_model(bad)
+
+    def test_file_shrinking_after_fstat_detected(self, saved, tmp_path, monkeypatch):
+        # the size check passes on the full length, then the reads come up short
+        _, path = saved
+        data = path.read_bytes()
+        bad = tmp_path / "shrinks.cry"
+        bad.write_bytes(data)
+        real_fstat = os.fstat
+
+        def fstat_then_truncate(fd):
+            st = real_fstat(fd)
+            os.truncate(bad, len(data) - 100)
+            return st
+
+        monkeypatch.setattr(os, "fstat", fstat_then_truncate)
+        with pytest.raises(CorruptModelError, match="truncated parameters"):
             load_model(bad)
 
     def test_garbled_header_detected(self, saved, tmp_path):

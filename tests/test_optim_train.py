@@ -276,8 +276,7 @@ class TestTrain:
 
         assert json.loads(report.to_json(), parse_constant=refuse) == d
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # train silences the overflow
     def test_divergence_stops_training(self, toy_setup):
         net = build_network(len(toy_setup.class_names), seed=3)
         report = train(net, toy_setup, TrainConfig(epochs=3, batch_size=2, lr=1e30, seed=3))
