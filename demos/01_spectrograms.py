@@ -19,7 +19,7 @@ cfg = StftConfig()
 rng = philox_stream(7, STREAM_SYNTH)
 
 print(f"STFT: frame {cfg.frame_length}, step {cfg.frame_step}, "
-      f"fft {cfg.fft_length}, {cfg.window} window")
+      f"fft {cfg.fft_length} (derived from the frame), periodic Hann window")
 print(f"writing to {out_dir}\n")
 
 for kind in CLASSES:

@@ -4,10 +4,10 @@ Model files are a small binary container: magic, format version, a
 JSON header (architecture, STFT config, class names, normalization
 stats) and the raw little-endian float32 parameter blobs in layer
 order, closed by a CRC-32 of the parameter region.  The header holds
-nothing derivable: param_shapes gives the shapes, and the STFT config
-the input size.  Loading reads only a regular file, reads the magic and
-version first, reads no part the file's size cannot hold, and checks
-the length, CRC and finiteness before building.
+nothing derivable: param_shapes gives the shapes, frame_length the
+fft_length, and the STFT config the input size.  Loading reads only a
+regular file, magic and version first, never past what its size holds,
+and checks the length, CRC and finiteness before building.
 
 Alerts are single-line JSON events with a fixed key order so
 downstream consumers can rely on the schema.
@@ -24,6 +24,7 @@ import struct
 import subprocess
 import sys
 import urllib.error
+import urllib.parse
 import urllib.request
 import zlib
 from dataclasses import asdict, dataclass
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .spectro import StftConfig, clip_images
 from .tensor_nn import Network, build_network, param_shapes, softmax
-from .wav_io import DEFAULT_CLIP_SAMPLES, DEFAULT_SAMPLE_RATE, AudioClip, open_regular
+from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, open_regular
 
 log = logging.getLogger("cryalert")
 
@@ -88,12 +89,7 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
     mean, variance = net.norm_stats
     header = {
         "architecture": net.arch,
-        "stft": {
-            "frame_length": stft_cfg.frame_length,
-            "frame_step": stft_cfg.frame_step,
-            "fft_length": stft_cfg.fft_length,
-            "window": stft_cfg.window,
-        },
+        "stft": {"frame_length": stft_cfg.frame_length, "frame_step": stft_cfg.frame_step},
         "class_names": list(class_names),
         "norm_mean": mean,
         "norm_variance": variance,
@@ -145,9 +141,8 @@ def _check_header(header, path) -> None:
     need(_is_int(arch.get("dense_units")) and arch["dense_units"] >= 1,
          "architecture.dense_units")
     need(isinstance(stft, dict), "stft")
-    for key in ("frame_length", "frame_step", "fft_length"):
+    for key in ("frame_length", "frame_step"):
         need(_is_int(stft.get(key)), f"stft.{key}")
-    need(isinstance(stft.get("window"), str), "stft.window")
     names = header.get("class_names")
     need(isinstance(names, list) and all(isinstance(n, str) for n in names), "class_names")
     need(_is_number(header.get("norm_mean")), "norm_mean")
@@ -180,13 +175,12 @@ def load_model(path) -> LoadedModel:
         arch, stft, class_names = header["architecture"], header["stft"], header["class_names"]
         layout = {key: arch[key] for key in ("resize", "conv_filters", "dense_units")}
         try:
-            stft_cfg = StftConfig(
-                frame_length=stft["frame_length"],
-                frame_step=stft["frame_step"],
-                fft_length=stft["fft_length"],
-                window=stft["window"],
-            )
-            stft_cfg.num_frames(DEFAULT_CLIP_SAMPLES)  # a frame must fit in a clip
+            stft_cfg = StftConfig(stft["frame_length"], stft["frame_step"])
+            # older files also store these; ignoring other values would
+            # change predictions silently
+            derived = {"fft_length": stft_cfg.fft_length, "window": "hann"}
+            if any(stft.get(key, value) != value for key, value in derived.items()):
+                raise ConfigError(f"stft {stft} does not match {derived}")
             # the file's length bounds what the architecture may claim, so
             # it is checked, with the blob, before build_network allocates
             blob_len = sum(math.prod(s) for s in param_shapes(len(class_names), **layout)) * 4
@@ -205,8 +199,8 @@ def load_model(path) -> LoadedModel:
                 raise CorruptModelError(f"{path}: non-finite parameter value")
             net = build_network(len(class_names), **layout, seed=header["seed"],
                                 dtype=np.float32)
-            net.set_norm_stats(header["norm_mean"], header["norm_variance"])
-        except (ConfigError, TooShortError) as exc:
+            net.set_norm_stats(float(header["norm_mean"]), float(header["norm_variance"]))
+        except (ConfigError, OverflowError) as exc:  # float() of an int beyond float range
             raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
     offset = 0
     for p in net.parameters():
@@ -284,11 +278,18 @@ class StdoutSink:
 
 
 class HttpSink:
-    """POSTs the JSON line to a URL, with one retry on a connection
-    error or an HTTP 5xx; a 4xx means the request itself is refused,
-    so it raises at once."""
+    """POSTs the JSON line to an http(s) URL, with one retry on a
+    connection error or an HTTP 5xx; a 4xx means the request itself is
+    refused, so it raises at once."""
 
     def __init__(self, url: str, timeout: float = 2.0):
+        try:
+            parts = urllib.parse.urlsplit(url)
+            ok = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
+        except ValueError:  # an unclosed [ of an IPv6 host, a port not in 0..65535
+            ok = False
+        if not ok:
+            raise ConfigError(f"alert URL must be http(s)://host..., got {url!r}")
         self.url = url
         self.timeout = timeout
 

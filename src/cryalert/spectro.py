@@ -2,11 +2,14 @@
 
 The transform is a hand-written windowed DFT computed as one matrix
 product: the frames, taken at frame_step hops, multiply a cached
-(frame_length, 2 * num_bins) basis that folds in the window and the
-zero-padding to fft_length, and yields the real and imaginary parts of
-the non-negative frequency bins, the only ones kept.  A 16000-sample
-clip under the defaults comes out as a (124, 129) magnitude array;
-`clip_images` stacks those of canonical clips as the network's input.
+(frame_length, 2 * num_bins) basis that folds in the periodic Hann
+window and the zero-padding to fft_length, and yields the real and
+imaginary parts of the non-negative frequency bins, the only ones kept.
+A config sets only the frame length and the hop: fft_length is the
+smallest power of two that holds a frame, as in tf.signal.stft.  A
+16000-sample clip under the defaults comes out as a (124, 129)
+magnitude array; `clip_images` stacks those of canonical clips as the
+network's input.
 """
 
 from __future__ import annotations
@@ -21,9 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ShapeError, TooShortError
 from .wav_io import AudioClip, canonical_clip
 
-WINDOW_KINDS = ("hann", "rectangular")
 # the DFT basis holds frame_length * (fft_length + 2) float64 values, at
-# most about 34 MB here; fft_length also arrives from model headers
+# most about 34 MB here; frame_length also arrives from model headers
 MAX_FFT_LENGTH = 2048
 
 
@@ -31,62 +33,38 @@ MAX_FFT_LENGTH = 2048
 class StftConfig:
     frame_length: int = 255
     frame_step: int = 128
-    fft_length: int = 256
-    window: str = "hann"
 
     def __post_init__(self):
-        if self.frame_length < 1:
-            raise ConfigError(f"frame_length must be >= 1, got {self.frame_length}")
+        if not 1 <= self.frame_length <= MAX_FFT_LENGTH:
+            raise ConfigError(f"frame_length must be in [1, {MAX_FFT_LENGTH}], got {self.frame_length}")
         if not 0 < self.frame_step <= self.frame_length:
-            raise ConfigError(
-                f"frame_step must be in [1, frame_length], got {self.frame_step}"
-            )
-        n = self.fft_length
-        if n < self.frame_length:
-            raise ConfigError(f"fft_length {n} shorter than frame_length {self.frame_length}")
-        if n < 1 or n & (n - 1):
-            raise ConfigError(f"fft_length must be a power of two, got {n}")
-        if n > MAX_FFT_LENGTH:
-            raise ConfigError(f"fft_length must be at most {MAX_FFT_LENGTH}, got {n}")
-        if self.window not in WINDOW_KINDS:
-            raise ConfigError(f"unknown window {self.window!r}, want one of {WINDOW_KINDS}")
+            raise ConfigError(f"frame_step must be in [1, frame_length], got {self.frame_step}")
+
+    @property
+    def fft_length(self) -> int:
+        """The smallest power of two that holds a frame."""
+        return 1 << (self.frame_length - 1).bit_length()
 
     @property
     def num_bins(self) -> int:
         return self.fft_length // 2 + 1
 
-    def num_frames(self, num_samples: int) -> int:
-        if num_samples < self.frame_length:
-            raise TooShortError(
-                f"need at least {self.frame_length} samples, got {num_samples}"
-            )
-        return (num_samples - self.frame_length) // self.frame_step + 1
-
-
-def window_coefficients(kind: str, n: int) -> np.ndarray:
-    """Analysis window of length n: periodic Hann or all-ones."""
-    if n < 1:
-        raise ConfigError(f"window length must be >= 1, got {n}")
-    if kind == "hann":
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    if kind == "rectangular":
-        return np.ones(n)
-    raise ConfigError(f"unknown window {kind!r}, want one of {WINDOW_KINDS}")
-
 
 @lru_cache(maxsize=4)
-def _dft_basis(frame_length: int, fft_length: int, window: str) -> np.ndarray:
-    """Windowed real-DFT matrix of shape (frame_length, 2 * num_bins).
+def _dft_basis(frame_length: int) -> np.ndarray:
+    """Hann-windowed real-DFT matrix of shape (frame_length, 2 * num_bins).
 
-    Column k holds w[t] cos(theta) and column num_bins + k holds
+    With w the periodic Hann window and n the config's fft_length,
+    column k holds w[t] cos(theta) and column num_bins + k holds
     -w[t] sin(theta), theta = 2 pi ((t k) mod n) / n, so a frame times
     this matrix gives the real then the imaginary parts of bins 0..n/2
     of its windowed, zero-padded n-point DFT.  The mod is taken in
     integers, so every angle lies in [0, 2 pi) exactly.
     """
-    n, bins = fft_length, fft_length // 2 + 1
+    cfg = StftConfig(frame_length, frame_step=1)
+    n, bins = cfg.fft_length, cfg.num_bins
     theta = 2.0 * np.pi * (np.outer(np.arange(frame_length), np.arange(bins)) % n) / n
-    w = window_coefficients(window, frame_length)[:, None]
+    w = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_length) / frame_length))[:, None]
     basis = np.empty((frame_length, 2 * bins))  # filled in place to bound the peak
     np.cos(theta, out=basis[:, :bins])
     np.sin(theta, out=basis[:, bins:])
@@ -107,9 +85,10 @@ def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> np.
     if cfg is None:
         cfg = StftConfig()
     samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
-    cfg.num_frames(len(samples))  # raises TooShortError below one frame
+    if len(samples) < cfg.frame_length:
+        raise TooShortError(f"need at least {cfg.frame_length} samples, got {len(samples)}")
     frames = sliding_window_view(samples, cfg.frame_length)[:: cfg.frame_step]
-    spectrum = frames @ _dft_basis(cfg.frame_length, cfg.fft_length, cfg.window)
+    spectrum = frames @ _dft_basis(cfg.frame_length)
     bins = cfg.num_bins
     return np.hypot(spectrum[:, :bins], spectrum[:, bins:]).astype(dtype)
 

@@ -1,4 +1,5 @@
 import argparse
+import importlib.util
 import io
 import json
 import logging
@@ -326,11 +327,28 @@ class TestCorruptModelHeader:
 
     @pytest.mark.parametrize("key, value", [
         ("norm_variance", float("nan")), ("norm_mean", float("inf")),
+        # JSON integers too large for a float
+        pytest.param("norm_mean", 10 ** 400, id="norm_mean-huge-int"),
+        pytest.param("norm_variance", 10 ** 400, id="norm_variance-huge-int"),
     ])
     def test_non_finite_norm_stat(self, untrained_model, small_corpus, tmp_path,
                                   capsys, key, value):
         header = read_model_header(untrained_model)
         header[key] = value  # written as NaN / Infinity, which json reads back
+        bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
+        wav = next((small_corpus / "tone").glob("*.wav"))
+        rc = main(["predict", "--model", str(bad), "--input", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "describes no valid model" in err
+
+    @pytest.mark.parametrize("stft", [{"window": "rectangular"}, {"fft_length": 512}],
+                             ids=["non-hann-window", "non-derived-fft"])
+    def test_older_stft_fields_must_be_derived(self, untrained_model, small_corpus,
+                                               tmp_path, capsys, stft):
+        header = read_model_header(untrained_model)
+        header["stft"].update(stft)
         bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
         wav = next((small_corpus / "tone").glob("*.wav"))
         rc = main(["predict", "--model", str(bad), "--input", str(wav)])
@@ -385,6 +403,16 @@ class TestWatchUsage:
                    "--alert-classes", "ghost"])
         assert rc == 1
         assert "ghost" in capsys.readouterr().err
+
+    def test_non_http_alert_url(self, untrained_model, tmp_path):
+        # refused at startup: the file in the directory is never classified
+        drop_wav(tmp_path, "a.wav")
+        proc = _bounded_cli(["watch", "--model", str(untrained_model), "--dir", str(tmp_path),
+                             "--alert-classes", "tone", "--alert-url", "file:///x"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert proc.stderr.startswith("error:") and "file:///x" in proc.stderr
 
 
 def tone_probs(_path):
@@ -735,3 +763,22 @@ class TestBenchmarkHooks:
         assert _has_ancestor(spans, "tensor_nn.resize.forward", "infer_alert.predict")
         assert _has_ancestor(spans, "wav_io.resample", "wav_io.load_dataset")
         assert _has_ancestor(spans, "spectro.stft", "optim_train.split_arrays")
+
+    def test_perfbench_inputs_run(self, tmp_path):
+        # perfbench/inputs.py calls train, save_model, load_model and predict
+        # itself, through infer_alert's names; run it as watch_burst does
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_inputs", SRC.parent / "perfbench" / "inputs.py")
+        inputs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(inputs)
+        model = tmp_path / "watch.cry"
+        inputs.train_watch_model(tmp_path / "corpus", model)
+        labels = {}
+        for name, kind, label, data in inputs.wav_mix(1, inputs.CYCLE):
+            if kind not in inputs.INVALID:
+                (tmp_path / name).write_bytes(data)
+                labels[name] = label
+        ref = inputs.reference(model, [tmp_path / name for name in labels])
+        assert sorted(ref) == sorted(labels)
+        correct = sum(ref[name][0] == label for name, label in labels.items())
+        assert correct >= 0.9 * len(labels)

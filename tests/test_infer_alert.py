@@ -253,6 +253,12 @@ HEADER_MUTATIONS = {
     "NaN mean": _set(["norm_mean"], float("nan")),
     "-Infinity mean": _set(["norm_mean"], float("-inf")),
     "fft not a power of two": _set(["stft", "fft_length"], 300),
+    # older headers store fft_length and window; only the derived ones load
+    "fft 512 for frame 255": _set(["stft", "fft_length"], 512),
+    "rectangular window": _set(["stft", "window"], "rectangular"),
+    # JSON integers beyond float range
+    "mean 10**400": _set(["norm_mean"], 10 ** 400),
+    "variance 10**400": _set(["norm_variance"], 10 ** 400),
     "frame longer than a clip": _set(["stft"], {"frame_length": 20000, "frame_step": 128,
                                                "fft_length": 32768, "window": "hann"}),
     "fft_length 2^18 and input as wide": _huge_fft,
@@ -330,6 +336,20 @@ class TestHeaderValidation:
         assert (predict(old.network, old.stft_config, clip, NAMES)
                 == predict(new.network, new.stft_config, clip, NAMES))
 
+    def test_parent_format_stft_loads_bitwise(self, saved, tmp_path):
+        # files written before fft_length was derived also store it and the window
+        _, path = saved
+        header = read_model_header(path)
+        header["stft"].update(fft_length=256, window="hann")
+        old = load_model(rewrite_model_header(path, tmp_path / "old.cry", header))
+        new = load_model(path)
+        assert old.stft_config == new.stft_config == StftConfig()
+        for a, b in zip(new.network.parameters(), old.network.parameters(), strict=True):
+            assert a.tobytes() == b.tobytes()
+        clip = AudioClip(np.random.default_rng(8).uniform(-1, 1, 16000), 16000)
+        assert (predict(old.network, old.stft_config, clip, NAMES)
+                == predict(new.network, new.stft_config, clip, NAMES))
+
     def test_every_saved_field_is_required(self, saved, tmp_path):
         # a field load_model can do without is one it could derive, so
         # save_model should not write it
@@ -337,7 +357,7 @@ class TestHeaderValidation:
         leaves = _leaf_paths(read_model_header(path))
         assert sorted(leaves) == sorted(
             [("architecture", key) for key in ("resize", "conv_filters", "dense_units")]
-            + [("stft", key) for key in ("frame_length", "frame_step", "fft_length", "window")]
+            + [("stft", key) for key in ("frame_length", "frame_step")]
             + [(key,) for key in ("class_names", "norm_mean", "norm_variance", "seed",
                                   "created")])
         for leaf in leaves:
@@ -595,6 +615,16 @@ class TestSinks:
         with pytest.raises(urllib.error.HTTPError):
             HttpSink(url).send('{"k":4}')
         assert len(handler.hits) == 1
+
+    @pytest.mark.parametrize("url", ["file:///etc/hostname", "notaurl", "ftp://host/x",
+                                     "http://", "https:///path", "http://[::1/",
+                                     "http://host:abc/", "http://host:99999/", "http://host:0/"])
+    def test_http_sink_needs_http_url_with_host(self, url):
+        with pytest.raises(ConfigError):
+            HttpSink(url)
+
+    def test_http_sink_accepts_https(self):
+        assert HttpSink("https://alerts.example/hook").url == "https://alerts.example/hook"
 
     def test_command_sink_pipes_stdin(self, tmp_path):
         out = tmp_path / "captured.txt"

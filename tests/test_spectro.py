@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from cryalert.spectro import (
     _dft_basis,
     export_spectrogram,
     stft_magnitude,
-    window_coefficients,
 )
 from cryalert.wav_io import AudioClip
 
@@ -20,37 +20,31 @@ from conftest import dft_direct, rel_error
 
 
 class TestWindow:
-    def test_rectangular_is_ones(self):
-        assert np.array_equal(window_coefficients("rectangular", 4), np.ones(4))
-
+    # the basis's bin-0 column is w[t] cos(0) = w[t]: the window itself
     def test_hann_length_two(self):
         # w[k] = 0.5 - 0.5 cos(2 pi k / 2) -> [0, 1]
-        assert np.allclose(window_coefficients("hann", 2), [0.0, 1.0], atol=1e-15)
+        assert np.allclose(_dft_basis(2)[:, 0], [0.0, 1.0], atol=1e-15)
 
     def test_hann_periodic_form(self):
         for n in (3, 16, 255):
-            w = window_coefficients("hann", n)
+            w = _dft_basis(n)[:, 0]
             k = np.arange(n)
             assert np.array_equal(w, 0.5 - 0.5 * np.cos(2 * np.pi * k / n))
             assert w[0] == 0.0
 
-    def test_unknown_window(self):
-        with pytest.raises(ConfigError):
-            window_coefficients("blackman", 8)
-
     def test_bad_length(self):
-        with pytest.raises(ConfigError):
-            window_coefficients("hann", 0)
+        for n in (0, -1):
+            with pytest.raises(ConfigError):
+                StftConfig(frame_length=n)
 
 
 class TestBasisCache:
     def test_cached_basis_is_fresh_values_and_read_only(self):
-        configs = [(255, 256, "hann"), (3, 4, "rectangular"), (1, 1, "hann"),
-                   (400, 512, "hann"), (200, 256, "rectangular"), (255, 256, "hann"),
-                   (3, 4, "rectangular"), (400, 512, "hann")]
-        for frame_length, fft_length, window in configs:
-            basis = _dft_basis(frame_length, fft_length, window)
-            fresh = _dft_basis.__wrapped__(frame_length, fft_length, window)
+        configs = [(255, 256), (3, 4), (1, 1), (400, 512), (200, 256), (255, 256),
+                   (3, 4), (400, 512)]
+        for frame_length, fft_length in configs:
+            basis = _dft_basis(frame_length)
+            fresh = _dft_basis.__wrapped__(frame_length)
             assert basis.shape == (frame_length, 2 * (fft_length // 2 + 1))
             assert np.array_equal(basis, fresh)
             assert not basis.flags.writeable
@@ -60,8 +54,8 @@ class TestBasisCache:
     def test_stft_repeat_calls_with_mixed_lengths_agree(self):
         rng = np.random.default_rng(32)
         x = rng.uniform(-1, 1, 4000)
-        configs = [StftConfig(), StftConfig(frame_length=400, frame_step=160, fft_length=512),
-                   StftConfig(frame_length=3, frame_step=2, fft_length=4)]
+        configs = [StftConfig(), StftConfig(frame_length=400, frame_step=160),
+                   StftConfig(frame_length=3, frame_step=2)]
         first = [stft_magnitude(x, cfg) for cfg in configs]
         for _ in range(2):
             for cfg, want in zip(reversed(configs), reversed(first)):
@@ -73,7 +67,7 @@ class TestBasisCache:
         # second full-size copy (it peaked at 84 MB with temporaries)
         tracemalloc.start()
         try:
-            basis = _dft_basis.__wrapped__(MAX_FFT_LENGTH, MAX_FFT_LENGTH, "hann")
+            basis = _dft_basis.__wrapped__(MAX_FFT_LENGTH)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -87,13 +81,25 @@ class TestStftConfig:
         assert (cfg.frame_length, cfg.frame_step, cfg.fft_length) == (255, 128, 256)
         assert cfg.num_bins == 129
 
+    def test_fft_length_is_derived(self):
+        # only the frame and the hop are settable
+        assert [f.name for f in fields(StftConfig)] == ["frame_length", "frame_step"]
+        with pytest.raises(TypeError):
+            StftConfig(fft_length=512)
+        with pytest.raises(AttributeError):
+            StftConfig().fft_length = 512
+
     def test_fft_shorter_than_frame(self):
-        with pytest.raises(ConfigError):
-            StftConfig(frame_length=300, fft_length=256)
+        # fft_length is the smallest power of two that holds a frame, so
+        # it is never shorter than one and never twice as long
+        for frame in range(1, MAX_FFT_LENGTH + 1):
+            n = StftConfig(frame_length=frame, frame_step=1).fft_length
+            assert n // 2 < frame <= n
 
     def test_fft_not_power_of_two(self):
-        with pytest.raises(ConfigError):
-            StftConfig(frame_length=100, fft_length=300)
+        for frame in range(1, MAX_FFT_LENGTH + 1):
+            n = StftConfig(frame_length=frame, frame_step=1).fft_length
+            assert n & (n - 1) == 0
 
     def test_step_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -101,15 +107,12 @@ class TestStftConfig:
         with pytest.raises(ConfigError):
             StftConfig(frame_step=256)
 
-    def test_bad_window(self):
-        with pytest.raises(ConfigError):
-            StftConfig(window="kaiser")
-
     def test_fft_length_bounded(self):
-        assert StftConfig(fft_length=MAX_FFT_LENGTH).num_bins == MAX_FFT_LENGTH // 2 + 1
-        for n in (2 * MAX_FFT_LENGTH, 2 ** 18):
+        # frame_length bounds the fft it derives
+        assert StftConfig(frame_length=MAX_FFT_LENGTH).num_bins == MAX_FFT_LENGTH // 2 + 1
+        for n in (MAX_FFT_LENGTH + 1, 2 ** 18, 10 ** 400):
             with pytest.raises(ConfigError):
-                StftConfig(fft_length=n)
+                StftConfig(frame_length=n)
 
 
 class TestStft:
@@ -151,27 +154,16 @@ class TestStft:
             expected = np.abs(dft_direct(frame))[:cfg.num_bins]
             assert rel_error(spec[frame_idx], expected) < 1e-9
 
-    def test_rectangular_single_frame_equals_dft_magnitude(self):
-        cfg = StftConfig(frame_length=256, frame_step=256, fft_length=256,
-                         window="rectangular")
-        rng = np.random.default_rng(12)
-        x = rng.uniform(-1, 1, 256)
-        spec = stft_magnitude(x, cfg, dtype=np.float64)
-        assert spec.shape == (1, 129)
-        assert rel_error(spec[0], np.abs(dft_direct(x))[:129]) < 1e-9
-
-    @pytest.mark.parametrize("window", ["hann", "rectangular"])
-    @pytest.mark.parametrize("fft_length,frame_length", [(2, 1), (4, 3), (256, 200),
+    @pytest.mark.parametrize("fft_length,frame_length", [(2, 2), (4, 3), (256, 200),
                                                          (512, 301), (1, 1)])
-    def test_real_input_path_matches_dft_oracle(self, fft_length, frame_length, window):
-        cfg = StftConfig(frame_length=frame_length, frame_step=max(1, frame_length // 2),
-                         fft_length=fft_length, window=window)
+    def test_real_input_path_matches_dft_oracle(self, fft_length, frame_length):
+        cfg = StftConfig(frame_length=frame_length, frame_step=max(1, frame_length // 2))
+        assert cfg.fft_length == fft_length
         rng = np.random.default_rng(fft_length + frame_length)
         x = rng.uniform(-1, 1, 5 * frame_length + 7)
         spec = stft_magnitude(x, cfg, dtype=np.float64)
         k = np.arange(frame_length)
-        weights = (0.5 - 0.5 * np.cos(2 * np.pi * k / frame_length)
-                   if window == "hann" else np.ones(frame_length))
+        weights = 0.5 - 0.5 * np.cos(2 * np.pi * k / frame_length)
         frames = np.zeros((len(spec), fft_length))
         for i in range(len(spec)):
             start = i * cfg.frame_step
