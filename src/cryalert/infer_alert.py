@@ -183,7 +183,9 @@ def load_model(path) -> LoadedModel:
                 raise ConfigError(f"stft {stft} does not match {derived}")
             # the file's length bounds what the architecture may claim, so
             # it is checked, with the blob, before build_network allocates
-            blob_len = sum(math.prod(s) for s in param_shapes(len(class_names), **layout)) * 4
+            shapes = param_shapes(len(class_names), **layout)
+            sizes = [math.prod(s) for s in shapes]
+            blob_len = sum(sizes) * 4
             if size != header_end + blob_len + 4:
                 raise CorruptModelError(
                     f"{path}: expected {header_end + blob_len + 4} bytes, file has {size}"
@@ -195,19 +197,15 @@ def load_model(path) -> LoadedModel:
             (crc,) = struct.unpack_from("<I", data, blob_len)
             if zlib.crc32(blob) != crc:
                 raise CorruptModelError(f"{path}: parameter checksum mismatch")
-            if not np.isfinite(np.frombuffer(blob, dtype="<f4")).all():
+            values = np.frombuffer(blob, dtype="<f4").astype(np.float32)
+            if not np.isfinite(values).all():
                 raise CorruptModelError(f"{path}: non-finite parameter value")
+            params = [v.reshape(s) for v, s in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
             net = build_network(len(class_names), **layout, seed=header["seed"],
-                                dtype=np.float32)
+                                dtype=np.float32, params=params)
             net.set_norm_stats(float(header["norm_mean"]), float(header["norm_variance"]))
         except (ConfigError, OverflowError) as exc:  # float() of an int beyond float range
             raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
-    offset = 0
-    for p in net.parameters():
-        values = np.frombuffer(blob, dtype="<f4", count=p.size, offset=offset)
-        p[...] = values.reshape(p.shape)
-        offset += 4 * p.size
-
     return LoadedModel(net, stft_cfg, list(class_names), header["created"])
 
 

@@ -4,7 +4,8 @@ The transform is a hand-written windowed DFT computed as one matrix
 product: the frames, taken at frame_step hops, multiply a cached
 (frame_length, 2 * num_bins) basis that folds in the periodic Hann
 window and the zero-padding to fft_length, and yields the real and
-imaginary parts of the non-negative frequency bins, the only ones kept.
+imaginary parts of the non-negative frequency bins, the only ones kept;
+the magnitude is sqrt(re^2 + im^2), squared and summed in place.
 A config sets only the frame length and the hop: fft_length is the
 smallest power of two that holds a frame, as in tf.signal.stft.  A
 16000-sample clip under the defaults comes out as a (124, 129)
@@ -89,8 +90,10 @@ def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> np.
         raise TooShortError(f"need at least {cfg.frame_length} samples, got {len(samples)}")
     frames = sliding_window_view(samples, cfg.frame_length)[:: cfg.frame_step]
     spectrum = frames @ _dft_basis(cfg.frame_length)
-    bins = cfg.num_bins
-    return np.hypot(spectrum[:, :bins], spectrum[:, bins:]).astype(dtype)
+    spectrum *= spectrum
+    power = spectrum[:, :cfg.num_bins]
+    power += spectrum[:, cfg.num_bins:]
+    return np.sqrt(power, out=power).astype(dtype)
 
 
 def clip_images(clips, cfg: StftConfig | None = None, dtype=np.float32) -> np.ndarray:

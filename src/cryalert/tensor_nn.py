@@ -259,9 +259,9 @@ class Conv2D:
     it on the first conv, which has no parameter layer before it.
     """
 
-    def __init__(self, kernel, use_relu=True, input_grad=True):
+    def __init__(self, kernel, use_relu=True, input_grad=True, bias=None):
         self.kernel = kernel
-        self.bias = np.zeros(kernel.shape[-1], dtype=kernel.dtype)
+        self.bias = np.zeros(kernel.shape[-1], kernel.dtype) if bias is None else bias
         self.use_relu = use_relu
         self.input_grad = input_grad
 
@@ -332,9 +332,9 @@ class Flatten:
 class Dense:
     """Affine layer of (n_in, n_out) weights with optional fused ReLU."""
 
-    def __init__(self, weights, use_relu=True):
+    def __init__(self, weights, use_relu=True, bias=None):
         self.weights = weights
-        self.bias = np.zeros(weights.shape[1], dtype=weights.dtype)
+        self.bias = np.zeros(weights.shape[1], weights.dtype) if bias is None else bias
         self.use_relu = use_relu
 
     def params(self):
@@ -478,26 +478,30 @@ def build_network(
     dense_units: int = 128,
     seed: int = 0,
     dtype=np.float32,
+    params=None,
 ) -> Network:
     """Assemble the standard stack with Glorot-uniform weights.
 
     Weight draws come from the init stream of `seed` in layer order
-    (conv1, conv2, dense1, dense2); biases start at zero.
+    (conv1, conv2, dense1, dense2); biases start at zero.  Given params
+    (arrays in param_shapes order, as load_model has), nothing is drawn.
     """
     shapes = param_shapes(class_count, resize, conv_filters, dense_units)
-    rng = philox_stream(seed, STREAM_INIT)
-    conv1, conv2, dense1, dense2 = [_glorot(rng, s, dtype) for s in shapes[::2]]
+    if params is None:
+        rng = philox_stream(seed, STREAM_INIT)
+        params = [_glorot(rng, s, dtype) if len(s) > 1 else np.zeros(s, dtype) for s in shapes]
+    conv1, b1, conv2, b2, dense1, b3, dense2, b4 = params
     layers = [
         Resize(*resize),
         Normalize(),
-        Conv2D(conv1, input_grad=False),
-        Conv2D(conv2),
+        Conv2D(conv1, input_grad=False, bias=b1),
+        Conv2D(conv2, bias=b2),
         MaxPool2D(),
         Dropout(DROPOUT_RATES[0]),
         Flatten(),
-        Dense(dense1),
+        Dense(dense1, bias=b3),
         Dropout(DROPOUT_RATES[1]),
-        Dense(dense2, use_relu=False),
+        Dense(dense2, use_relu=False, bias=b4),
     ]
     arch = {
         "resize": list(resize),

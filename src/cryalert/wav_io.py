@@ -3,8 +3,9 @@
 The parser walks RIFF chunks by hand (struct, little-endian) and
 accepts only 16-bit integer PCM.  Samples are exposed as float64 in
 [-1, 1]; multi-channel audio is collapsed to mono by averaging each
-frame across channels before scaling.  `canonical_clip` owns the one
-clip format the model sees in training and prediction: 16 kHz, 1 s.
+frame across channels before scaling.  `resample` is polyphase FIR
+decimation, filtering only the outputs it keeps.  `canonical_clip` owns
+the one clip format of training and prediction: 16 kHz, 1 s.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,7 @@ class AudioClip:
             raise FormatError(f"clip samples must be 1-D, got shape {self.samples.shape}")
         if self.sample_rate <= 0:
             raise FormatError(f"sample rate must be positive, got {self.sample_rate}")
-        if self.samples.size and np.max(np.abs(self.samples)) > 1.0:
+        if self.samples.size and not np.max(np.abs(self.samples)) <= 1.0:
             raise FormatError("clip samples exceed [-1, 1]")
 
     def __len__(self):
@@ -109,8 +111,14 @@ def parse_wav(data: bytes) -> AudioClip:
     if len(raw) % frame_bytes:
         raise FormatError("data chunk holds a partial sample frame")
 
-    ints = np.frombuffer(raw, dtype="<i2").astype(np.float64)
-    mono = ints.reshape(-1, channels).mean(axis=1) / _PCM_SCALE
+    ints = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
+    if channels <= 8:  # one strided add per channel beats a reduce over short rows
+        mono = ints[:, 0].astype(np.float64)
+        for column in ints.T[1:]:
+            mono += column
+    else:  # a header may claim 65535 channels: one reduce, not 65534 adds
+        mono = ints.sum(axis=1, dtype=np.float64)
+    mono /= channels * _PCM_SCALE  # the sums are exact, so this is the frame mean bit for bit
     return AudioClip(mono, int(rate))
 
 
@@ -159,8 +167,25 @@ def design_lowpass(rate: int, cutoff_hz: float) -> np.ndarray:
     return taps / taps.sum()
 
 
+@lru_cache(maxsize=4)
+def _polyphase(rate: int, factor: int):
+    """Read-only (head, tail): a row of factor * block padded samples times
+    head, plus the next row's first taps - factor samples times tail (empty
+    once factor >= taps), gives that row's block outputs.  block is the least
+    that keeps the tail in one row, so head holds factor * block**2 values:
+    at most 2 MB, at the largest factor a 32-bit header rate allows."""
+    taps = design_lowpass(rate, _CUTOFF_FRACTION * (rate // factor))[::-1]
+    block = max(1, -(-(_RESAMPLE_TAPS - factor) // factor))
+    width = factor * block
+    weights = np.zeros((width + max(_RESAMPLE_TAPS - factor, 0), block))
+    rows = factor * np.arange(block) + np.arange(_RESAMPLE_TAPS)[:, None]
+    weights[rows, np.arange(block)] = taps[:, None]
+    weights.flags.writeable = False  # shared by every caller of the cache
+    return weights[:width], weights[width:]
+
+
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
-    """Decimate to target_rate (low-pass filter then take every k-th sample).
+    """Decimate to target_rate: the low-pass output at every k-th sample, ceil(n / k) of them.
 
     Only integer ratios are supported; anything else raises
     UnsupportedRatioError.  Equal rates return the clip unchanged.
@@ -175,10 +200,19 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
             "not an integer decimation"
         )
     factor = clip.sample_rate // target_rate
-    taps = design_lowpass(clip.sample_rate, _CUTOFF_FRACTION * target_rate)
-    filtered = np.convolve(clip.samples, taps, mode="same")
-    out = np.clip(filtered[::factor], -1.0, 1.0)
-    return AudioClip(out, target_rate)
+    head, tail = _polyphase(clip.sample_rate, factor)
+    width, block = head.shape
+    half = _RESAMPLE_TAPS // 2
+    n_out = -(-len(clip) // factor)
+    rows = -(-n_out // block)
+    # output i is padded[factor * i:][:taps] @ reversed taps, padded[j] = x[j - half]
+    padded = np.zeros((rows + (len(tail) > 0)) * width)
+    padded[half:][:len(clip)] = clip.samples[:len(padded) - half]
+    padded = padded.reshape(-1, width)
+    out = padded[:rows] @ head
+    if len(tail):
+        out += padded[1:, :len(tail)] @ tail
+    return AudioClip(np.clip(out.ravel()[:n_out], -1.0, 1.0), target_rate)
 
 
 def canonical_clip(clip: AudioClip) -> AudioClip:

@@ -762,6 +762,8 @@ class TestBenchmarkHooks:
         # network's layers are wrapped too
         assert _has_ancestor(spans, "tensor_nn.resize.forward", "infer_alert.predict")
         assert _has_ancestor(spans, "wav_io.resample", "wav_io.load_dataset")
+        # every file decodes through the patched parse_wav, not a private binding
+        assert _has_ancestor(spans, "wav_io.parse_wav", "wav_io.load_dataset")
         assert _has_ancestor(spans, "spectro.stft", "optim_train.split_arrays")
 
     def test_perfbench_inputs_run(self, tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryalert import tensor_nn
 from cryalert.errors import (
     ConfigError,
     CorruptModelError,
@@ -35,7 +36,7 @@ from cryalert.infer_alert import (
     save_model,
 )
 from cryalert.optim_train import split_arrays
-from cryalert.rng import philox_stream
+from cryalert.rng import STREAM_INIT, philox_stream
 from cryalert.spectro import StftConfig
 from cryalert.tensor_nn import build_network, softmax
 from cryalert.wav_io import AudioClip, load_dataset, load_wav
@@ -86,6 +87,26 @@ class TestSaveLoad:
             a, _ = net.forward(x)
             b, _ = loaded.network.forward(x)
             assert np.array_equal(a, b)
+
+    def test_load_draws_no_init_weights(self, saved, monkeypatch):
+        # the stored arrays become the network's parameters; no Glorot draw
+        # is made only to be overwritten
+        streams = []
+        real = tensor_nn.philox_stream
+
+        def recording(seed, stream):
+            streams.append(stream)
+            return real(seed, stream)
+
+        monkeypatch.setattr(tensor_nn, "philox_stream", recording)
+        net, path = saved
+        loaded = load_model(path)
+        assert streams and STREAM_INIT not in streams
+        rng = np.random.default_rng(4)
+        for rate in (16000, 48000):
+            clip = AudioClip(rng.uniform(-1, 1, rate), rate)
+            assert (predict(loaded.network, loaded.stft_config, clip, NAMES)
+                    == predict(net, StftConfig(), clip, NAMES))
 
     def test_source_date_epoch_reproducible(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1735689600")

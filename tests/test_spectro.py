@@ -172,6 +172,18 @@ class TestStft:
         assert spec.shape == expected.shape
         assert rel_error(spec, expected) < 1e-9
 
+    def test_float32_matches_hypot_oracle(self):
+        # the magnitude is sqrt(re^2 + im^2) of the basis product; in
+        # float32 it must round exactly as np.hypot's float64 result does
+        cfg = StftConfig()
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            x = rng.uniform(-1, 1, 16000) * rng.uniform(0, 1)
+            frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_length)[::cfg.frame_step]
+            spectrum = frames @ _dft_basis(cfg.frame_length)
+            re, im = spectrum[:, :cfg.num_bins], spectrum[:, cfg.num_bins:]
+            assert np.array_equal(stft_magnitude(x), np.hypot(re, im).astype(np.float32))
+
     def test_scaling_linearity(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(-0.4, 0.4, 4000)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,17 @@ class TestParse:
     def test_stereo_downmix_per_frame_mean(self):
         clip = parse_wav(make_wav_bytes([1000, 3000, -2000, 2000], channels=2))
         assert np.array_equal(clip.samples, [2000 / 32768, 0.0])
+
+    @pytest.mark.parametrize("channels", [1, 2, 3, 8, 9])
+    def test_downmix_matches_mean_oracle(self, channels):
+        # full-scale extremes included: the per-frame mean of the
+        # interleaved ints, scaled, bit for bit
+        rng = np.random.default_rng(channels)
+        ints = rng.integers(-32768, 32768, 300 * channels)
+        ints[:2 * channels] = np.repeat([-32768, 32767], channels)
+        clip = parse_wav(make_wav_bytes(ints, channels=channels))
+        oracle = ints.astype(np.float64).reshape(-1, channels).mean(axis=1) / 32768
+        assert np.array_equal(clip.samples, oracle)
 
     def test_unknown_chunks_skipped(self):
         clip = parse_wav(make_wav_bytes([123], extra_chunk=b"\x07\x08\x09"))
@@ -156,8 +169,9 @@ class TestAudioClip:
             AudioClip(np.zeros((4, 2)), 16000)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(FormatError):
-            AudioClip(np.array([0.0, 1.5]), 16000)
+        for bad in (1.5, -1.5, np.nan, np.inf):
+            with pytest.raises(FormatError):
+                AudioClip(np.array([0.0, bad]), 16000)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(FormatError):
@@ -189,6 +203,41 @@ class TestResample:
         assert out.sample_rate == 16000
         assert len(out) == 16000
         assert len(resample(AudioClip(np.zeros(48001), 48000), 16000)) == 16001
+
+    @pytest.mark.parametrize("rate", [32000, 48000, 96000, 16000 * 127])
+    def test_matches_convolve_oracle(self, rate):
+        # polyphase decimation computes the kept outputs of the full
+        # "same"-mode filter and nothing else
+        factor = rate // 16000
+        taps = design_lowpass(rate, 0.45 * 16000)
+        rng = np.random.default_rng(factor)
+        lengths = [127, 128, 129, 47999, 48000, 48001, 40 * 127 * factor + 5]
+        lengths += [k * factor + d for k in (127, 500) for d in (-1, 0, 1)]
+        for n in lengths:
+            x = rng.uniform(-1, 1, n)
+            out = resample(AudioClip(x, rate), 16000).samples
+            oracle = np.clip(np.convolve(x, taps, mode="same")[::factor], -1, 1)
+            assert len(out) == len(oracle), n
+            assert np.max(np.abs(out - oracle)) <= 1e-14, n
+
+    @pytest.mark.parametrize("rate", [32000, 48000, 16000 * 127, 16000 * 200])
+    def test_output_length_is_ceil(self, rate):
+        factor = rate // 16000
+        for n in range(0, 301):
+            out = resample(AudioClip(np.full(n, 0.5), rate), 16000)
+            assert len(out) == -(-n // factor), n
+
+    def test_hostile_rate_memory_bounded(self):
+        # a header may claim any rate up to 2**32 - 1; the filter matrices
+        # and the padded copy must not scale with more than the factor
+        tracemalloc.start()
+        try:
+            out = resample(AudioClip(np.zeros(1000), 16000 * 2**18), 16000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 1
+        assert peak < 8 * 2**20
 
     def test_unit_dc_gain(self):
         taps = design_lowpass(48000, 0.45 * 16000)
@@ -241,6 +290,11 @@ class TestCanonicalClip:
         clip = AudioClip(np.random.default_rng(3).uniform(-0.5, 0.5, 96000), 48000)
         out = canonical_clip(clip)
         assert np.array_equal(out.samples, resample(clip, 16000).samples[:DEFAULT_CLIP_SAMPLES])
+
+    def test_empty_clip_pads_to_silence(self):
+        for rate in (16000, 48000):
+            out = canonical_clip(AudioClip(np.zeros(0), rate))
+            assert np.array_equal(out.samples, np.zeros(DEFAULT_CLIP_SAMPLES))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 3 * DEFAULT_CLIP_SAMPLES), st.sampled_from([16000, 48000]))
