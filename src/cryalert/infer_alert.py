@@ -27,7 +27,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -237,7 +237,7 @@ class AlertEvent:
     threshold: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(",", ":"))
+        return json.dumps(vars(self), separators=(",", ":"))  # asdict's order, no deep copy
 
 
 def decide_alert(probabilities: dict[str, float], alert_classes, threshold: float,

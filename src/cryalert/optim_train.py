@@ -18,7 +18,7 @@ from .errors import ConfigError, DatasetError, ShapeError
 from .rng import STREAM_SHUFFLE, philox_stream
 from .spectro import StftConfig, clip_images
 from .tensor_nn import Network, softmax_cross_entropy_batch
-from .wav_io import LabeledDataset
+from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, LabeledDataset
 
 _EVAL_CHUNK = 128
 # Adam's decay rates and stabiliser; only the learning rate is configurable
@@ -190,10 +190,10 @@ class TrainReport:
 
 
 def split_arrays(dataset: LabeledDataset, split: str, stft_cfg, dtype):
-    pairs = dataset.subset(split)
-    images = clip_images([clip for clip, _ in pairs], stft_cfg, dtype)
-    labels = np.array([label for _, label in pairs], dtype=np.int64)
-    return images, labels
+    """(images, labels) of a split; each row is imaged as a zero-copy clip."""
+    rows = slice(dataset.splits[split].start, dataset.splits[split].stop)
+    clips = (AudioClip(x, DEFAULT_SAMPLE_RATE) for x in dataset.samples[rows])
+    return clip_images(clips, stft_cfg, dtype), dataset.labels[rows]
 
 
 def evaluate(net: Network, images, labels, class_names=None):

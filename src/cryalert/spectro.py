@@ -85,10 +85,11 @@ def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> np.
     """
     if cfg is None:
         cfg = StftConfig()
-    samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip, dtype=np.float64)
+    samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip)
     if len(samples) < cfg.frame_length:
         raise TooShortError(f"need at least {cfg.frame_length} samples, got {len(samples)}")
-    frames = sliding_window_view(samples, cfg.frame_length)[:: cfg.frame_step]
+    # the copy matmul makes of the strided frames, taken in float64 here
+    frames = sliding_window_view(samples, cfg.frame_length)[:: cfg.frame_step].astype(np.float64)
     spectrum = frames @ _dft_basis(cfg.frame_length)
     spectrum *= spectrum
     power = spectrum[:, :cfg.num_bins]

@@ -5,7 +5,8 @@ accepts only 16-bit integer PCM.  Samples are exposed as float64 in
 [-1, 1]; multi-channel audio is collapsed to mono by averaging each
 frame across channels before scaling.  `resample` is polyphase FIR
 decimation, filtering only the outputs it keeps.  `canonical_clip` owns
-the one clip format of training and prediction: 16 kHz, 1 s.
+the one clip format of training and prediction: 16 kHz, 1 s, float32
+(exact for the mean of 1, 2, 4 or 8 channels of 16-bit samples).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import os
 import stat
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,13 +42,14 @@ _CUTOFF_FRACTION = 0.45  # of the target rate
 
 @dataclass
 class AudioClip:
-    """Mono audio: float64 samples in [-1, 1] plus a sample rate."""
+    """Mono audio in [-1, 1]: float32 samples are kept, anything else becomes float64."""
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        x = np.asarray(self.samples)
+        self.samples = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
         if self.samples.ndim != 1:
             raise FormatError(f"clip samples must be 1-D, got shape {self.samples.shape}")
         if self.sample_rate <= 0:
@@ -216,27 +218,26 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 
 
 def canonical_clip(clip: AudioClip) -> AudioClip:
-    """Resample to DEFAULT_SAMPLE_RATE, keep the first DEFAULT_CLIP_SAMPLES
-    samples and zero-pad the tail; a canonical clip comes back as is."""
+    """Resample to DEFAULT_SAMPLE_RATE, keep the first DEFAULT_CLIP_SAMPLES samples
+    zero-padded, as float32; a canonical clip comes back as is."""
     clip = resample(clip, DEFAULT_SAMPLE_RATE)
-    if len(clip) == DEFAULT_CLIP_SAMPLES:
+    if len(clip) == DEFAULT_CLIP_SAMPLES and clip.samples.dtype == np.float32:
         return clip
     head = clip.samples[:DEFAULT_CLIP_SAMPLES]
-    out = np.zeros(DEFAULT_CLIP_SAMPLES)
+    out = np.zeros(DEFAULT_CLIP_SAMPLES, dtype=np.float32)
     out[:len(head)] = head
     return AudioClip(out, DEFAULT_SAMPLE_RATE)
 
 
 @dataclass
 class LabeledDataset:
-    """Clips with integer labels plus disjoint train/val/test index lists."""
+    """Canonical clips as the rows of one (n, DEFAULT_CLIP_SAMPLES) float32
+    array, their int64 labels, and train/val/test as contiguous row ranges."""
 
-    items: list  # of (AudioClip, int)
+    samples: np.ndarray
+    labels: np.ndarray
     class_names: list[str]
-    splits: dict[str, list[int]] = field(default_factory=dict)
-
-    def subset(self, name: str) -> list:
-        return [self.items[i] for i in self.splits[name]]
+    splits: dict[str, range]
 
 
 def load_dataset(
@@ -247,9 +248,9 @@ def load_dataset(
     """Read a directory-per-class corpus of WAV files.
 
     Class names are the sorted subdirectory names and double as label
-    indices.  Every clip is stored as its canonical_clip.  Items are
-    shuffled with the dataset stream of `seed`, then split by ratio with
-    floor allocation for val/test and the remainder going to train.
+    indices.  Each canonical_clip goes to its row of one float32 array,
+    shuffled with the dataset stream of `seed`; the rows are split by
+    ratio with floor allocation for val/test, the remainder to train.
     """
     root = Path(root)
     if len(split_ratios) != 3 or not all(r >= 0 for r in split_ratios):
@@ -263,30 +264,28 @@ def load_dataset(
     if len(class_dirs) < 2:
         raise DatasetError(f"need at least 2 class directories under {root}, found {len(class_dirs)}")
 
-    items = []
-    class_names = []
+    paths, labels = [], []
     for label, class_dir in enumerate(class_dirs):
-        class_names.append(class_dir.name)
         wavs = sorted(class_dir.glob("*.wav"))
         if not wavs:
             raise DatasetError(f"class directory {class_dir} holds no .wav files")
-        for path in wavs:
-            try:
-                clip = load_wav(path)
-            except (FormatError, UnsupportedCodecError, UnsupportedDepthError) as exc:
-                raise type(exc)(f"{path}: {exc}") from exc
-            items.append((canonical_clip(clip), label))
+        paths += wavs
+        labels += [label] * len(wavs)
 
-    order = philox_stream(seed, STREAM_DATASET).permutation(len(items))
-    items = [items[i] for i in order]
+    n = len(paths)
+    order = philox_stream(seed, STREAM_DATASET).permutation(n)
+    samples = np.empty((n, DEFAULT_CLIP_SAMPLES), dtype=np.float32)
+    # row r holds file order[r], so file i goes to row argsort(order)[i]
+    for path, row in zip(paths, np.argsort(order)):
+        try:
+            clip = load_wav(path)
+        except (FormatError, UnsupportedCodecError, UnsupportedDepthError) as exc:
+            raise type(exc)(f"{path}: {exc}") from exc
+        samples[row] = canonical_clip(clip).samples
 
-    n = len(items)
-    n_val = int(n * split_ratios[1])
     n_test = int(n * split_ratios[2])
-    n_train = n - n_val - n_test
-    splits = {
-        "train": list(range(n_train)),
-        "val": list(range(n_train, n_train + n_val)),
-        "test": list(range(n_train + n_val, n)),
-    }
-    return LabeledDataset(items, class_names, splits)
+    n_train = n - int(n * split_ratios[1]) - n_test
+    splits = {"train": range(n_train), "val": range(n_train, n - n_test),
+              "test": range(n - n_test, n)}
+    return LabeledDataset(samples, np.array(labels, dtype=np.int64)[order],
+                          [d.name for d in class_dirs], splits)

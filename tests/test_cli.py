@@ -21,8 +21,9 @@ from cryalert.cli import DirectoryWatcher, build_parser, main
 from cryalert.errors import FormatError
 from cryalert.infer_alert import StdoutSink, save_model
 from cryalert.spectro import StftConfig
-from cryalert.synth import CLASSES
+from cryalert.synth import CLASSES, generate_corpus
 from cryalert.tensor_nn import build_network
+from cryalert.wav_io import load_dataset
 
 from conftest import make_wav_bytes, read_model_header, rewrite_model_header
 
@@ -765,6 +766,21 @@ class TestBenchmarkHooks:
         # every file decodes through the patched parse_wav, not a private binding
         assert _has_ancestor(spans, "wav_io.parse_wav", "wav_io.load_dataset")
         assert _has_ancestor(spans, "spectro.stft", "optim_train.split_arrays")
+
+    def test_perfbench_train_child_runs(self, tmp_path):
+        # train_child.py calls load_dataset, build_network and train itself
+        # and reads the train split's size; run it as train_synth does
+        corpus = tmp_path / "corpus"
+        generate_corpus(corpus, per_class=3, seed=7)
+        out = tmp_path / "result.json"
+        proc = subprocess.run(
+            [sys.executable, str(SRC.parent / "perfbench" / "train_child.py"),
+             str(corpus), "1", "1", "0", str(out)],
+            cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(out.read_text())
+        assert result["train_clips"] == len(load_dataset(corpus, seed=42).splits["train"])
+        assert result["epochs_run"] == 1
 
     def test_perfbench_inputs_run(self, tmp_path):
         # perfbench/inputs.py calls train, save_model, load_model and predict

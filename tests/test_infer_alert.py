@@ -1,3 +1,4 @@
+import dataclasses
 import http.server
 import io
 import json
@@ -571,6 +572,16 @@ class TestAlertEvent:
                                 "probabilities", "alert", "threshold"]
         assert parsed["alert"] is True
         assert list(parsed["probabilities"]) == ["tone", "noise"]
+
+    def test_json_bytes_match_asdict(self):
+        # the line is json.dumps of dataclasses.asdict, byte for byte
+        names = ["tone", "noise", "am", "chirp", "ünïcode"]
+        for k in range(1, 6):
+            probs = {name: 1.0 / (i + 3) for i, name in enumerate(names[:k])}
+            for source in ("x.wav", "/tmp/bébé ☃/cry.wav"):
+                event = decide_alert(probs, names[:1], 0.25, source=source, now=1.5)
+                want = json.dumps(dataclasses.asdict(event), separators=(",", ":"))
+                assert event.to_json() == want
 
 
 class _CountingHandler(http.server.BaseHTTPRequestHandler):

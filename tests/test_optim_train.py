@@ -20,7 +20,7 @@ from cryalert.optim_train import (
 from cryalert.spectro import StftConfig, clip_images
 from cryalert.synth import generate_corpus
 from cryalert.tensor_nn import build_network, softmax_cross_entropy_batch
-from cryalert.wav_io import load_dataset
+from cryalert.wav_io import AudioClip, load_dataset
 
 from conftest import streaming_mean_var
 
@@ -351,7 +351,7 @@ def test_default_train_step_peak_memory():
 
 class TestSpectrogramImages:
     def test_shape_and_dtype(self, toy_setup):
-        clips = [clip for clip, _ in toy_setup.items[:3]]
+        clips = [AudioClip(row, 16000) for row in toy_setup.samples[:3]]
         images = clip_images(clips, StftConfig(), np.float32)
         assert images.shape == (3, 124, 129, 1)
         assert images.dtype == np.float32

@@ -282,14 +282,16 @@ class TestCanonicalClip:
         assert np.array_equal(out.samples, clip.samples[:DEFAULT_CLIP_SAMPLES])
 
     def test_identity(self):
-        clip = AudioClip(np.zeros(DEFAULT_CLIP_SAMPLES), 16000)
+        clip = AudioClip(np.zeros(DEFAULT_CLIP_SAMPLES, dtype=np.float32), 16000)
         assert canonical_clip(clip) is clip
 
     def test_resamples_before_cutting(self):
         # 2 s at 48 kHz: decimate first, so the kept second is the first one
         clip = AudioClip(np.random.default_rng(3).uniform(-0.5, 0.5, 96000), 48000)
         out = canonical_clip(clip)
-        assert np.array_equal(out.samples, resample(clip, 16000).samples[:DEFAULT_CLIP_SAMPLES])
+        oracle = resample(clip, 16000).samples[:DEFAULT_CLIP_SAMPLES].astype(np.float32)
+        assert out.samples.dtype == np.float32
+        assert np.array_equal(out.samples, oracle)
 
     def test_empty_clip_pads_to_silence(self):
         for rate in (16000, 48000):
@@ -320,8 +322,7 @@ class TestLoadDataset:
         })
         ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
         assert ds.class_names == ["alpha", "zebra"]
-        labels = sorted(label for _, label in ds.items)
-        assert labels == [0, 0, 1]
+        assert sorted(ds.labels) == [0, 0, 1]
 
     def test_split_sizes_floor_remainder_to_train(self, tmp_path):
         _write_corpus(tmp_path, {
@@ -340,17 +341,72 @@ class TestLoadDataset:
         })
         a = load_dataset(tmp_path, seed=3)
         b = load_dataset(tmp_path, seed=3)
-        assert [l for _, l in a.items] == [l for _, l in b.items]
-        for (ca, _), (cb, _) in zip(a.items, b.items):
-            assert np.array_equal(ca.samples, cb.samples)
+        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a.samples, b.samples)
         c = load_dataset(tmp_path, seed=4)
-        assert [l for _, l in a.items] != [l for _, l in c.items]
+        assert list(a.labels) != list(c.labels)
 
     def test_clips_standardized(self, tmp_path):
         _write_corpus(tmp_path, {"a": [[1] * 10], "b": [[1] * (DEFAULT_CLIP_SAMPLES + 999)]})
         ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
-        assert all(len(clip) == DEFAULT_CLIP_SAMPLES for clip, _ in ds.items)
-        assert all(clip.sample_rate == 16000 for clip, _ in ds.items)
+        assert ds.samples.shape == (2, DEFAULT_CLIP_SAMPLES)
+        padded = np.zeros(DEFAULT_CLIP_SAMPLES, dtype=np.float32)
+        padded[:10] = 1 / 32768
+        row = {int(label): x for label, x in zip(ds.labels, ds.samples)}
+        assert np.array_equal(row[0], padded)
+        assert np.array_equal(row[1], np.full(DEFAULT_CLIP_SAMPLES, 1 / 32768, np.float32))
+
+    def test_rows_are_canonical_clips(self, tmp_path):
+        # one file per class, so a row's label names its file
+        rng = np.random.default_rng(11)
+        spec = {"a": (16000, 1, 9000), "b": (16000, 2, 16000), "c": (16000, 3, 20000),
+                "d": (48000, 1, 50000), "e": (48000, 2, 30000)}
+        for name, (rate, channels, frames) in spec.items():
+            (tmp_path / name).mkdir()
+            ints = rng.integers(-32768, 32768, frames * channels)
+            (tmp_path / name / "x.wav").write_bytes(make_wav_bytes(ints, rate, channels))
+        ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
+        assert ds.samples.dtype == np.float32
+        assert ds.samples.shape == (len(spec), DEFAULT_CLIP_SAMPLES)
+        assert ds.samples.flags.c_contiguous
+        for label, x in zip(ds.labels, ds.samples):
+            path = tmp_path / ds.class_names[label] / "x.wav"
+            assert np.array_equal(x, canonical_clip(load_wav(path)).samples)
+
+    def test_float32_rows_are_exact(self, tmp_path):
+        # the mean of 1, 2, 4 or 8 int16 channels is k / 2**m with k below
+        # 2**18, so float32 holds the float64 decoder's value exactly
+        rng = np.random.default_rng(12)
+        data = {}
+        for channels in (1, 2, 4, 8):
+            ints = rng.integers(-32768, 32768, (DEFAULT_CLIP_SAMPLES, channels))
+            ints[:2] = [[-32768], [32767]]
+            data[f"c{channels}"] = make_wav_bytes(ints.ravel(), 16000, channels)
+            (tmp_path / f"c{channels}").mkdir()
+            (tmp_path / f"c{channels}" / "x.wav").write_bytes(data[f"c{channels}"])
+        ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
+        for label, x in zip(ds.labels, ds.samples):
+            exact = parse_wav(data[ds.class_names[label]]).samples
+            assert exact.dtype == np.float64
+            assert np.array_equal(x.astype(np.float64), exact)
+
+    def test_memory_is_one_float32_array(self, tmp_path):
+        # the dataset's bytes are its (n, 16000) float32 rows, plus a fixed
+        # allowance for one file's decode: float64 storage would need twice that
+        n = 40
+        rng = np.random.default_rng(13)
+        for i in range(n):
+            d = tmp_path / "ab"[i % 2]
+            d.mkdir(exist_ok=True)
+            write_wav(AudioClip(rng.uniform(-0.5, 0.5, DEFAULT_CLIP_SAMPLES), 16000), d / f"{i}.wav")
+        tracemalloc.start()
+        try:
+            ds = load_dataset(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.samples.nbytes == n * DEFAULT_CLIP_SAMPLES * 4
+        assert peak < 1.3 * ds.samples.nbytes + 2**20
 
     def test_empty_class_dir_rejected(self, tmp_path):
         _write_corpus(tmp_path, {"a": [[0] * 16]})
