@@ -10,7 +10,6 @@ from pathlib import Path
 
 from cryalert import TrainConfig, build_network, evaluate, load_dataset, train
 from cryalert.optim_train import split_arrays
-from cryalert.spectro import StftConfig
 from cryalert.synth import generate_corpus
 
 root = Path(tempfile.mkdtemp(prefix="cryalert_train_")) / "corpus"
@@ -29,8 +28,7 @@ cfg = TrainConfig(epochs=5, batch_size=8, lr=1e-3, seed=42)
 report = train(net, dataset, cfg)
 print(report.to_text())
 
-stft_cfg = StftConfig()
-val_x, val_y = split_arrays(dataset, "val", stft_cfg, net.dtype)
+val_x, val_y = split_arrays(dataset, "val", net.dtype)
 _, _, matrix = evaluate(net, val_x, val_y, dataset.class_names)
 print("\nvalidation confusion matrix (rows true, columns predicted):")
 print(matrix.to_text())

@@ -31,13 +31,12 @@ generate_corpus(root, per_class=12, seed=7)
 dataset = load_dataset(root, seed=42)
 
 net = build_network(len(dataset.class_names), seed=42)
-stft_cfg = StftConfig()
 report = train(net, dataset, TrainConfig(epochs=5, batch_size=8, lr=1e-3, seed=42))
 print(f"trained {report.epochs_run} epochs, "
       f"final val accuracy {report.val_accuracy[-1]:.2f}")
 
 model_path = work / "demo.cry"
-save_model(net, stft_cfg, dataset.class_names, model_path)
+save_model(net, StftConfig(), dataset.class_names, model_path)
 loaded = load_model(model_path)
 print(f"model saved and reloaded from {model_path}\n")
 

@@ -172,12 +172,11 @@ def cmd_train(args) -> int:
     net = build_network(len(dataset.class_names), seed=seed)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch, lr=args.lr,
                       seed=seed, patience=args.patience)
-    stft_cfg = StftConfig()
-    report = train(net, dataset, cfg, stft_cfg)
+    report = train(net, dataset, cfg)
     # written first, so a run that diverged still shows where
     report_path = Path(str(args.out) + ".report.json")
     report_path.write_text(report.to_json())
-    save_model(net, stft_cfg, dataset.class_names, args.out)
+    save_model(net, StftConfig(), dataset.class_names, args.out)
     print(report.to_text())
     print(f"model: {args.out}")
     print(f"report: {report_path}")
@@ -192,8 +191,7 @@ def cmd_eval(args) -> int:
             f"model classes {loaded.class_names} do not match dataset classes "
             f"{dataset.class_names}"
         )
-    images, labels = split_arrays(dataset, args.split, loaded.stft_config,
-                                   loaded.network.dtype)
+    images, labels = split_arrays(dataset, args.split, loaded.network.dtype)
     loss, accuracy, matrix = evaluate(loaded.network, images, labels, dataset.class_names)
     print(f"{args.split} loss: {loss:.4f}")
     print(f"{args.split} accuracy: {accuracy:.4f}")

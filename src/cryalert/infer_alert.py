@@ -1,13 +1,13 @@
 """Model persistence, prediction and alert emission.
 
 Model files are a small binary container: magic, format version, a
-JSON header (architecture, STFT config, class names, normalization
-stats) and the raw little-endian float32 parameter blobs in layer
-order, closed by a CRC-32 of the parameter region.  The header holds
-nothing derivable: param_shapes gives the shapes, frame_length the
-fft_length, and the STFT config the input size.  Loading reads only a
-regular file, magic and version first, never past what its size holds,
-and checks the length, CRC and finiteness before building.
+JSON header (architecture, class names, normalization stats, seed,
+creation time) and the raw little-endian float32 parameter blobs in
+layer order, closed by a CRC-32 of the parameter region.  The header
+holds nothing derivable: param_shapes gives the shapes, and the fixed
+STFT the input size; an older file's stft must name that STFT.  Loading
+reads only a regular file, magic and version first, never past what its
+size holds, and checks the length, CRC and finiteness before building.
 
 Alerts are single-line JSON events with a fixed key order so
 downstream consumers can rely on the schema.
@@ -40,7 +40,7 @@ from .errors import (
     NotAModelError,
     TooShortError,
 )
-from .spectro import StftConfig, clip_images
+from .spectro import FFT_LENGTH, FRAME_LENGTH, FRAME_STEP, StftConfig, clip_images
 from .tensor_nn import Network, build_network, param_shapes, softmax
 from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, open_regular
 
@@ -50,6 +50,8 @@ MODEL_MAGIC = b"CRYA"
 MODEL_VERSION = 1
 MAX_HEADER_BYTES = 1 << 20  # a header is a few hundred bytes; more is hostile
 DEFAULT_ALERT_CLASSES = ("crying", "screaming")
+_OLDER_STFT = {"frame_length": FRAME_LENGTH, "frame_step": FRAME_STEP,
+               "fft_length": FFT_LENGTH, "window": "hann"}
 
 
 def _rfc3339(ts: float) -> str:
@@ -63,7 +65,7 @@ def _rfc3339(ts: float) -> str:
 
 def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
                timestamp: float | None = None) -> None:
-    """Serialize network + preprocessing config to a model file.
+    """Serialize a network and its class names (stft_cfg is unread) to a model file.
 
     timestamp (unix seconds) defaults to now; the SOURCE_DATE_EPOCH
     environment variable (whole seconds, as reproducible-builds defines
@@ -73,6 +75,8 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
         raise ConfigError(
             f"{len(class_names)} class names for {net.class_count} outputs"
         )
+    if len(set(class_names)) != len(class_names):
+        raise ConfigError(f"duplicate class names in {list(class_names)}")
     if timestamp is None:
         env = os.environ.get("SOURCE_DATE_EPOCH")
         if env and not (env.isascii() and env.isdigit()):
@@ -89,7 +93,6 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
     mean, variance = net.norm_stats
     header = {
         "architecture": net.arch,
-        "stft": {"frame_length": stft_cfg.frame_length, "frame_step": stft_cfg.frame_step},
         "class_names": list(class_names),
         "norm_mean": mean,
         "norm_variance": variance,
@@ -109,9 +112,9 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
 @dataclass
 class LoadedModel:
     network: Network
-    stft_config: StftConfig
     class_names: list[str]
     created: str
+    stft_config = StftConfig()  # a class attribute, not read by predict
 
 
 def _is_int(value) -> bool:
@@ -132,7 +135,7 @@ def _check_header(header, path) -> None:
             raise CorruptModelError(f"{path}: header field {field} missing or malformed")
 
     need(isinstance(header, dict), "(top level)")
-    arch, stft = header.get("architecture"), header.get("stft")
+    arch = header.get("architecture")
     need(isinstance(arch, dict), "architecture")
     for key in ("resize", "conv_filters"):
         pair = arch.get(key)
@@ -140,11 +143,9 @@ def _check_header(header, path) -> None:
              and all(_is_int(v) and v >= 1 for v in pair), f"architecture.{key}")
     need(_is_int(arch.get("dense_units")) and arch["dense_units"] >= 1,
          "architecture.dense_units")
-    need(isinstance(stft, dict), "stft")
-    for key in ("frame_length", "frame_step"):
-        need(_is_int(stft.get(key)), f"stft.{key}")
     names = header.get("class_names")
-    need(isinstance(names, list) and all(isinstance(n, str) for n in names), "class_names")
+    need(isinstance(names, list) and all(isinstance(n, str) for n in names)
+         and len(set(names)) == len(names), "class_names")
     need(_is_number(header.get("norm_mean")), "norm_mean")
     need(_is_number(header.get("norm_variance")), "norm_variance")
     need(_is_int(header.get("seed")), "seed")
@@ -172,15 +173,15 @@ def load_model(path) -> LoadedModel:
             raise CorruptModelError(f"{path}: unreadable header: {exc}") from exc
         _check_header(header, path)
 
-        arch, stft, class_names = header["architecture"], header["stft"], header["class_names"]
+        arch, class_names = header["architecture"], header["class_names"]
         layout = {key: arch[key] for key in ("resize", "conv_filters", "dense_units")}
         try:
-            stft_cfg = StftConfig(stft["frame_length"], stft["frame_step"])
-            # older files also store these; ignoring other values would
-            # change predictions silently
-            derived = {"fft_length": stft_cfg.fft_length, "window": "hann"}
-            if any(stft.get(key, value) != value for key, value in derived.items()):
-                raise ConfigError(f"stft {stft} does not match {derived}")
+            # an older file's stft must name the fixed STFT: ignoring
+            # another would change predictions silently
+            stft = header.get("stft", {})
+            if not isinstance(stft, dict) or any(
+                    stft.get(key, value) != value for key, value in _OLDER_STFT.items()):
+                raise ConfigError(f"stft is not the fixed {_OLDER_STFT}")
             # the file's length bounds what the architecture may claim, so
             # it is checked, with the blob, before build_network allocates
             shapes = param_shapes(len(class_names), **layout)
@@ -206,23 +207,23 @@ def load_model(path) -> LoadedModel:
             net.set_norm_stats(float(header["norm_mean"]), float(header["norm_variance"]))
         except (ConfigError, OverflowError) as exc:  # float() of an int beyond float range
             raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
-    return LoadedModel(net, stft_cfg, list(class_names), header["created"])
+    return LoadedModel(net, list(class_names), header["created"])
 
 
 def predict(net: Network, stft_cfg: StftConfig, clip: AudioClip,
             class_names) -> dict[str, float]:
     """Class probabilities for one clip.
 
-    The image is built by clip_images, exactly as for training.  Clips
-    lasting less than one analysis frame at the canonical rate are
-    rejected rather than padded: sub-frame audio has no usable content.
+    The image is built by clip_images, exactly as for training; stft_cfg
+    is unread.  Clips lasting less than one frame at the canonical rate
+    are rejected rather than padded: sub-frame audio has no usable content.
     """
-    if len(clip) * DEFAULT_SAMPLE_RATE < stft_cfg.frame_length * clip.sample_rate:
+    if len(clip) * DEFAULT_SAMPLE_RATE < FRAME_LENGTH * clip.sample_rate:
         raise TooShortError(
             f"clip has {len(clip)} samples at {clip.sample_rate} Hz, shorter than "
-            f"one {stft_cfg.frame_length}-sample frame at {DEFAULT_SAMPLE_RATE} Hz"
+            f"one {FRAME_LENGTH}-sample frame at {DEFAULT_SAMPLE_RATE} Hz"
         )
-    logits, _ = net.forward(clip_images([clip], stft_cfg, net.dtype), train=False)
+    logits, _ = net.forward(clip_images([clip], net.dtype), train=False)
     probs = softmax(logits[0].astype(np.float64))
     return {name: float(p) for name, p in zip(class_names, probs)}
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DatasetError, ShapeError
 from .rng import STREAM_SHUFFLE, philox_stream
-from .spectro import StftConfig, clip_images
+from .spectro import clip_images
 from .tensor_nn import Network, softmax_cross_entropy_batch
 from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, LabeledDataset
 
@@ -189,11 +189,11 @@ class TrainReport:
         return "\n".join(lines)
 
 
-def split_arrays(dataset: LabeledDataset, split: str, stft_cfg, dtype):
+def split_arrays(dataset: LabeledDataset, split: str, dtype):
     """(images, labels) of a split; each row is imaged as a zero-copy clip."""
     rows = slice(dataset.splits[split].start, dataset.splits[split].stop)
     clips = (AudioClip(x, DEFAULT_SAMPLE_RATE) for x in dataset.samples[rows])
-    return clip_images(clips, stft_cfg, dtype), dataset.labels[rows]
+    return clip_images(clips, dtype), dataset.labels[rows]
 
 
 def evaluate(net: Network, images, labels, class_names=None):
@@ -220,7 +220,6 @@ def train(
     net: Network,
     dataset: LabeledDataset,
     cfg: TrainConfig | None = None,
-    stft_cfg: StftConfig | None = None,
 ) -> TrainReport:
     """Mini-batch Adam training over the dataset's train split.
 
@@ -233,8 +232,6 @@ def train(
     """
     if cfg is None:
         cfg = TrainConfig()
-    if stft_cfg is None:
-        stft_cfg = StftConfig()
     if net.class_count != len(dataset.class_names):
         raise ConfigError(
             f"network expects {net.class_count} classes, dataset has "
@@ -245,8 +242,8 @@ def train(
     if not dataset.splits.get("val"):
         raise DatasetError("val split is empty")
 
-    train_x, train_y = split_arrays(dataset, "train", stft_cfg, net.dtype)
-    val_x, val_y = split_arrays(dataset, "val", stft_cfg, net.dtype)
+    train_x, train_y = split_arrays(dataset, "train", net.dtype)
+    val_x, val_y = split_arrays(dataset, "val", net.dtype)
 
     mean, variance = fit_normalization([net.resize_images(train_x)])
     net.set_norm_stats(mean, variance)
@@ -291,7 +288,7 @@ def train(
                         break
 
         if dataset.splits.get("test"):
-            test_x, test_y = split_arrays(dataset, "test", stft_cfg, net.dtype)
+            test_x, test_y = split_arrays(dataset, "test", net.dtype)
             report.test_loss, report.test_accuracy, _ = evaluate(
                 net, test_x, test_y, dataset.class_names
             )

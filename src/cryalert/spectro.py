@@ -1,22 +1,20 @@
 """STFT magnitude spectrograms.
 
-The transform is a hand-written windowed DFT computed as one matrix
-product: the frames, taken at frame_step hops, multiply a cached
-(frame_length, 2 * num_bins) basis that folds in the periodic Hann
-window and the zero-padding to fft_length, and yields the real and
-imaginary parts of the non-negative frequency bins, the only ones kept;
-the magnitude is sqrt(re^2 + im^2), squared and summed in place.
-A config sets only the frame length and the hop: fft_length is the
-smallest power of two that holds a frame, as in tf.signal.stft.  A
-16000-sample clip under the defaults comes out as a (124, 129)
-magnitude array; `clip_images` stacks those of canonical clips as the
-network's input.
+The transform is fixed, as in the TensorFlow audio tutorial: frames of
+FRAME_LENGTH samples at FRAME_STEP hops, a periodic Hann window and
+zero-padding to FFT_LENGTH, keeping the NUM_BINS non-negative bins.
+It is a hand-written windowed DFT taken as one matrix product: the
+frames multiply a cached (FRAME_LENGTH, 2 * NUM_BINS) basis that folds
+in the window and the padding and yields the real and imaginary parts;
+the magnitude is sqrt(re^2 + im^2), squared and summed in place.  A
+16000-sample clip comes out as a (124, 129) array; `clip_images` stacks
+those of canonical clips as the network's input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -25,48 +23,33 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, ShapeError, TooShortError
 from .wav_io import AudioClip, canonical_clip
 
-# the DFT basis holds frame_length * (fft_length + 2) float64 values, at
-# most about 34 MB here; frame_length also arrives from model headers
-MAX_FFT_LENGTH = 2048
+FRAME_LENGTH = 255
+FRAME_STEP = 128
+FFT_LENGTH = 256
+NUM_BINS = FFT_LENGTH // 2 + 1
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    frame_length: int = 255
-    frame_step: int = 128
-
-    def __post_init__(self):
-        if not 1 <= self.frame_length <= MAX_FFT_LENGTH:
-            raise ConfigError(f"frame_length must be in [1, {MAX_FFT_LENGTH}], got {self.frame_length}")
-        if not 0 < self.frame_step <= self.frame_length:
-            raise ConfigError(f"frame_step must be in [1, frame_length], got {self.frame_step}")
-
-    @property
-    def fft_length(self) -> int:
-        """The smallest power of two that holds a frame."""
-        return 1 << (self.frame_length - 1).bit_length()
-
-    @property
-    def num_bins(self) -> int:
-        return self.fft_length // 2 + 1
+    """No fields: the STFT is fixed.  Kept only for the callers of
+    save_model, predict and LoadedModel, until they stop passing it."""
 
 
-@lru_cache(maxsize=4)
-def _dft_basis(frame_length: int) -> np.ndarray:
-    """Hann-windowed real-DFT matrix of shape (frame_length, 2 * num_bins).
+@cache
+def _dft_basis() -> np.ndarray:
+    """Hann-windowed real-DFT matrix of shape (FRAME_LENGTH, 2 * NUM_BINS).
 
-    With w the periodic Hann window and n the config's fft_length,
-    column k holds w[t] cos(theta) and column num_bins + k holds
-    -w[t] sin(theta), theta = 2 pi ((t k) mod n) / n, so a frame times
-    this matrix gives the real then the imaginary parts of bins 0..n/2
-    of its windowed, zero-padded n-point DFT.  The mod is taken in
-    integers, so every angle lies in [0, 2 pi) exactly.
+    With w the periodic Hann window and n = FFT_LENGTH, column k holds
+    w[t] cos(theta) and column NUM_BINS + k holds -w[t] sin(theta),
+    theta = 2 pi ((t k) mod n) / n, so a frame times this matrix gives
+    the real then the imaginary parts of bins 0..n/2 of its windowed,
+    zero-padded n-point DFT.  The mod is taken in integers, so every
+    angle lies in [0, 2 pi) exactly.
     """
-    cfg = StftConfig(frame_length, frame_step=1)
-    n, bins = cfg.fft_length, cfg.num_bins
-    theta = 2.0 * np.pi * (np.outer(np.arange(frame_length), np.arange(bins)) % n) / n
-    w = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_length) / frame_length))[:, None]
-    basis = np.empty((frame_length, 2 * bins))  # filled in place to bound the peak
+    n, bins = FFT_LENGTH, NUM_BINS
+    theta = 2.0 * np.pi * (np.outer(np.arange(FRAME_LENGTH), np.arange(bins)) % n) / n
+    w = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LENGTH) / FRAME_LENGTH))[:, None]
+    basis = np.empty((FRAME_LENGTH, 2 * bins))  # filled in place to bound the peak
     np.cos(theta, out=basis[:, :bins])
     np.sin(theta, out=basis[:, bins:])
     basis[:, :bins] *= w
@@ -75,31 +58,29 @@ def _dft_basis(frame_length: int) -> np.ndarray:
     return basis
 
 
-def stft_magnitude(clip, cfg: StftConfig | None = None, dtype=np.float32) -> np.ndarray:
+def stft_magnitude(clip, dtype=np.float32) -> np.ndarray:
     """Magnitude spectrogram of a clip (or bare 1-D sample array).
 
-    Returns a (frames, bins) array.  Frames are extracted at frame_step
-    hops, windowed, zero-padded to fft_length and transformed; bins
-    above fft_length/2 are dropped.  Raises TooShortError if the signal
-    is shorter than one frame.
+    Returns a (frames, NUM_BINS) array.  Frames are extracted at
+    FRAME_STEP hops, windowed, zero-padded to FFT_LENGTH and
+    transformed; bins above FFT_LENGTH/2 are dropped.  Raises
+    TooShortError if the signal is shorter than one frame.
     """
-    if cfg is None:
-        cfg = StftConfig()
     samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip)
-    if len(samples) < cfg.frame_length:
-        raise TooShortError(f"need at least {cfg.frame_length} samples, got {len(samples)}")
+    if len(samples) < FRAME_LENGTH:
+        raise TooShortError(f"need at least {FRAME_LENGTH} samples, got {len(samples)}")
     # the copy matmul makes of the strided frames, taken in float64 here
-    frames = sliding_window_view(samples, cfg.frame_length)[:: cfg.frame_step].astype(np.float64)
-    spectrum = frames @ _dft_basis(cfg.frame_length)
+    frames = sliding_window_view(samples, FRAME_LENGTH)[::FRAME_STEP].astype(np.float64)
+    spectrum = frames @ _dft_basis()
     spectrum *= spectrum
-    power = spectrum[:, :cfg.num_bins]
-    power += spectrum[:, cfg.num_bins:]
+    power = spectrum[:, :NUM_BINS]
+    power += spectrum[:, NUM_BINS:]
     return np.sqrt(power, out=power).astype(dtype)
 
 
-def clip_images(clips, cfg: StftConfig | None = None, dtype=np.float32) -> np.ndarray:
-    """The (n, frames, bins, 1) network input: stft_magnitude of each canonical_clip."""
-    mats = [stft_magnitude(canonical_clip(clip), cfg, dtype) for clip in clips]
+def clip_images(clips, dtype=np.float32) -> np.ndarray:
+    """The (n, frames, NUM_BINS, 1) network input: stft_magnitude of each canonical_clip."""
+    mats = [stft_magnitude(canonical_clip(clip), dtype) for clip in clips]
     return np.stack(mats)[..., None]
 
 

@@ -278,10 +278,10 @@ def load_dataset(
     # row r holds file order[r], so file i goes to row argsort(order)[i]
     for path, row in zip(paths, np.argsort(order)):
         try:
-            clip = load_wav(path)
-        except (FormatError, UnsupportedCodecError, UnsupportedDepthError) as exc:
+            samples[row] = canonical_clip(load_wav(path)).samples
+        except (FormatError, UnsupportedCodecError, UnsupportedDepthError,
+                UnsupportedRatioError) as exc:
             raise type(exc)(f"{path}: {exc}") from exc
-        samples[row] = canonical_clip(clip).samples
 
     n_test = int(n * split_ratios[2])
     n_train = n - int(n * split_ratios[1]) - n_test

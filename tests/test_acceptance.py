@@ -17,7 +17,7 @@ from cryalert.errors import CorruptModelError
 from cryalert.infer_alert import StdoutSink, load_model, predict, save_model
 from cryalert.optim_train import AdamState, TrainConfig, adam_step, confusion_matrix, train
 from cryalert.rng import philox_stream
-from cryalert.spectro import StftConfig, stft_magnitude
+from cryalert.spectro import stft_magnitude
 from cryalert.synth import generate_corpus, synth_clip
 from cryalert.tensor_nn import Conv2D, Dense, build_network, softmax_cross_entropy_batch
 from cryalert.optim_train import evaluate, split_arrays
@@ -45,7 +45,7 @@ def test_criterion_01_shapes(capsys):
     net.forward(warm)  # absorb first-touch allocation cost
 
     start = time.monotonic()
-    spec = stft_magnitude(clip, StftConfig(), dtype=np.float32)
+    spec = stft_magnitude(clip, dtype=np.float32)
     logits, _ = net.forward(spec[None, ..., None])
     elapsed = time.monotonic() - start
 
@@ -64,7 +64,6 @@ def test_criterion_01_shapes(capsys):
 
 
 def test_criterion_02_stft_oracle(capsys):
-    cfg = StftConfig()
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(255) / 255.0)
     rng = np.random.default_rng(1234)
 
@@ -72,7 +71,7 @@ def test_criterion_02_stft_oracle(capsys):
     worst = 0.0
     for _ in range(50):
         signal = rng.uniform(-1.0, 1.0, 16000)
-        got = stft_magnitude(signal, cfg, dtype=np.float64)
+        got = stft_magnitude(signal, dtype=np.float64)
 
         frames = np.zeros((124, 256))
         for i in range(124):
@@ -271,8 +270,7 @@ def test_criterion_08_confusion_identities(capsys, trained, synth_corpus):
     _, model_path, _, _ = trained
     loaded = load_model(model_path)
     dataset = load_dataset(synth_corpus, seed=42)
-    images, labels = split_arrays(dataset, "test", loaded.stft_config,
-                                  loaded.network.dtype)
+    images, labels = split_arrays(dataset, "test", loaded.network.dtype)
     loss, accuracy, matrix = evaluate(loaded.network, images, labels,
                                       dataset.class_names)
     real_rows_ok = np.array_equal(

@@ -137,6 +137,16 @@ class TestTrainCommand:
         assert proc.stderr.splitlines() == [
             f"error: {tmp_path / 'c' / 'tone' / 'fifo.wav'}: not a regular file"]
 
+    def test_unsupported_rate_in_corpus(self, tmp_path):
+        main(["synth", "--out", str(tmp_path / "c"), "--per-class", "1"])
+        bad = tmp_path / "c" / "tone" / "cd.wav"
+        bad.write_bytes(make_wav_bytes([0] * 4410, rate=44100))
+        proc = _bounded_cli(["train", "--data", str(tmp_path / "c"),
+                             "--out", str(tmp_path / "m.cry")])
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"error: {bad}: cannot resample 44100 Hz to 16000 Hz: not an integer decimation"]
+
     def test_missing_data_dir(self, tmp_path, capsys):
         rc = main(["train", "--data", str(tmp_path / "nope"),
                    "--out", str(tmp_path / "m.cry")])
@@ -349,7 +359,22 @@ class TestCorruptModelHeader:
     def test_older_stft_fields_must_be_derived(self, untrained_model, small_corpus,
                                                tmp_path, capsys, stft):
         header = read_model_header(untrained_model)
-        header["stft"].update(stft)
+        header["stft"] = {"frame_length": 255, "frame_step": 128, "fft_length": 256,
+                          "window": "hann", **stft}
+        bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
+        wav = next((small_corpus / "tone").glob("*.wav"))
+        rc = main(["predict", "--model", str(bad), "--input", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and "describes no valid model" in err
+
+    @pytest.mark.parametrize("stft", [[255, 128], "hann", None, {"frame_step": 64}],
+                             ids=["list", "string", "null", "other-hop"])
+    def test_stft_other_than_the_fixed_one(self, untrained_model, small_corpus,
+                                           tmp_path, capsys, stft):
+        header = read_model_header(untrained_model)
+        header["stft"] = stft
         bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
         wav = next((small_corpus / "tone").glob("*.wav"))
         rc = main(["predict", "--model", str(bad), "--input", str(wav)])
@@ -728,7 +753,7 @@ for name, rate in (("a", 48000), ("b", 16000)):
     Path("corpus", name).mkdir(parents=True)
     wav_io.write_wav(AudioClip(np.zeros(rate), rate), Path("corpus", name, "x.wav"))
 dataset = wav_io.load_dataset("corpus")
-optim_train.split_arrays(dataset, "train", StftConfig(), np.float32)
+optim_train.split_arrays(dataset, "train", np.float32)
 print(json.dumps([[span[0], span[3]] for span in tracer.spans]))
 """
 

@@ -153,6 +153,14 @@ class TestSaveLoad:
             save_model(small_net(), StftConfig(), ["only", "three", "names"],
                        tmp_path / "m.cry")
 
+    def test_duplicate_class_names_not_saved(self, tmp_path):
+        # predict maps probabilities to names through a dict, so a repeated
+        # name would silently merge two outputs
+        path = tmp_path / "m.cry"
+        with pytest.raises(ConfigError, match="duplicate"):
+            save_model(small_net(), StftConfig(), ["am", "am", "noise", "tone"], path)
+        assert not path.exists()
+
     def test_not_a_model(self, tmp_path):
         junk = tmp_path / "junk.cry"
         junk.write_bytes(b"RIFF" + b"\x00" * 40)
@@ -246,10 +254,19 @@ def _leaf_paths(node, prefix=()):
     return [path for key, value in node.items() for path in _leaf_paths(value, prefix + (key,))]
 
 
+# the stft object of headers written while the STFT was configurable
+OLDER_STFT = {"frame_length": 255, "frame_step": 128, "fft_length": 256, "window": "hann"}
+
+
+def _older_stft(**changes):
+    """Header mutation: write an older stft object with some fields changed."""
+    return _set(["stft"], {**OLDER_STFT, **changes})
+
+
 def _huge_fft(header):
     # plus an input_shape as wide as that fft's image, which older
     # headers carry and loading ignores
-    header["stft"]["fft_length"] = 2 ** 18
+    header["stft"] = {**OLDER_STFT, "fft_length": 2 ** 18}
     header["architecture"]["input_shape"] = [124, 2 ** 17 + 1, 1]
     return header
 
@@ -259,14 +276,15 @@ HEADER_MUTATIONS = {
     "empty list": lambda h: [],
     "architecture not an object": _set(["architecture"], []),
     "resize too short": _set(["architecture", "resize"], [32]),
-    "stft window as number": _set(["stft", "window"], 5),
-    "stft missing": _drop(["stft"]),
+    "stft window as number": _older_stft(window=5),
+    "stft not an object": _set(["stft"], [255, 128]),
     "class_names as string": _set(["class_names"], "amchirpnoisetone"),
     "class_names count off": _set(["class_names"], ["am", "chirp", "noise"]),
     "norm_mean as string": _set(["norm_mean"], "0.1"),
     "seed as float": _set(["seed"], 1.5),
     "created as null": _set(["created"], None),
-    # well-typed, but rejected by param_shapes / StftConfig / Normalize
+    "duplicate class names": _set(["class_names"], ["am", "am", "noise", "tone"]),
+    # well-typed, but rejected by param_shapes / the fixed STFT / Normalize
     "resize not poolable": _set(["architecture", "resize"], [33, 33]),
     "one class": _set(["class_names"], ["am"]),
     "negative variance": _set(["norm_variance"], -1.0),
@@ -274,10 +292,11 @@ HEADER_MUTATIONS = {
     "Infinity variance": _set(["norm_variance"], float("inf")),
     "NaN mean": _set(["norm_mean"], float("nan")),
     "-Infinity mean": _set(["norm_mean"], float("-inf")),
-    "fft not a power of two": _set(["stft", "fft_length"], 300),
-    # older headers store fft_length and window; only the derived ones load
-    "fft 512 for frame 255": _set(["stft", "fft_length"], 512),
-    "rectangular window": _set(["stft", "window"], "rectangular"),
+    "fft not a power of two": _older_stft(fft_length=300),
+    # older headers store the STFT; only the fixed one loads
+    "fft 512 for frame 255": _older_stft(fft_length=512),
+    "rectangular window": _older_stft(window="rectangular"),
+    "hop 64": _set(["stft"], {"frame_length": 255, "frame_step": 64}),
     # JSON integers beyond float range
     "mean 10**400": _set(["norm_mean"], 10 ** 400),
     "variance 10**400": _set(["norm_variance"], 10 ** 400),
@@ -362,7 +381,7 @@ class TestHeaderValidation:
         # files written before fft_length was derived also store it and the window
         _, path = saved
         header = read_model_header(path)
-        header["stft"].update(fft_length=256, window="hann")
+        header["stft"] = dict(OLDER_STFT)
         old = load_model(rewrite_model_header(path, tmp_path / "old.cry", header))
         new = load_model(path)
         assert old.stft_config == new.stft_config == StftConfig()
@@ -372,6 +391,22 @@ class TestHeaderValidation:
         assert (predict(old.network, old.stft_config, clip, NAMES)
                 == predict(new.network, new.stft_config, clip, NAMES))
 
+    def test_frame_and_hop_stft_loads_bitwise(self, saved, tmp_path):
+        # files written while only the frame and the hop were settable
+        # store just those two
+        _, path = saved
+        header = read_model_header(path)
+        header["stft"] = {"frame_length": 255, "frame_step": 128}
+        old = load_model(rewrite_model_header(path, tmp_path / "old.cry", header))
+        new = load_model(path)
+        for a, b in zip(new.network.parameters(), old.network.parameters(), strict=True):
+            assert a.tobytes() == b.tobytes()
+        rng = np.random.default_rng(8)
+        for rate in (16000, 48000):
+            clip = AudioClip(rng.uniform(-1, 1, rate), rate)
+            assert (predict(old.network, old.stft_config, clip, NAMES)
+                    == predict(new.network, new.stft_config, clip, NAMES))
+
     def test_every_saved_field_is_required(self, saved, tmp_path):
         # a field load_model can do without is one it could derive, so
         # save_model should not write it
@@ -379,7 +414,6 @@ class TestHeaderValidation:
         leaves = _leaf_paths(read_model_header(path))
         assert sorted(leaves) == sorted(
             [("architecture", key) for key in ("resize", "conv_filters", "dense_units")]
-            + [("stft", key) for key in ("frame_length", "frame_step")]
             + [(key,) for key in ("class_names", "norm_mean", "norm_variance", "seed",
                                   "created")])
         for leaf in leaves:
@@ -389,8 +423,8 @@ class TestHeaderValidation:
                 load_model(bad)
 
     def test_oversized_fft_length_rejected_before_allocating(self, saved, tmp_path):
-        # the DFT basis and the STFT image grow with fft_length, so
-        # fft_length itself must be bounded
+        # the DFT basis and the STFT image would grow with fft_length, so
+        # an older header naming another one must fail before any allocation
         _, path = saved
         bad = rewrite_model_header(path, tmp_path / "fft.cry",
                                    _huge_fft(read_model_header(path)))
@@ -495,7 +529,7 @@ class TestPredict:
             path.write_bytes(make_wav_bytes(ints, rate=rate, channels=channels))
             files.append(path)
         dataset = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
-        images, labels = split_arrays(dataset, "train", StftConfig(), np.float32)
+        images, labels = split_arrays(dataset, "train", np.float32)
         net = build_network(3, seed=3)
         net.set_norm_stats(0.12, 0.45)
         for label, path in enumerate(files):

@@ -17,7 +17,7 @@ from cryalert.optim_train import (
     split_arrays,
     train,
 )
-from cryalert.spectro import StftConfig, clip_images
+from cryalert.spectro import clip_images
 from cryalert.synth import generate_corpus
 from cryalert.tensor_nn import build_network, softmax_cross_entropy_batch
 from cryalert.wav_io import AudioClip, load_dataset
@@ -300,8 +300,7 @@ class TestTrain:
         net = build_network(len(toy_setup.class_names), seed=6)
         cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-4, seed=6)
         train(net, toy_setup, cfg)
-        stft_cfg = StftConfig()
-        x, _ = split_arrays(toy_setup, "train", stft_cfg, net.dtype)
+        x, _ = split_arrays(toy_setup, "train", net.dtype)
         resized = net.resize_images(x).astype(np.float64)
         normed, _ = net.layers[1].forward(resized)  # the Normalize layer
         assert abs(normed.mean()) < 1e-6
@@ -309,8 +308,7 @@ class TestTrain:
 
     def test_evaluate_matches_confusion(self, toy_setup):
         net = build_network(len(toy_setup.class_names), seed=8)
-        stft_cfg = StftConfig()
-        x, y = split_arrays(toy_setup, "train", stft_cfg, net.dtype)
+        x, y = split_arrays(toy_setup, "train", net.dtype)
         mean, var = fit_normalization([net.resize_images(x)])
         net.set_norm_stats(mean, var)
         loss, acc, cm = evaluate(net, x, y)
@@ -352,6 +350,6 @@ def test_default_train_step_peak_memory():
 class TestSpectrogramImages:
     def test_shape_and_dtype(self, toy_setup):
         clips = [AudioClip(row, 16000) for row in toy_setup.samples[:3]]
-        images = clip_images(clips, StftConfig(), np.float32)
+        images = clip_images(clips, np.float32)
         assert images.shape == (3, 124, 129, 1)
         assert images.dtype == np.float32

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +7,10 @@ from hypothesis import strategies as st
 
 from cryalert.errors import ConfigError, ShapeError, TooShortError
 from cryalert.spectro import (
-    MAX_FFT_LENGTH,
+    FFT_LENGTH,
+    FRAME_LENGTH,
+    FRAME_STEP,
+    NUM_BINS,
     StftConfig,
     _dft_basis,
     export_spectrogram,
@@ -21,98 +23,66 @@ from conftest import dft_direct, rel_error
 
 class TestWindow:
     # the basis's bin-0 column is w[t] cos(0) = w[t]: the window itself
-    def test_hann_length_two(self):
-        # w[k] = 0.5 - 0.5 cos(2 pi k / 2) -> [0, 1]
-        assert np.allclose(_dft_basis(2)[:, 0], [0.0, 1.0], atol=1e-15)
-
     def test_hann_periodic_form(self):
-        for n in (3, 16, 255):
-            w = _dft_basis(n)[:, 0]
-            k = np.arange(n)
-            assert np.array_equal(w, 0.5 - 0.5 * np.cos(2 * np.pi * k / n))
-            assert w[0] == 0.0
+        w = _dft_basis()[:, 0]
+        k = np.arange(FRAME_LENGTH)
+        assert np.array_equal(w, 0.5 - 0.5 * np.cos(2 * np.pi * k / FRAME_LENGTH))
+        assert w[0] == 0.0
 
     def test_bad_length(self):
-        for n in (0, -1):
-            with pytest.raises(ConfigError):
+        # the frame is fixed: no length, good or bad, can be set
+        for n in (0, -1, FRAME_LENGTH):
+            with pytest.raises(TypeError):
                 StftConfig(frame_length=n)
 
 
 class TestBasisCache:
     def test_cached_basis_is_fresh_values_and_read_only(self):
-        configs = [(255, 256), (3, 4), (1, 1), (400, 512), (200, 256), (255, 256),
-                   (3, 4), (400, 512)]
-        for frame_length, fft_length in configs:
-            basis = _dft_basis(frame_length)
-            fresh = _dft_basis.__wrapped__(frame_length)
-            assert basis.shape == (frame_length, 2 * (fft_length // 2 + 1))
+        for _ in range(2):
+            basis = _dft_basis()
+            fresh = _dft_basis.__wrapped__()
+            assert basis is _dft_basis()
+            assert basis.shape == (FRAME_LENGTH, 2 * NUM_BINS)
             assert np.array_equal(basis, fresh)
             assert not basis.flags.writeable
             with pytest.raises(ValueError):
                 basis[0, 0] = 1.0
 
     def test_stft_repeat_calls_with_mixed_lengths_agree(self):
+        # signals of several lengths share the one cached basis
         rng = np.random.default_rng(32)
-        x = rng.uniform(-1, 1, 4000)
-        configs = [StftConfig(), StftConfig(frame_length=400, frame_step=160),
-                   StftConfig(frame_length=3, frame_step=2)]
-        first = [stft_magnitude(x, cfg) for cfg in configs]
+        signals = [rng.uniform(-1, 1, n) for n in (4000, 255, 16000)]
+        first = [stft_magnitude(x) for x in signals]
         for _ in range(2):
-            for cfg, want in zip(reversed(configs), reversed(first)):
-                assert np.array_equal(stft_magnitude(x, cfg), want)
-
-
-    def test_largest_basis_builds_without_temporaries(self):
-        # the (2048, 1025) basis keeps 33.6 MB; building it must not hold a
-        # second full-size copy (it peaked at 84 MB with temporaries)
-        tracemalloc.start()
-        try:
-            basis = _dft_basis.__wrapped__(MAX_FFT_LENGTH)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert basis.nbytes > 33e6
-        assert peak < 55e6
+            for x, want in zip(reversed(signals), reversed(first)):
+                assert np.array_equal(stft_magnitude(x), want)
 
 
 class TestStftConfig:
     def test_defaults(self):
-        cfg = StftConfig()
-        assert (cfg.frame_length, cfg.frame_step, cfg.fft_length) == (255, 128, 256)
-        assert cfg.num_bins == 129
+        assert (FRAME_LENGTH, FRAME_STEP, FFT_LENGTH, NUM_BINS) == (255, 128, 256, 129)
 
     def test_fft_length_is_derived(self):
-        # only the frame and the hop are settable
-        assert [f.name for f in fields(StftConfig)] == ["frame_length", "frame_step"]
+        # nothing is settable; fft_length is the smallest power of two
+        # that holds a frame, as in tf.signal.stft
+        assert fields(StftConfig) == ()
+        with pytest.raises(TypeError):
+            StftConfig(255, 128)
         with pytest.raises(TypeError):
             StftConfig(fft_length=512)
-        with pytest.raises(AttributeError):
-            StftConfig().fft_length = 512
+        assert FFT_LENGTH == 1 << (FRAME_LENGTH - 1).bit_length()
+        assert NUM_BINS == FFT_LENGTH // 2 + 1
 
     def test_fft_shorter_than_frame(self):
-        # fft_length is the smallest power of two that holds a frame, so
-        # it is never shorter than one and never twice as long
-        for frame in range(1, MAX_FFT_LENGTH + 1):
-            n = StftConfig(frame_length=frame, frame_step=1).fft_length
-            assert n // 2 < frame <= n
+        # never shorter than one frame and never twice as long
+        assert FFT_LENGTH // 2 < FRAME_LENGTH <= FFT_LENGTH
 
     def test_fft_not_power_of_two(self):
-        for frame in range(1, MAX_FFT_LENGTH + 1):
-            n = StftConfig(frame_length=frame, frame_step=1).fft_length
-            assert n & (n - 1) == 0
+        assert FFT_LENGTH & (FFT_LENGTH - 1) == 0
 
     def test_step_out_of_range(self):
-        with pytest.raises(ConfigError):
-            StftConfig(frame_step=0)
-        with pytest.raises(ConfigError):
-            StftConfig(frame_step=256)
-
-    def test_fft_length_bounded(self):
-        # frame_length bounds the fft it derives
-        assert StftConfig(frame_length=MAX_FFT_LENGTH).num_bins == MAX_FFT_LENGTH // 2 + 1
-        for n in (MAX_FFT_LENGTH + 1, 2 ** 18, 10 ** 400):
-            with pytest.raises(ConfigError):
-                StftConfig(frame_length=n)
+        # a hop within one frame leaves no sample out
+        assert 0 < FRAME_STEP <= FRAME_LENGTH
 
 
 class TestStft:
@@ -141,47 +111,27 @@ class TestStft:
         assert np.all(interior.argmax(axis=1) == 16)
 
     def test_matches_windowed_dft_oracle(self):
-        cfg = StftConfig()
         rng = np.random.default_rng(11)
         x = rng.uniform(-1, 1, 2048)
-        spec = stft_magnitude(x, cfg, dtype=np.float64)
-        k = np.arange(cfg.frame_length)
-        window = 0.5 - 0.5 * np.cos(2 * np.pi * k / cfg.frame_length)
+        spec = stft_magnitude(x, dtype=np.float64)
+        k = np.arange(FRAME_LENGTH)
+        window = 0.5 - 0.5 * np.cos(2 * np.pi * k / FRAME_LENGTH)
         for frame_idx in range(len(spec)):
-            start = frame_idx * cfg.frame_step
-            frame = np.zeros(cfg.fft_length)
-            frame[:cfg.frame_length] = x[start:start + cfg.frame_length] * window
-            expected = np.abs(dft_direct(frame))[:cfg.num_bins]
+            start = frame_idx * FRAME_STEP
+            frame = np.zeros(FFT_LENGTH)
+            frame[:FRAME_LENGTH] = x[start:start + FRAME_LENGTH] * window
+            expected = np.abs(dft_direct(frame))[:NUM_BINS]
             assert rel_error(spec[frame_idx], expected) < 1e-9
-
-    @pytest.mark.parametrize("fft_length,frame_length", [(2, 2), (4, 3), (256, 200),
-                                                         (512, 301), (1, 1)])
-    def test_real_input_path_matches_dft_oracle(self, fft_length, frame_length):
-        cfg = StftConfig(frame_length=frame_length, frame_step=max(1, frame_length // 2))
-        assert cfg.fft_length == fft_length
-        rng = np.random.default_rng(fft_length + frame_length)
-        x = rng.uniform(-1, 1, 5 * frame_length + 7)
-        spec = stft_magnitude(x, cfg, dtype=np.float64)
-        k = np.arange(frame_length)
-        weights = 0.5 - 0.5 * np.cos(2 * np.pi * k / frame_length)
-        frames = np.zeros((len(spec), fft_length))
-        for i in range(len(spec)):
-            start = i * cfg.frame_step
-            frames[i, :frame_length] = x[start:start + frame_length] * weights
-        expected = np.abs(dft_direct(frames))[:, :fft_length // 2 + 1]
-        assert spec.shape == expected.shape
-        assert rel_error(spec, expected) < 1e-9
 
     def test_float32_matches_hypot_oracle(self):
         # the magnitude is sqrt(re^2 + im^2) of the basis product; in
         # float32 it must round exactly as np.hypot's float64 result does
-        cfg = StftConfig()
         rng = np.random.default_rng(12)
         for _ in range(50):
             x = rng.uniform(-1, 1, 16000) * rng.uniform(0, 1)
-            frames = np.lib.stride_tricks.sliding_window_view(x, cfg.frame_length)[::cfg.frame_step]
-            spectrum = frames @ _dft_basis(cfg.frame_length)
-            re, im = spectrum[:, :cfg.num_bins], spectrum[:, cfg.num_bins:]
+            frames = np.lib.stride_tricks.sliding_window_view(x, FRAME_LENGTH)[::FRAME_STEP]
+            spectrum = frames @ _dft_basis()
+            re, im = spectrum[:, :NUM_BINS], spectrum[:, NUM_BINS:]
             assert np.array_equal(stft_magnitude(x), np.hypot(re, im).astype(np.float32))
 
     def test_scaling_linearity(self):
@@ -200,9 +150,8 @@ class TestStft:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(255, 48000))
     def test_shape_law(self, n):
-        cfg = StftConfig()
-        spec = stft_magnitude(np.zeros(n), cfg)
-        assert spec.shape == ((n - cfg.frame_length) // cfg.frame_step + 1, 129)
+        spec = stft_magnitude(np.zeros(n))
+        assert spec.shape == ((n - FRAME_LENGTH) // FRAME_STEP + 1, 129)
 
 
 class TestExport:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from cryalert.errors import ConfigError
-from cryalert.spectro import StftConfig, stft_magnitude
+from cryalert.spectro import stft_magnitude
 from cryalert.synth import CLASSES, generate_corpus, synth_clip
 from cryalert.wav_io import load_wav
 
 
 def interior_peak_bins(samples):
-    spec = stft_magnitude(samples, StftConfig())
+    spec = stft_magnitude(samples)
     # edge frames see the zero padding of short windows, so skip them
     return spec[2:-2].argmax(axis=1)
 
@@ -50,7 +50,7 @@ class TestSynthClip:
 
     def test_noise_is_broadband(self):
         s = synth_clip("noise", np.random.default_rng(4))
-        spec = stft_magnitude(s, StftConfig())
+        spec = stft_magnitude(s)
         # no single bin dominates the way a tone does
         ratio = spec.max() / np.median(spec[spec > 0])
         assert ratio < 50

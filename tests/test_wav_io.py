@@ -438,3 +438,10 @@ class TestLoadDataset:
         (tmp_path / "b" / "null.wav").symlink_to("/dev/null")
         with pytest.raises(FormatError, match="null.wav: not a regular file"):
             load_dataset(tmp_path)
+
+    def test_unsupported_rate_names_path(self, tmp_path):
+        # the file parses; only its conversion to the canonical rate fails
+        _write_corpus(tmp_path, {"a": [[0] * 16], "b": [[0] * 16]})
+        (tmp_path / "b" / "cd.wav").write_bytes(make_wav_bytes([0] * 441, rate=44100))
+        with pytest.raises(UnsupportedRatioError, match="cd.wav: cannot resample 44100 Hz"):
+            load_dataset(tmp_path)
