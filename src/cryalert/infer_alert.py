@@ -1,13 +1,13 @@
 """Model persistence, prediction and alert emission.
 
 Model files are a small binary container: magic, format version, a
-JSON header (architecture, class names, normalization stats, seed,
-creation time) and the raw little-endian float32 parameter blobs in
-layer order, closed by a CRC-32 of the parameter region.  The header
-holds nothing derivable: param_shapes gives the shapes, and the fixed
-STFT the input size; an older file's stft must name that STFT.  Loading
-reads only a regular file, magic and version first, never past what its
-size holds, and checks the length, CRC and finiteness before building.
+JSON header (class names, normalization stats, seed, creation time) and
+the raw little-endian float32 parameter blobs in layer order, closed by
+a CRC-32 of the parameter region.  The STFT and the network layout are
+fixed, so param_shapes gives the shapes from the class count; an older
+file's stft and architecture must name the fixed values.  Loading reads
+only a regular file, magic and version first, never past what its size
+holds, and checks the length, CRC and finiteness before building.
 
 Alerts are single-line JSON events with a fixed key order so
 downstream consumers can rely on the schema.
@@ -23,6 +23,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -41,7 +42,8 @@ from .errors import (
     TooShortError,
 )
 from .spectro import FFT_LENGTH, FRAME_LENGTH, FRAME_STEP, StftConfig, clip_images
-from .tensor_nn import Network, build_network, param_shapes, softmax
+from .tensor_nn import (CONV_FILTERS, DENSE_UNITS, RESIZE, Network, build_network,
+                        param_shapes, softmax)
 from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, open_regular
 
 log = logging.getLogger("cryalert")
@@ -50,8 +52,14 @@ MODEL_MAGIC = b"CRYA"
 MODEL_VERSION = 1
 MAX_HEADER_BYTES = 1 << 20  # a header is a few hundred bytes; more is hostile
 DEFAULT_ALERT_CLASSES = ("crying", "screaming")
-_OLDER_STFT = {"frame_length": FRAME_LENGTH, "frame_step": FRAME_STEP,
-               "fft_length": FFT_LENGTH, "window": "hann"}
+# objects older headers hold: each listed field, where present, must be
+# the fixed value, since ignoring another would change predictions silently
+_OLDER_OBJECTS = {
+    "stft": {"frame_length": FRAME_LENGTH, "frame_step": FRAME_STEP,
+             "fft_length": FFT_LENGTH, "window": "hann"},
+    "architecture": {"resize": list(RESIZE), "conv_filters": list(CONV_FILTERS),
+                     "dense_units": DENSE_UNITS},
+}
 
 
 def _rfc3339(ts: float) -> str:
@@ -92,7 +100,6 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
         raise ConfigError("not saving a network with non-finite parameters")
     mean, variance = net.norm_stats
     header = {
-        "architecture": net.arch,
         "class_names": list(class_names),
         "norm_mean": mean,
         "norm_variance": variance,
@@ -117,44 +124,29 @@ class LoadedModel:
     stft_config = StftConfig()  # a class attribute, not read by predict
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _check_header(header, path) -> None:
     """Raise CorruptModelError unless every field save_model writes is
-    present with its type.  Architecture sizes must be positive; other
-    ranges are left to param_shapes and the constructors, whose
-    ConfigError load_model converts."""
+    present with its type.  Ranges are left to param_shapes and Normalize,
+    whose ConfigError load_model converts."""
     def need(ok, field):
         if not ok:
             raise CorruptModelError(f"{path}: header field {field} missing or malformed")
 
     need(isinstance(header, dict), "(top level)")
-    arch = header.get("architecture")
-    need(isinstance(arch, dict), "architecture")
-    for key in ("resize", "conv_filters"):
-        pair = arch.get(key)
-        need(isinstance(pair, list) and len(pair) == 2
-             and all(_is_int(v) and v >= 1 for v in pair), f"architecture.{key}")
-    need(_is_int(arch.get("dense_units")) and arch["dense_units"] >= 1,
-         "architecture.dense_units")
     names = header.get("class_names")
     need(isinstance(names, list) and all(isinstance(n, str) for n in names)
          and len(set(names)) == len(names), "class_names")
-    need(_is_number(header.get("norm_mean")), "norm_mean")
-    need(_is_number(header.get("norm_variance")), "norm_variance")
-    need(_is_int(header.get("seed")), "seed")
+    # json.loads gives exact types, so a bool is neither int nor float here
+    need(type(header.get("norm_mean")) in (int, float), "norm_mean")
+    need(type(header.get("norm_variance")) in (int, float), "norm_variance")
+    need(type(header.get("seed")) is int, "seed")
     need(isinstance(header.get("created"), str), "created")
 
 
 def load_model(path) -> LoadedModel:
     """Read and verify a model file written by save_model; older files'
-    param_shapes, class_count, kernel_size, dropout_rates and input_shape are ignored."""
+    param_shapes and architecture's class_count, kernel_size, dropout_rates
+    and input_shape are ignored."""
     with open_regular(path, lambda msg: ModelFileError(f"{path}: {msg}")) as (fh, size):
         data = fh.read(12)
         if len(data) < 12 or data[:4] != MODEL_MAGIC:
@@ -173,18 +165,17 @@ def load_model(path) -> LoadedModel:
             raise CorruptModelError(f"{path}: unreadable header: {exc}") from exc
         _check_header(header, path)
 
-        arch, class_names = header["architecture"], header["class_names"]
-        layout = {key: arch[key] for key in ("resize", "conv_filters", "dense_units")}
+        class_names = header["class_names"]
         try:
-            # an older file's stft must name the fixed STFT: ignoring
-            # another would change predictions silently
-            stft = header.get("stft", {})
-            if not isinstance(stft, dict) or any(
-                    stft.get(key, value) != value for key, value in _OLDER_STFT.items()):
-                raise ConfigError(f"stft is not the fixed {_OLDER_STFT}")
-            # the file's length bounds what the architecture may claim, so
-            # it is checked, with the blob, before build_network allocates
-            shapes = param_shapes(len(class_names), **layout)
+            for name, fixed in _OLDER_OBJECTS.items():
+                older = header.get(name, {})
+                if not isinstance(older, dict):
+                    raise ConfigError(f"{name} is not an object")
+                for key, value in fixed.items():
+                    if older.get(key, value) != value:
+                        raise ConfigError(f"{name}.{key} is not the fixed {value!r}")
+            # the length and the blob are checked before build_network allocates
+            shapes = param_shapes(len(class_names))
             sizes = [math.prod(s) for s in shapes]
             blob_len = sum(sizes) * 4
             if size != header_end + blob_len + 4:
@@ -202,8 +193,7 @@ def load_model(path) -> LoadedModel:
             if not np.isfinite(values).all():
                 raise CorruptModelError(f"{path}: non-finite parameter value")
             params = [v.reshape(s) for v, s in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
-            net = build_network(len(class_names), **layout, seed=header["seed"],
-                                dtype=np.float32, params=params)
+            net = build_network(len(class_names), seed=header["seed"], params=params)
             net.set_norm_stats(float(header["norm_mean"]), float(header["norm_variance"]))
         except (ConfigError, OverflowError) as exc:  # float() of an int beyond float range
             raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
@@ -277,9 +267,9 @@ class StdoutSink:
 
 
 class HttpSink:
-    """POSTs the JSON line to an http(s) URL, with one retry on a
-    connection error or an HTTP 5xx; a 4xx means the request itself is
-    refused, so it raises at once."""
+    """POSTs the JSON line to an http(s) URL, with one retry on a connection
+    error or an HTTP 5xx within the same timeout; a 4xx means the request
+    itself is refused, so it raises at once."""
 
     def __init__(self, url: str, timeout: float = 2.0):
         try:
@@ -299,12 +289,14 @@ class HttpSink:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
+        deadline = time.monotonic() + self.timeout  # one for both attempts
         try:
             urllib.request.urlopen(request, timeout=self.timeout).close()
         except OSError as exc:  # URLError and HTTPError are OSErrors
-            if isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
+            left = deadline - time.monotonic()
+            if left <= 0 or isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
                 raise
-            urllib.request.urlopen(request, timeout=self.timeout).close()
+            urllib.request.urlopen(request, timeout=left).close()
 
 
 class CommandSink:

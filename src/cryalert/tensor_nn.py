@@ -19,7 +19,8 @@ so no batch-sized patch matrix is ever held.
 
 The canonical stack is resize -> normalize -> conv(relu) -> conv(relu)
 -> maxpool -> dropout -> flatten -> dense(relu) -> dropout -> dense,
-producing class-count logits.  param_shapes alone gives its shapes.
+producing class-count logits.  Its layout is fixed by module constants,
+and param_shapes gives its shapes from the class count alone.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .rng import STREAM_DROPOUT, STREAM_INIT, philox_stream
 # the paper's 3x3 kernels, and its dropout after the pool and after dense1
 KERNEL_SIZE = 3
 DROPOUT_RATES = (0.25, 0.5)
+# the TensorFlow audio tutorial's resize, conv widths and dense width
+RESIZE = (32, 32)
+CONV_FILTERS = (32, 64)
+DENSE_UNITS = 128
 
 # ---------------------------------------------------------------------------
 # bilinear resize
@@ -378,12 +383,11 @@ class Network:
     makes same-seed runs reproduce bit for bit.
     """
 
-    def __init__(self, layers, class_count, seed, dtype, arch):
+    def __init__(self, layers, class_count, seed, dtype):
         self.layers = layers
         self.class_count = class_count
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        self.arch = arch
         self.dropout_rng = philox_stream(seed, STREAM_DROPOUT)
 
     def parameters(self):
@@ -434,33 +438,21 @@ class Network:
         return [g for layer_grads in grads_per_layer for g in layer_grads]
 
 
-def param_shapes(
-    class_count: int,
-    resize=(32, 32),
-    conv_filters=(32, 64),
-    dense_units: int = 128,
-) -> list:
+def param_shapes(class_count: int) -> list:
     """Shapes of build_network's parameters, in parameters() order.
 
-    Validates the layout without allocating anything, so a model file's
-    length can be checked before the network is built.
+    Nothing is allocated, so a model file's length can be checked before
+    the network is built.
     """
     if class_count < 2:
         raise ConfigError(f"need at least 2 classes, got {class_count}")
-    rh, rw = resize
-    f1, f2 = conv_filters
     k = KERNEL_SIZE
-
-    h, w = rh - k + 1, rw - k + 1   # conv1
-    h, w = h - k + 1, w - k + 1     # conv2
-    if h < 1 or w < 1:
-        raise ConfigError(f"resize target {resize} too small for two {k}x{k} convs")
-    if h % 2 or w % 2:
-        raise ConfigError(f"conv output {h}x{w} not divisible by the 2x2 pool")
+    f1, f2 = CONV_FILTERS
+    h, w = (n - 2 * (k - 1) for n in RESIZE)  # after two valid convs
     flat = (h // 2) * (w // 2) * f2
     return [(k, k, 1, f1), (f1,), (k, k, f1, f2), (f2,),
-            (flat, dense_units), (dense_units,),
-            (dense_units, class_count), (class_count,)]
+            (flat, DENSE_UNITS), (DENSE_UNITS,),
+            (DENSE_UNITS, class_count), (class_count,)]
 
 
 def _glorot(rng, shape, dtype):
@@ -471,28 +463,21 @@ def _glorot(rng, shape, dtype):
     return rng.uniform(-limit, limit, shape).astype(dtype)
 
 
-def build_network(
-    class_count: int,
-    resize=(32, 32),
-    conv_filters=(32, 64),
-    dense_units: int = 128,
-    seed: int = 0,
-    dtype=np.float32,
-    params=None,
-) -> Network:
-    """Assemble the standard stack with Glorot-uniform weights.
+def build_network(class_count: int, seed: int = 0, params=None) -> Network:
+    """Assemble the float32 stack with Glorot-uniform weights.
 
     Weight draws come from the init stream of `seed` in layer order
     (conv1, conv2, dense1, dense2); biases start at zero.  Given params
     (arrays in param_shapes order, as load_model has), nothing is drawn.
     """
-    shapes = param_shapes(class_count, resize, conv_filters, dense_units)
+    shapes = param_shapes(class_count)
     if params is None:
         rng = philox_stream(seed, STREAM_INIT)
-        params = [_glorot(rng, s, dtype) if len(s) > 1 else np.zeros(s, dtype) for s in shapes]
+        params = [_glorot(rng, s, np.float32) if len(s) > 1 else np.zeros(s, np.float32)
+                  for s in shapes]
     conv1, b1, conv2, b2, dense1, b3, dense2, b4 = params
     layers = [
-        Resize(*resize),
+        Resize(*RESIZE),
         Normalize(),
         Conv2D(conv1, input_grad=False, bias=b1),
         Conv2D(conv2, bias=b2),
@@ -503,10 +488,4 @@ def build_network(
         Dropout(DROPOUT_RATES[1]),
         Dense(dense2, use_relu=False, bias=b4),
     ]
-    arch = {
-        "resize": list(resize),
-        "conv_filters": list(conv_filters),
-        "dense_units": dense_units,
-    }
-    return Network(layers, class_count, seed, dtype, arch)
-
+    return Network(layers, class_count, seed, np.float32)

@@ -15,7 +15,21 @@ import pytest
 from hypothesis import strategies as st
 
 from cryalert.cli import main
+from cryalert.rng import STREAM_INIT, philox_stream
 from cryalert.synth import generate_corpus
+from cryalert.tensor_nn import (
+    DROPOUT_RATES,
+    KERNEL_SIZE,
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool2D,
+    Network,
+    Normalize,
+    Resize,
+    _glorot,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +139,14 @@ def rewrite_model_header(src, dst, header):
     return dst
 
 
-def mutated(base: bytes):
-    """Strategy: base with up to 8 bytes overwritten, then cut at any length."""
-    edits = st.lists(st.tuples(st.integers(0, len(base) - 1), st.integers(0, 255)),
-                     max_size=8)
+def mutated(base: bytes, positions=None):
+    """Strategy: base with up to 8 bytes overwritten, then cut at any length.
+
+    positions draws where the edits land; by default any byte of base.
+    """
+    if positions is None:
+        positions = st.integers(0, len(base) - 1)
+    edits = st.lists(st.tuples(positions, st.integers(0, 255)), max_size=8)
 
     def apply(args):
         changes, length = args
@@ -138,6 +156,32 @@ def mutated(base: bytes):
         return bytes(data[:length])
 
     return st.tuples(edits, st.integers(0, len(base))).map(apply)
+
+
+def toy_network(class_count=3, seed=33):
+    """build_network's stack at reduced widths and in float64, so finite
+    differences reach every parameter: resize 8x8, convs of 2 filters,
+    dense 4.  Weights come from the init stream of `seed` in layer order
+    (conv1, conv2, dense1, dense2), as build_network draws them."""
+    k = KERNEL_SIZE
+    rng = philox_stream(seed, STREAM_INIT)
+
+    def weights(*shape):
+        return _glorot(rng, shape, np.float64)
+
+    layers = [
+        Resize(8, 8),
+        Normalize(),
+        Conv2D(weights(k, k, 1, 2), input_grad=False),
+        Conv2D(weights(k, k, 2, 2)),
+        MaxPool2D(),
+        Dropout(DROPOUT_RATES[0]),
+        Flatten(),
+        Dense(weights(2 * 2 * 2, 4)),  # 8x8 -> 6x6 -> 4x4, pooled to 2x2, 2 filters
+        Dropout(DROPOUT_RATES[1]),
+        Dense(weights(4, class_count), use_relu=False),
+    ]
+    return Network(layers, class_count, seed, np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from cryalert.tensor_nn import Conv2D, Dense, build_network, softmax_cross_entro
 from cryalert.optim_train import evaluate, split_arrays
 from cryalert.wav_io import load_dataset, load_wav, write_wav
 
-from conftest import dft_direct, rel_error
+from conftest import dft_direct, rel_error, toy_network
 
 
 def _report(capsys, n, ok, detail):
@@ -140,8 +140,7 @@ def test_criterion_03_gradients(capsys):
     worst = max(worst, _worst_rel(db2, _central_diff(dense_loss, b2)))
 
     # whole network on a reduced toy, every parameter, 64-bit
-    net = build_network(3, resize=(8, 8), conv_filters=(2, 2), dense_units=4, seed=33,
-                        dtype=np.float64)
+    net = toy_network()
     image = rng.uniform(0.0, 1.0, (1, 16, 18, 1))
     label = np.array([1])
 

@@ -326,7 +326,8 @@ class TestCorruptModelHeader:
     def test_wrong_typed_field_in_valid_header(self, untrained_model, small_corpus,
                                                tmp_path, capsys):
         header = read_model_header(untrained_model)
-        header["architecture"]["resize"] = "32x32"
+        header["architecture"] = {"resize": "32x32", "conv_filters": [32, 64],
+                                  "dense_units": 128}
         bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
         wav = next((small_corpus / "tone").glob("*.wav"))
         rc = main(["predict", "--model", str(bad), "--input", str(wav)])
@@ -382,6 +383,21 @@ class TestCorruptModelHeader:
         assert rc == 1
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("error:") and "describes no valid model" in err
+
+    @pytest.mark.parametrize("field, value", [("dense_units", 1024), ("resize", [33, 33]),
+                                              ("conv_filters", [16, 32])])
+    def test_architecture_other_than_the_fixed_one(self, untrained_model, small_corpus,
+                                                   tmp_path, capsys, field, value):
+        header = read_model_header(untrained_model)
+        header["architecture"] = {"resize": [32, 32], "conv_filters": [32, 64],
+                                  "dense_units": 128, field: value}
+        bad = rewrite_model_header(untrained_model, tmp_path / "bad.cry", header)
+        wav = next((small_corpus / "tone").glob("*.wav"))
+        rc = main(["predict", "--model", str(bad), "--input", str(wav)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:") and f"architecture.{field}" in err
 
 
 class TestSpectrogramCommand:
@@ -742,7 +758,7 @@ from cryalert.spectro import StftConfig
 from cryalert.wav_io import AudioClip
 tracer = spans.Tracer()
 spans.instrument(tracer)
-net = tensor_nn.build_network(3, resize=(8, 8), conv_filters=(2, 2), dense_units=4)
+net = tensor_nn.build_network(3)
 logits, cache = net.forward(np.zeros((2, 16, 18, 1), np.float32), train=True)
 net.backward(cache, np.zeros_like(logits))
 infer_alert.save_model(tensor_nn.build_network(3), StftConfig(), ["a", "b", "c"], "m.cry")

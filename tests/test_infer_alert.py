@@ -4,8 +4,10 @@ import io
 import json
 import logging
 import os
+import socket
 import struct
 import threading
+import time
 import tracemalloc
 import urllib.error
 import zlib
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryalert import tensor_nn
+from cryalert import infer_alert, tensor_nn
 from cryalert.errors import (
     ConfigError,
     CorruptModelError,
@@ -258,16 +260,25 @@ def _leaf_paths(node, prefix=()):
 OLDER_STFT = {"frame_length": 255, "frame_step": 128, "fft_length": 256, "window": "hann"}
 
 
+# the architecture object of headers written while the layout was configurable
+OLDER_ARCH = {"resize": [32, 32], "conv_filters": [32, 64], "dense_units": 128}
+
+
 def _older_stft(**changes):
     """Header mutation: write an older stft object with some fields changed."""
     return _set(["stft"], {**OLDER_STFT, **changes})
+
+
+def _older_arch(**changes):
+    """Header mutation: write an older architecture object with some fields changed."""
+    return _set(["architecture"], {**OLDER_ARCH, **changes})
 
 
 def _huge_fft(header):
     # plus an input_shape as wide as that fft's image, which older
     # headers carry and loading ignores
     header["stft"] = {**OLDER_STFT, "fft_length": 2 ** 18}
-    header["architecture"]["input_shape"] = [124, 2 ** 17 + 1, 1]
+    header["architecture"] = {**OLDER_ARCH, "input_shape": [124, 2 ** 17 + 1, 1]}
     return header
 
 
@@ -275,7 +286,6 @@ HEADER_MUTATIONS = {
     "empty object": lambda h: {},
     "empty list": lambda h: [],
     "architecture not an object": _set(["architecture"], []),
-    "resize too short": _set(["architecture", "resize"], [32]),
     "stft window as number": _older_stft(window=5),
     "stft not an object": _set(["stft"], [255, 128]),
     "class_names as string": _set(["class_names"], "amchirpnoisetone"),
@@ -285,7 +295,6 @@ HEADER_MUTATIONS = {
     "created as null": _set(["created"], None),
     "duplicate class names": _set(["class_names"], ["am", "am", "noise", "tone"]),
     # well-typed, but rejected by param_shapes / the fixed STFT / Normalize
-    "resize not poolable": _set(["architecture", "resize"], [33, 33]),
     "one class": _set(["class_names"], ["am"]),
     "negative variance": _set(["norm_variance"], -1.0),
     "NaN variance": _set(["norm_variance"], float("nan")),
@@ -297,6 +306,10 @@ HEADER_MUTATIONS = {
     "fft 512 for frame 255": _older_stft(fft_length=512),
     "rectangular window": _older_stft(window="rectangular"),
     "hop 64": _set(["stft"], {"frame_length": 255, "frame_step": 64}),
+    # older headers store the layout; only the fixed one loads
+    "resize 33x33": _older_arch(resize=[33, 33]),
+    "conv filters 16, 32": _older_arch(conv_filters=[16, 32]),
+    "dense_units 1024": _older_arch(dense_units=1024),
     # JSON integers beyond float range
     "mean 10**400": _set(["norm_mean"], 10 ** 400),
     "variance 10**400": _set(["norm_variance"], 10 ** 400),
@@ -323,21 +336,32 @@ class TestHeaderValidation:
             assert np.array_equal(a, b)
 
     def test_oversized_architecture_rejected_before_allocating(self, saved, tmp_path):
-        # the header claims an 8x wider dense layer than the stored parameters
+        # an older header claims an 8x wider dense layer than the stored parameters
         _, path = saved
-        header = read_model_header(path)
-        header["architecture"]["dense_units"] = 1024
+        header = _older_arch(dense_units=1024)(read_model_header(path))
         bad = rewrite_model_header(path, tmp_path / "wide.cry", header)
         valid_peak, bad_peak = _load_peaks(path, bad)
         assert bad_peak < valid_peak
+
+    @pytest.mark.parametrize("changes", [{"resize": [33, 33]}, {"dense_units": 1024}],
+                             ids=["resize", "dense_units"])
+    def test_other_architecture_fails_before_building(self, saved, tmp_path, monkeypatch,
+                                                      changes):
+        _, path = saved
+        header = _older_arch(**changes)(read_model_header(path))
+        bad = rewrite_model_header(path, tmp_path / "other.cry", header)
+        built = []
+        monkeypatch.setattr(infer_alert, "build_network", lambda *a, **k: built.append(a))
+        with pytest.raises(CorruptModelError, match=f"architecture.{next(iter(changes))}"):
+            load_model(bad)
+        assert built == []
 
     def test_oversized_input_shape_loads_within_valid_peak(self, saved, tmp_path):
         # older headers carry input_shape, which once sized the Resize
         # matrices: 129000 bins (1000x the STFT's 129) meant a 33 MB one.
         # It sizes nothing now; 64 KiB covers tracemalloc's noise between loads
         _, path = saved
-        header = read_model_header(path)
-        header["architecture"]["input_shape"] = [124, 129000, 1]
+        header = _older_arch(input_shape=[124, 129000, 1])(read_model_header(path))
         old = rewrite_model_header(path, tmp_path / "tall.cry", header)
         tracemalloc.start()
         try:
@@ -354,8 +378,7 @@ class TestHeaderValidation:
         # an input_shape smaller than the STFT image once loaded, and then
         # every predict raised ShapeError
         net, path = saved
-        header = read_model_header(path)
-        header["architecture"]["input_shape"] = [100, 129, 1]
+        header = _older_arch(input_shape=[100, 129, 1])(read_model_header(path))
         old = load_model(rewrite_model_header(path, tmp_path / "old.cry", header))
         clip = AudioClip(np.random.default_rng(8).uniform(-1, 1, 16000), 16000)
         assert (predict(old.network, old.stft_config, clip, NAMES)
@@ -365,9 +388,8 @@ class TestHeaderValidation:
         # older files also store what param_shapes derives, and the
         # dropout rates, which inference never uses
         net, path = saved
-        header = read_model_header(path)
-        header["architecture"].update(kernel_size=3, dropout_rates=[0.25, 0.5],
-                                      class_count=len(NAMES))
+        header = _older_arch(kernel_size=3, dropout_rates=[0.25, 0.5],
+                             class_count=len(NAMES))(read_model_header(path))
         header["param_shapes"] = [list(p.shape) for p in net.parameters()]
         old = load_model(rewrite_model_header(path, tmp_path / "old.cry", header))
         new = load_model(path)
@@ -407,15 +429,29 @@ class TestHeaderValidation:
             assert (predict(old.network, old.stft_config, clip, NAMES)
                     == predict(new.network, new.stft_config, clip, NAMES))
 
+    def test_parent_format_architecture_loads_bitwise(self, saved, tmp_path):
+        # files written while the layout was configurable store it, and no stft
+        _, path = saved
+        header = read_model_header(path)
+        assert "stft" not in header
+        header["architecture"] = dict(OLDER_ARCH)
+        old = load_model(rewrite_model_header(path, tmp_path / "old.cry", header))
+        new = load_model(path)
+        for a, b in zip(new.network.parameters(), old.network.parameters(), strict=True):
+            assert a.tobytes() == b.tobytes()
+        rng = np.random.default_rng(8)
+        for rate in (16000, 48000):
+            clip = AudioClip(rng.uniform(-1, 1, rate), rate)
+            assert (predict(old.network, old.stft_config, clip, NAMES)
+                    == predict(new.network, new.stft_config, clip, NAMES))
+
     def test_every_saved_field_is_required(self, saved, tmp_path):
         # a field load_model can do without is one it could derive, so
         # save_model should not write it
         _, path = saved
         leaves = _leaf_paths(read_model_header(path))
         assert sorted(leaves) == sorted(
-            [("architecture", key) for key in ("resize", "conv_filters", "dense_units")]
-            + [(key,) for key in ("class_names", "norm_mean", "norm_variance", "seed",
-                                  "created")])
+            (key,) for key in ("class_names", "norm_mean", "norm_variance", "seed", "created"))
         for leaf in leaves:
             header = _drop(list(leaf))(read_model_header(path))
             bad = rewrite_model_header(path, tmp_path / "drop.cry", header)
@@ -448,20 +484,26 @@ def _load_peaks(valid, bad):
 
 
 @pytest.fixture(scope="module")
-def small_model_bytes(tmp_path_factory):
-    """A model file of the reduced gradient-check architecture, as bytes."""
-    path = tmp_path_factory.mktemp("small_model") / "small.cry"
-    net = build_network(3, resize=(8, 8), conv_filters=(2, 2), dense_units=4, seed=33)
-    save_model(net, StftConfig(), ["a", "b", "c"], path, timestamp=0.0)
+def model_bytes(tmp_path_factory):
+    """A default three-class model file, as bytes."""
+    path = tmp_path_factory.mktemp("fuzz_model") / "m.cry"
+    save_model(build_network(3, seed=33), StftConfig(), ["a", "b", "c"], path, timestamp=0.0)
     return path.read_bytes(), path.with_name("mutated.cry")
 
 
 class TestModelFuzz:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data())
-    def test_mutated_file_loads_or_raises_model_file_error(self, small_model_bytes, data):
-        base, target = small_model_bytes
-        target.write_bytes(data.draw(mutated(base)))
+    def test_mutated_file_loads_or_raises_model_file_error(self, model_bytes, data):
+        # each edit lands in one of the header, the first KiB of the 6.5 MB
+        # blob and the CRC, so the header's share of edits stays what it was
+        # when the fuzz model was 629 bytes (about 41% of Hypothesis' draws)
+        base, target = model_bytes
+        header_end = 12 + struct.unpack_from("<I", base, 8)[0]
+        positions = st.one_of(st.integers(0, header_end - 1),
+                              st.integers(header_end, header_end + 1023),
+                              st.integers(len(base) - 4, len(base) - 1))
+        target.write_bytes(data.draw(mutated(base, positions)))
         try:
             loaded = load_model(target)
         except ModelFileError:
@@ -681,6 +723,19 @@ class TestSinks:
         with pytest.raises(urllib.error.HTTPError):
             HttpSink(url).send('{"k":4}')
         assert len(handler.hits) == 1
+
+    def test_http_sink_one_timeout_for_both_attempts(self):
+        # a host that takes the connection and never answers: the retry
+        # gets only what is left of the one timeout, none here
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(1)
+            url = f"http://127.0.0.1:{server.getsockname()[1]}/"
+            start = time.monotonic()
+            with pytest.raises(OSError):
+                HttpSink(url, timeout=1.0).send('{"k":5}')
+            elapsed = time.monotonic() - start
+        assert elapsed < 1.6
 
     @pytest.mark.parametrize("url", ["file:///etc/hostname", "notaurl", "ftp://host/x",
                                      "http://", "https:///path", "http://[::1/",

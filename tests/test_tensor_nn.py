@@ -19,7 +19,7 @@ from cryalert.tensor_nn import (
     softmax_cross_entropy_batch,
 )
 
-from conftest import conv2d_loops, maxpool_loops, rel_error
+from conftest import conv2d_loops, maxpool_loops, rel_error, toy_network
 
 
 def central_diff(f, x, h=1e-6):
@@ -128,12 +128,6 @@ class TestResize:
         y = resize(x, 32, 32)
         assert y.shape == (32, 32, 1)
         assert y.dtype == np.float32
-
-    def test_bad_target(self):
-        # the layer is only built by build_network, which validates the size
-        for target in ((0, 0), (0, 32), (32, -1)):
-            with pytest.raises(ConfigError):
-                build_network(4, resize=target)
 
     def test_bad_input_rank(self):
         net = build_network(4, seed=0)
@@ -688,14 +682,20 @@ class TestNetwork:
         ]
         assert sum(p.size for p in params) == 1_625_092
 
-    @pytest.mark.parametrize("layout", [
-        {},
-        {"resize": (8, 10), "conv_filters": (2, 5), "dense_units": 4},
-        {"resize": (14, 18)},
-    ])
-    def test_param_shapes_match_built_network(self, layout):
-        net = build_network(3, seed=0, **layout)
-        assert param_shapes(3, **layout) == [p.shape for p in net.parameters()]
+    @pytest.mark.parametrize("class_count", [2, 3, 4])
+    def test_param_shapes_match_built_network(self, class_count):
+        net = build_network(class_count, seed=0)
+        assert param_shapes(class_count) == [p.shape for p in net.parameters()]
+
+    def test_toy_network_has_build_networks_layout(self):
+        # the finite-difference toy differs from the real stack only in its
+        # widths, dtype and class count
+        def layout(net):
+            return [(type(layer), getattr(layer, "use_relu", None),
+                     getattr(layer, "input_grad", None), getattr(layer, "rate", None))
+                    for layer in net.layers]
+
+        assert layout(toy_network()) == layout(build_network(4))
 
     def test_glorot_bounds_and_zero_biases(self):
         net = build_network(4, seed=9)
@@ -744,7 +744,7 @@ class TestNetwork:
                 net.forward(np.zeros(shape, dtype=np.float32))
 
     def test_any_image_size_accepted(self):
-        net = build_network(4, conv_filters=(3, 4), dense_units=6, seed=3)
+        net = build_network(4, seed=3)
         resize = net.layers[0]
         for shape in ((2, 100, 129, 1), (1, 372, 257, 1), (3, 5, 7, 1)):
             logits, cache = net.forward(np.ones(shape, dtype=np.float32), train=True)
@@ -767,7 +767,7 @@ class TestNetwork:
 
     def test_train_mode_same_seed_bitwise_gradients(self):
         def run():
-            net = build_network(4, resize=(10, 10), conv_filters=(3, 4), dense_units=6, seed=21)
+            net = build_network(4, seed=21)
             rng = np.random.default_rng(0)
             x = rng.uniform(0, 1, (4, 20, 20, 1)).astype(np.float32)
             labels = np.array([0, 1, 2, 3])
@@ -779,7 +779,7 @@ class TestNetwork:
             assert np.array_equal(ga, gb)
 
     def test_backward_zero_cotangent_gives_zero_grads(self):
-        net = build_network(4, resize=(10, 10), conv_filters=(3, 4), dense_units=6, seed=2)
+        net = build_network(4, seed=2)
         x = np.ones((2, 20, 20, 1), dtype=np.float32)
         _, cache = net.forward(x)
         grads = net.backward(cache, np.zeros((2, 4), dtype=np.float32))
@@ -805,10 +805,6 @@ class TestNetwork:
         with pytest.raises(ConfigError):
             build_network(1)
 
-    def test_pool_parity_validated(self):
-        with pytest.raises(ConfigError):
-            build_network(4, resize=(33, 33))
-
     def test_norm_stats_plumbing(self):
         net = build_network(4, seed=0)
         assert net.norm_stats == (0.0, 1.0)
@@ -818,14 +814,14 @@ class TestNetwork:
             net.set_norm_stats(0.0, -1.0)
 
     def test_first_conv_skips_input_gradient(self):
-        net = build_network(4, resize=(10, 10), conv_filters=(3, 4), dense_units=6, seed=21)
+        net = build_network(4, seed=21)
         conv1, conv2 = net.layers[2], net.layers[3]
         assert not conv1.input_grad and conv2.input_grad
         x = np.random.default_rng(47).uniform(0, 1, (4, 20, 20, 1)).astype(np.float32)
         logits, cache = net.forward(x, train=True)
         _, dlogits = softmax_cross_entropy_batch(logits, np.array([0, 1, 2, 3]))
         dlogits /= 4
-        dy = np.ones((4, 8, 8, 3), dtype=np.float32)
+        dy = np.ones((4, 30, 30, 32), dtype=np.float32)
         assert conv1.backward(cache.layer_caches[2], dy)[0] is None
 
         skipped = net.backward(cache, dlogits)
@@ -837,8 +833,7 @@ class TestNetwork:
 
     def test_end_to_end_gradient_reduced_toy(self):
         # reduced widths keep every parameter reachable by finite differences
-        net = build_network(3, resize=(8, 8), conv_filters=(2, 2), dense_units=4, seed=33,
-                            dtype=np.float64)
+        net = toy_network()
         rng = np.random.default_rng(34)
         x = rng.uniform(0, 1, (1, 16, 18, 1))
         label = np.array([1])
