@@ -38,7 +38,7 @@ from .optim_train import TrainConfig, evaluate, split_arrays, train
 from .spectro import StftConfig, export_spectrogram, stft_magnitude
 from .synth import CLASSES, generate_corpus
 from .tensor_nn import build_network
-from .wav_io import load_dataset, load_wav
+from .wav_io import load_dataset, load_wav, replace_file
 
 log = logging.getLogger("cryalert")
 
@@ -175,7 +175,7 @@ def cmd_train(args) -> int:
     report = train(net, dataset, cfg)
     # written first, so a run that diverged still shows where
     report_path = Path(str(args.out) + ".report.json")
-    report_path.write_text(report.to_json())
+    replace_file(report_path, [report.to_json().encode()])
     save_model(net, StftConfig(), dataset.class_names, args.out)
     print(report.to_text())
     print(f"model: {args.out}")

@@ -44,7 +44,7 @@ from .errors import (
 from .spectro import FFT_LENGTH, FRAME_LENGTH, FRAME_STEP, StftConfig, clip_images
 from .tensor_nn import (CONV_FILTERS, DENSE_UNITS, RESIZE, Network, build_network,
                         param_shapes, softmax)
-from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, open_regular
+from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, open_regular, replace_file
 
 log = logging.getLogger("cryalert")
 
@@ -108,12 +108,8 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
     }
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes() for p in params)
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<II", MODEL_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob)))
+    replace_file(path, [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(header_bytes)),
+                        header_bytes, blob, struct.pack("<I", zlib.crc32(blob))])
 
 
 @dataclass

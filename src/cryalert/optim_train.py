@@ -1,6 +1,6 @@
 """Adam, the training loop, evaluation and reporting.
 
-Training is fully deterministic for a fixed seed: spectrograms are
+Training is fully deterministic for a fixed seed: images are
 precomputed once, batch order comes from the shuffle stream, dropout
 from the network's own stream, and every reduction runs in a fixed
 order.
@@ -223,9 +223,9 @@ def train(
 ) -> TrainReport:
     """Mini-batch Adam training over the dataset's train split.
 
-    Spectrograms for every split are computed once up front.  Pixel
-    statistics are fitted on the resized train images and stored on the
-    network before the first epoch.  Each epoch reshuffles the train
+    The 32x32 images of every split are computed once up front.  Pixel
+    statistics are fitted on the train images and stored on the network
+    before the first epoch.  Each epoch reshuffles the train
     split from the shuffle stream, runs batched forward/backward in
     train mode, applies Adam, then scores the val split in infer mode.
     Training stops after the first epoch whose mean loss is not finite.
@@ -245,7 +245,7 @@ def train(
     train_x, train_y = split_arrays(dataset, "train", net.dtype)
     val_x, val_y = split_arrays(dataset, "val", net.dtype)
 
-    mean, variance = fit_normalization([net.resize_images(train_x)])
+    mean, variance = fit_normalization([train_x])
     net.set_norm_stats(mean, variance)
 
     params = net.parameters()

@@ -7,8 +7,8 @@ It is a hand-written windowed DFT taken as one matrix product: the
 frames multiply a cached (FRAME_LENGTH, 2 * NUM_BINS) basis that folds
 in the window and the padding and yields the real and imaginary parts;
 the magnitude is sqrt(re^2 + im^2), squared and summed in place.  A
-16000-sample clip comes out as a (124, 129) array; `clip_images` stacks
-those of canonical clips as the network's input.
+16000-sample clip comes out as a (124, 129) array; `clip_images` resizes
+each canonical clip's, one at a time, to the network's 32x32 input.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError, TooShortError
-from .wav_io import AudioClip, canonical_clip
+from .tensor_nn import RESIZE, _interp_matrix
+from .wav_io import DEFAULT_CLIP_SAMPLES, AudioClip, canonical_clip
 
 FRAME_LENGTH = 255
 FRAME_STEP = 128
 FFT_LENGTH = 256
 NUM_BINS = FFT_LENGTH // 2 + 1
+NUM_FRAMES = 1 + (DEFAULT_CLIP_SAMPLES - FRAME_LENGTH) // FRAME_STEP  # of a canonical clip
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,13 @@ def stft_magnitude(clip, dtype=np.float32) -> np.ndarray:
 
 
 def clip_images(clips, dtype=np.float32) -> np.ndarray:
-    """The (n, frames, NUM_BINS, 1) network input: stft_magnitude of each canonical_clip."""
-    mats = [stft_magnitude(canonical_clip(clip), dtype) for clip in clips]
-    return np.stack(mats)[..., None]
+    """The (n, *RESIZE, 1) network input: rows @ stft_magnitude @ cols.T of each canonical_clip."""
+    clips = list(clips)  # the output is allocated before the first clip is imaged
+    rows, cols = (_interp_matrix(n, size, dtype) for n, size in zip((NUM_FRAMES, NUM_BINS), RESIZE))
+    images = np.empty((len(clips), *RESIZE, 1), dtype)
+    for image, clip in zip(images, clips):
+        image[..., 0] = rows @ stft_magnitude(canonical_clip(clip), dtype) @ cols.T
+    return images
 
 
 def _shortest(v) -> str:

@@ -3,8 +3,9 @@
 Tensors are plain numpy ndarrays in row-major order.  Every layer works
 on batches, images as (n, height, width, channels) and feature vectors
 as (n, features); a single example is a batch of one.  The Network
-takes an (n, h, w, 1) batch of spectrograms of any size, since the
-resize reads h and w from its input.  Every layer implements
+takes an (n, h, w, 1) batch of images of any size, since the resize
+reads h and w from its input; on clip_images' 32x32 output it is the
+identity, kept for the benchmark's resize spans.  Every layer implements
 forward(x, train, rng) -> (y, cache) and
 backward(cache, dy) -> (dx, param_grads); caches are explicit values
 rather than layer state, so a Network can serve concurrent inference
@@ -401,20 +402,12 @@ class Network:
     def set_norm_stats(self, mean, variance):
         self.layers[1].set_stats(mean, variance)
 
-    def resize_images(self, images):
-        """Just the resize stage, for fitting pixel statistics."""
-        return self.layers[0].forward(self._coerce(images))[0]
-
-    def _coerce(self, images):
-        x = np.asarray(images, dtype=self.dtype)
-        if x.ndim != 4 or x.shape[3] != 1 or min(x.shape[1:3]) < 1:
-            raise ShapeError(f"expected an (n, h, w, 1) batch, got shape {x.shape}")
-        return x
-
     def forward(self, images, train: bool = False):
         """Run the stack on an (n, h, w, 1) batch; returns (logits, cache)
         with cache feeding backward."""
-        x = self._coerce(images)
+        x = np.asarray(images, dtype=self.dtype)
+        if x.ndim != 4 or x.shape[3] != 1 or min(x.shape[1:3]) < 1:
+            raise ShapeError(f"expected an (n, h, w, 1) batch, got shape {x.shape}")
         caches = []
         for layer in self.layers:
             x, c = layer.forward(x, train=train, rng=self.dropout_rng)

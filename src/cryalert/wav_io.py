@@ -150,6 +150,20 @@ def open_regular(path, error=FormatError):
         yield fh, st.st_size
 
 
+def replace_file(path, chunks) -> None:
+    """Write byte chunks beside path, fsync, rename over path; a failure leaves path as is."""
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")  # never *.wav
+    with open(tmp, "wb") as fh:
+        try:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+
+
 def load_wav(path) -> AudioClip:
     """Decode a regular WAV file; a FIFO, device or directory is a FormatError."""
     with open_regular(path) as (fh, _size):

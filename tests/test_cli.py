@@ -19,7 +19,7 @@ import pytest
 
 from cryalert.cli import DirectoryWatcher, build_parser, main
 from cryalert.errors import FormatError
-from cryalert.infer_alert import StdoutSink, save_model
+from cryalert.infer_alert import StdoutSink, load_model, save_model
 from cryalert.spectro import StftConfig
 from cryalert.synth import CLASSES, generate_corpus
 from cryalert.tensor_nn import build_network
@@ -127,6 +127,33 @@ class TestTrainCommand:
         report = json.loads(Path(str(out) + ".report.json").read_text(),
                             parse_constant=refuse)
         assert report["epochs"] == 1 and report["train_loss"] == [None]
+
+    def test_failed_model_write_keeps_the_old_model(self, untrained_model, small_corpus,
+                                                    tmp_path):
+        # the child may write files of at most 1 MiB, so the 6.5 MB model
+        # fails part way; a write in place would leave a truncated file
+        out = tmp_path / "m.cry"
+        shutil.copyfile(untrained_model, out)
+
+        def small_files():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (2 ** 20, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "cryalert.cli", "train", "--data", str(small_corpus),
+             "--out", str(out), "--epochs", "1", "--batch", "8"],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+            preexec_fn=small_files)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert out.read_bytes() == untrained_model.read_bytes()
+        kept, before = load_model(out), load_model(untrained_model)
+        for p, q in zip(kept.network.parameters(), before.network.parameters()):
+            assert p.tobytes() == q.tobytes()
+        # the report, written first, fits; no temporary file is left
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.cry", "m.cry.report.json"]
 
     def test_fifo_in_corpus(self, tmp_path):
         main(["synth", "--out", str(tmp_path / "c"), "--per-class", "1"])

@@ -17,12 +17,12 @@ from cryalert.optim_train import (
     split_arrays,
     train,
 )
-from cryalert.spectro import clip_images
+from cryalert.spectro import clip_images, stft_magnitude
 from cryalert.synth import generate_corpus
-from cryalert.tensor_nn import build_network, softmax_cross_entropy_batch
-from cryalert.wav_io import AudioClip, load_dataset
+from cryalert.tensor_nn import RESIZE, Resize, build_network, softmax_cross_entropy_batch
+from cryalert.wav_io import AudioClip, LabeledDataset, canonical_clip, load_dataset, parse_wav
 
-from conftest import streaming_mean_var
+from conftest import make_wav_bytes, streaming_mean_var
 
 
 def reference_adam(params, grads, state_t, ms, vs, lr, b1=0.9, b2=0.999, eps=1e-7):
@@ -301,15 +301,14 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-4, seed=6)
         train(net, toy_setup, cfg)
         x, _ = split_arrays(toy_setup, "train", net.dtype)
-        resized = net.resize_images(x).astype(np.float64)
-        normed, _ = net.layers[1].forward(resized)  # the Normalize layer
+        normed, _ = net.layers[1].forward(x.astype(np.float64))  # the Normalize layer
         assert abs(normed.mean()) < 1e-6
         assert abs(normed.var() - 1.0) < 1e-3
 
     def test_evaluate_matches_confusion(self, toy_setup):
         net = build_network(len(toy_setup.class_names), seed=8)
         x, y = split_arrays(toy_setup, "train", net.dtype)
-        mean, var = fit_normalization([net.resize_images(x)])
+        mean, var = fit_normalization([x])
         net.set_norm_stats(mean, var)
         loss, acc, cm = evaluate(net, x, y)
         assert cm.total == len(y)
@@ -351,5 +350,47 @@ class TestSpectrogramImages:
     def test_shape_and_dtype(self, toy_setup):
         clips = [AudioClip(row, 16000) for row in toy_setup.samples[:3]]
         images = clip_images(clips, np.float32)
-        assert images.shape == (3, 124, 129, 1)
+        assert images.shape == (3, 32, 32, 1)
         assert images.dtype == np.float32
+
+    def test_equals_resize_layer_of_full_size_stack(self):
+        # the image is the Resize layer applied to the stacked full-size
+        # spectrograms, bit for bit, for every kind of clip predict sees
+        rng = np.random.default_rng(12)
+        stereo = rng.integers(-30000, 30000, 2 * 16000)
+        clips = [
+            AudioClip(rng.uniform(-1, 1, 16000), 16000),
+            AudioClip(rng.uniform(-1, 1, 48000).astype(np.float32), 48000),
+            parse_wav(make_wav_bytes(stereo, rate=16000, channels=2)),
+            AudioClip(rng.uniform(-1, 1, 7000), 16000),
+            AudioClip(rng.uniform(-1, 1, 12000), 48000),
+        ]
+        full = np.stack([stft_magnitude(canonical_clip(c)) for c in clips])[..., None]
+        expected = Resize(*RESIZE).forward(full)[0]
+        images = clip_images(clips)
+        assert images.shape == expected.shape and images.dtype == expected.dtype
+        assert np.array_equal(images, expected)
+
+    def test_alone_equals_row_in_batch(self):
+        rng = np.random.default_rng(13)
+        clips = [AudioClip(rng.uniform(-1, 1, 16000), 16000) for _ in range(17)]
+        batch = clip_images(clips)
+        for i in (0, 8, 16):
+            assert np.array_equal(clip_images([clips[i]])[0], batch[i])
+
+    def test_split_arrays_holds_no_full_size_stack(self):
+        # each clip is resized as it is imaged, so imaging 64 rows peaks
+        # below one stack of their 124x129 spectrograms (4.1 MB)
+        rng = np.random.default_rng(14)
+        samples = rng.uniform(-1, 1, (64, 16000)).astype(np.float32)
+        ds = LabeledDataset(samples, np.zeros(64, dtype=np.int64), ["a", "b"],
+                            {"train": range(64)})
+        clip_images([AudioClip(samples[0], 16000)])  # the cached bases come first
+        tracemalloc.start()
+        try:
+            images, _ = split_arrays(ds, "train", np.float32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert images.shape == (64, 32, 32, 1)
+        assert peak < 64 * 124 * 129 * 4
