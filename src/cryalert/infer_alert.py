@@ -4,10 +4,10 @@ Model files are a small binary container: magic, format version, a
 JSON header (class names, normalization stats, seed, creation time) and
 the raw little-endian float32 parameter blobs in layer order, closed by
 a CRC-32 of the parameter region.  The STFT and the network layout are
-fixed, so param_shapes gives the shapes from the class count; an older
-file's stft and architecture must name the fixed values.  Loading reads
-only a regular file, magic and version first, never past what its size
-holds, and checks the length, CRC and finiteness before building.
+fixed, so param_shapes gives the shapes from the class count.  Loading
+reads only a regular file, magic and version first, never past what its
+size holds, and checks that the header holds exactly the fields
+save_model writes, then the length, CRC and finiteness, before building.
 
 Alerts are single-line JSON events with a fixed key order so
 downstream consumers can rely on the schema.
@@ -41,9 +41,8 @@ from .errors import (
     NotAModelError,
     TooShortError,
 )
-from .spectro import FFT_LENGTH, FRAME_LENGTH, FRAME_STEP, StftConfig, clip_images
-from .tensor_nn import (CONV_FILTERS, DENSE_UNITS, RESIZE, Network, build_network,
-                        param_shapes, softmax)
+from .spectro import FRAME_LENGTH, StftConfig, clip_images
+from .tensor_nn import Network, build_network, param_shapes, softmax
 from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, open_regular, replace_file
 
 log = logging.getLogger("cryalert")
@@ -52,14 +51,6 @@ MODEL_MAGIC = b"CRYA"
 MODEL_VERSION = 1
 MAX_HEADER_BYTES = 1 << 20  # a header is a few hundred bytes; more is hostile
 DEFAULT_ALERT_CLASSES = ("crying", "screaming")
-# objects older headers hold: each listed field, where present, must be
-# the fixed value, since ignoring another would change predictions silently
-_OLDER_OBJECTS = {
-    "stft": {"frame_length": FRAME_LENGTH, "frame_step": FRAME_STEP,
-             "fft_length": FFT_LENGTH, "window": "hann"},
-    "architecture": {"resize": list(RESIZE), "conv_filters": list(CONV_FILTERS),
-                     "dense_units": DENSE_UNITS},
-}
 
 
 def _rfc3339(ts: float) -> str:
@@ -121,14 +112,17 @@ class LoadedModel:
 
 
 def _check_header(header, path) -> None:
-    """Raise CorruptModelError unless every field save_model writes is
-    present with its type.  Ranges are left to param_shapes and Normalize,
-    whose ConfigError load_model converts."""
+    """Raise CorruptModelError unless the header holds exactly the fields
+    save_model writes, each with its type.  Ranges are left to param_shapes
+    and Normalize, whose ConfigError load_model converts."""
     def need(ok, field):
         if not ok:
             raise CorruptModelError(f"{path}: header field {field} missing or malformed")
 
     need(isinstance(header, dict), "(top level)")
+    unknown = sorted(set(header) - {"class_names", "norm_mean", "norm_variance", "seed", "created"})
+    if unknown:  # ignoring a field could change predictions silently
+        raise CorruptModelError(f"{path}: unknown header field {', '.join(unknown)}; retrain")
     names = header.get("class_names")
     need(isinstance(names, list) and all(isinstance(n, str) for n in names)
          and len(set(names)) == len(names), "class_names")
@@ -140,9 +134,11 @@ def _check_header(header, path) -> None:
 
 
 def load_model(path) -> LoadedModel:
-    """Read and verify a model file written by save_model; older files'
-    param_shapes and architecture's class_count, kernel_size, dropout_rates
-    and input_shape are ignored."""
+    """Read and verify a model file written by save_model.
+
+    A header field save_model does not write, such as an older version's
+    stft or architecture, raises CorruptModelError naming it before
+    anything is allocated."""
     with open_regular(path, lambda msg: ModelFileError(f"{path}: {msg}")) as (fh, size):
         data = fh.read(12)
         if len(data) < 12 or data[:4] != MODEL_MAGIC:
@@ -163,13 +159,6 @@ def load_model(path) -> LoadedModel:
 
         class_names = header["class_names"]
         try:
-            for name, fixed in _OLDER_OBJECTS.items():
-                older = header.get(name, {})
-                if not isinstance(older, dict):
-                    raise ConfigError(f"{name} is not an object")
-                for key, value in fixed.items():
-                    if older.get(key, value) != value:
-                        raise ConfigError(f"{name}.{key} is not the fixed {value!r}")
             # the length and the blob are checked before build_network allocates
             shapes = param_shapes(len(class_names))
             sizes = [math.prod(s) for s in shapes]

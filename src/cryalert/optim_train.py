@@ -88,15 +88,14 @@ def adam_step(params, grads, state: AdamState):
 
 
 def fit_normalization(images) -> tuple[float, float]:
-    """Mean and population variance over every pixel of every image.
+    """Mean and population variance over every pixel of an image array.
 
     Accumulates in float64 regardless of the image dtype.
     """
-    parts = [np.asarray(im, dtype=np.float64).ravel() for im in images]
-    if not parts or sum(p.size for p in parts) == 0:
+    x = np.asarray(images, np.float64)
+    if x.size == 0:
         raise DatasetError("cannot fit normalization on an empty image set")
-    flat = np.concatenate(parts)
-    return float(flat.mean()), float(flat.var())
+    return float(x.mean()), float(x.var())
 
 
 @dataclass
@@ -245,7 +244,7 @@ def train(
     train_x, train_y = split_arrays(dataset, "train", net.dtype)
     val_x, val_y = split_arrays(dataset, "val", net.dtype)
 
-    mean, variance = fit_normalization([train_x])
+    mean, variance = fit_normalization(train_x)
     net.set_norm_stats(mean, variance)
 
     params = net.parameters()

@@ -8,21 +8,21 @@ frames multiply a cached (FRAME_LENGTH, 2 * NUM_BINS) basis that folds
 in the window and the padding and yields the real and imaginary parts;
 the magnitude is sqrt(re^2 + im^2), squared and summed in place.  A
 16000-sample clip comes out as a (124, 129) array; `clip_images` resizes
-each canonical clip's, one at a time, to the network's 32x32 input.
+each canonical clip's, one at a time, to the network's 32x32 input: the
+pipeline's only resize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from pathlib import Path
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ShapeError, TooShortError
-from .tensor_nn import RESIZE, _interp_matrix
-from .wav_io import DEFAULT_CLIP_SAMPLES, AudioClip, canonical_clip
+from .tensor_nn import RESIZE
+from .wav_io import DEFAULT_CLIP_SAMPLES, AudioClip, canonical_clip, replace_file
 
 FRAME_LENGTH = 255
 FRAME_STEP = 128
@@ -80,6 +80,27 @@ def stft_magnitude(clip, dtype=np.float32) -> np.ndarray:
     return np.sqrt(power, out=power).astype(dtype)
 
 
+@lru_cache(maxsize=8)
+def _interp_matrix(n_in: int, n_out: int, dtype=np.float64) -> np.ndarray:
+    """Read-only row-stochastic (n_out, n_in) matrix of bilinear weights.
+
+    Source coordinates use half-pixel centers, src = (dst + 0.5) * n_in
+    / n_out - 0.5, clamped to the valid range; each row holds the <= 2
+    nonzero weights of one output sample, computed in float64.
+    """
+    dst = np.arange(n_out)
+    src = np.clip((dst + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    lo = np.floor(src).astype(np.intp)
+    hi = np.minimum(lo + 1, n_in - 1)
+    frac = src - lo
+    mat = np.zeros((n_out, n_in))
+    np.add.at(mat, (dst, lo), 1.0 - frac)
+    np.add.at(mat, (dst, hi), frac)
+    mat = mat.astype(dtype)
+    mat.flags.writeable = False  # shared by every caller of the cache
+    return mat
+
+
 def clip_images(clips, dtype=np.float32) -> np.ndarray:
     """The (n, *RESIZE, 1) network input: rows @ stft_magnitude @ cols.T of each canonical_clip."""
     clips = list(clips)  # the output is allocated before the first clip is imaged
@@ -104,12 +125,11 @@ def export_spectrogram(spec: np.ndarray, path, fmt: str) -> None:
     """
     if spec.ndim != 2:
         raise ShapeError(f"spectrogram must be 2-D, got shape {spec.shape}")
-    path = Path(path)
     if fmt == "csv":
         lines = []
         for row in spec:
             lines.append(",".join(_shortest(v) for v in row))
-        path.write_text("\n".join(lines) + "\n")
+        replace_file(path, [("\n".join(lines) + "\n").encode("ascii")])
     elif fmt == "pgm":
         logv = np.log1p(spec.astype(np.float64))
         lo, hi = logv.min(), logv.max()
@@ -118,6 +138,6 @@ def export_spectrogram(spec: np.ndarray, path, fmt: str) -> None:
         else:
             pixels = np.zeros_like(logv, dtype=np.uint8)
         header = f"P5\n{spec.shape[1]} {spec.shape[0]}\n255\n".encode("ascii")
-        path.write_bytes(header + pixels.tobytes())
+        replace_file(path, [header, pixels.tobytes()])
     else:
         raise ConfigError(f"unknown export format {fmt!r}, want 'csv' or 'pgm'")

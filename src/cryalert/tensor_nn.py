@@ -3,9 +3,9 @@
 Tensors are plain numpy ndarrays in row-major order.  Every layer works
 on batches, images as (n, height, width, channels) and feature vectors
 as (n, features); a single example is a batch of one.  The Network
-takes an (n, h, w, 1) batch of images of any size, since the resize
-reads h and w from its input; on clip_images' 32x32 output it is the
-identity, kept for the benchmark's resize spans.  Every layer implements
+takes only spectro.clip_images' (n, 32, 32, 1) batch: its first layer,
+Resize, checks that shape and passes the batch on unchanged; it stays
+in the stack for the benchmark's resize spans.  Every layer implements
 forward(x, train, rng) -> (y, cache) and
 backward(cache, dy) -> (dx, param_grads); caches are explicit values
 rather than layer state, so a Network can serve concurrent inference
@@ -18,17 +18,17 @@ formed for _CONV_BLOCK examples at a time, multiplied straight into the
 output in forward and formed again from the cached input in backward,
 so no batch-sized patch matrix is ever held.
 
-The canonical stack is resize -> normalize -> conv(relu) -> conv(relu)
--> maxpool -> dropout -> flatten -> dense(relu) -> dropout -> dense,
-producing class-count logits.  Its layout is fixed by module constants,
-and param_shapes gives its shapes from the class count alone.
+The canonical stack is resize (that input check) -> normalize ->
+conv(relu) -> conv(relu) -> maxpool -> dropout -> flatten -> dense(relu)
+-> dropout -> dense, producing class-count logits.  Its layout is fixed
+by module constants, and param_shapes gives its shapes from the class
+count alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,37 +43,6 @@ DROPOUT_RATES = (0.25, 0.5)
 RESIZE = (32, 32)
 CONV_FILTERS = (32, 64)
 DENSE_UNITS = 128
-
-# ---------------------------------------------------------------------------
-# bilinear resize
-
-@lru_cache(maxsize=8)
-def _interp_matrix(n_in: int, n_out: int, dtype=np.float64) -> np.ndarray:
-    """Read-only row-stochastic (n_out, n_in) matrix of bilinear weights.
-
-    Source coordinates use half-pixel centers, src = (dst + 0.5) * n_in
-    / n_out - 0.5, clamped to the valid range; each row holds the <= 2
-    nonzero weights of one output sample, computed in float64.
-    """
-    dst = np.arange(n_out)
-    src = np.clip((dst + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
-    lo = np.floor(src).astype(np.intp)
-    hi = np.minimum(lo + 1, n_in - 1)
-    frac = src - lo
-    mat = np.zeros((n_out, n_in))
-    np.add.at(mat, (dst, lo), 1.0 - frac)
-    np.add.at(mat, (dst, hi), frac)
-    mat = mat.astype(dtype)
-    mat.flags.writeable = False  # shared by every caller of the cache
-    return mat
-
-
-def _resize_batch(x, rows, cols):
-    # y[n,o,p,c] = sum_{h,w} rows[o,h] cols[p,w] x[n,h,w,c], as one batched
-    # rows @ image @ cols^T per (example, channel) plane
-    planes = np.moveaxis(x, -1, 1)                 # (n, c, h, w)
-    return np.moveaxis(rows @ planes @ cols.T, 1, -1)
-
 
 # ---------------------------------------------------------------------------
 # convolution (valid padding, stride 1, NHWC x (kh, kw, cin, cout))
@@ -208,8 +177,8 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
 # layers
 
 class Resize:
-    """Bilinear resize of any input size to (out_h, out_w); the cache carries
-    the input's interpolation matrices to backward, so no state is per size."""
+    """Input stage: passes an (n, out_h, out_w, 1) batch on unchanged, else
+    raises ShapeError.  Its name stays in the stack for the resize spans."""
 
     def __init__(self, out_h, out_w):
         self.out_h, self.out_w = out_h, out_w
@@ -218,16 +187,13 @@ class Resize:
         return []
 
     def forward(self, x, train=False, rng=None):
-        _, h, w, _ = x.shape
-        rows = _interp_matrix(h, self.out_h, x.dtype)
-        cols = _interp_matrix(w, self.out_w, x.dtype)
-        return _resize_batch(x, rows, cols), (rows, cols)
+        if x.shape[1:] != (self.out_h, self.out_w, 1):
+            raise ShapeError(
+                f"expected an (n, {self.out_h}, {self.out_w}, 1) batch, got shape {x.shape}")
+        return x, None
 
     def backward(self, cache, dy):
-        if dy is None:  # nothing upstream wants the input gradient
-            return None, []
-        rows, cols = cache
-        return _resize_batch(dy, rows.T, cols.T), []
+        return dy, []
 
 
 class Normalize:
@@ -403,11 +369,9 @@ class Network:
         self.layers[1].set_stats(mean, variance)
 
     def forward(self, images, train: bool = False):
-        """Run the stack on an (n, h, w, 1) batch; returns (logits, cache)
+        """Run the stack on a batch its Resize accepts; returns (logits, cache)
         with cache feeding backward."""
         x = np.asarray(images, dtype=self.dtype)
-        if x.ndim != 4 or x.shape[3] != 1 or min(x.shape[1:3]) < 1:
-            raise ShapeError(f"expected an (n, h, w, 1) batch, got shape {x.shape}")
         caches = []
         for layer in self.layers:
             x, c = layer.forward(x, train=train, rng=self.dropout_rng)

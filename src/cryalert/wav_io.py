@@ -151,7 +151,8 @@ def open_regular(path, error=FormatError):
 
 
 def replace_file(path, chunks) -> None:
-    """Write byte chunks beside path, fsync, rename over path; a failure leaves path as is."""
+    """Write byte chunks beside path, fsync, rename over path, fsync the directory
+    so the rename survives a crash; a failure before the rename leaves path as is."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")  # never *.wav
     with open(tmp, "wb") as fh:
         try:
@@ -162,6 +163,12 @@ def replace_file(path, chunks) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
+    # outside the try: once renamed, tmp names nothing to remove
+    fd = os.open(tmp.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_wav(path) -> AudioClip:
@@ -171,7 +178,7 @@ def load_wav(path) -> AudioClip:
 
 
 def write_wav(clip: AudioClip, path) -> None:
-    Path(path).write_bytes(encode_wav(clip))
+    replace_file(path, [encode_wav(clip)])
 
 
 def design_lowpass(rate: int, cutoff_hz: float) -> np.ndarray:

@@ -160,7 +160,7 @@ def mutated(base: bytes, positions=None):
 
 def toy_network(class_count=3, seed=33):
     """build_network's stack at reduced widths and in float64, so finite
-    differences reach every parameter: resize 8x8, convs of 2 filters,
+    differences reach every parameter: an 8x8 input, convs of 2 filters,
     dense 4.  Weights come from the init stream of `seed` in layer order
     (conv1, conv2, dense1, dense2), as build_network draws them."""
     k = KERNEL_SIZE

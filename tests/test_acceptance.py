@@ -17,7 +17,7 @@ from cryalert.errors import CorruptModelError
 from cryalert.infer_alert import StdoutSink, load_model, predict, save_model
 from cryalert.optim_train import AdamState, TrainConfig, adam_step, confusion_matrix, train
 from cryalert.rng import philox_stream
-from cryalert.spectro import stft_magnitude
+from cryalert.spectro import clip_images, stft_magnitude
 from cryalert.synth import generate_corpus, synth_clip
 from cryalert.tensor_nn import Conv2D, Dense, build_network, softmax_cross_entropy_batch
 from cryalert.optim_train import evaluate, split_arrays
@@ -41,15 +41,16 @@ CHAIN = [
 def test_criterion_01_shapes(capsys):
     clip = synth_clip("tone", philox_stream(0, 4))
     net = build_network(4, seed=0)
-    warm = np.zeros((1, 124, 129, 1), dtype=np.float32)
+    warm = np.zeros((1, 32, 32, 1), dtype=np.float32)
     net.forward(warm)  # absorb first-touch allocation cost
 
-    start = time.monotonic()
     spec = stft_magnitude(clip, dtype=np.float32)
-    logits, _ = net.forward(spec[None, ..., None])
+    start = time.monotonic()
+    image = clip_images([clip])
+    logits, _ = net.forward(image)
     elapsed = time.monotonic() - start
 
-    x, shapes = spec[None, ..., None], []
+    x, shapes = image, []
     for layer in net.layers:
         x = layer.forward(x)[0]
         shapes.append(x.shape[1:])
@@ -141,7 +142,7 @@ def test_criterion_03_gradients(capsys):
 
     # whole network on a reduced toy, every parameter, 64-bit
     net = toy_network()
-    image = rng.uniform(0.0, 1.0, (1, 16, 18, 1))
+    image = rng.uniform(0.0, 1.0, (1, 8, 8, 1))
     label = np.array([1])
 
     def net_loss():
@@ -293,7 +294,7 @@ def test_criterion_09_persistence(capsys, trained, tmp_path):
     rng = philox_stream(9, 0)
     bitwise = True
     for _ in range(10):
-        x = rng.uniform(0.0, 1.0, (1, 124, 129, 1)).astype(np.float32)
+        x = rng.uniform(0.0, 1.0, (1, 32, 32, 1)).astype(np.float32)
         a, _ = first.network.forward(x)
         b, _ = second.network.forward(x)
         bitwise &= bool(np.array_equal(a, b))

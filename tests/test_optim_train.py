@@ -17,9 +17,9 @@ from cryalert.optim_train import (
     split_arrays,
     train,
 )
-from cryalert.spectro import clip_images, stft_magnitude
+from cryalert.spectro import _interp_matrix, clip_images, stft_magnitude
 from cryalert.synth import generate_corpus
-from cryalert.tensor_nn import RESIZE, Resize, build_network, softmax_cross_entropy_batch
+from cryalert.tensor_nn import RESIZE, build_network, softmax_cross_entropy_batch
 from cryalert.wav_io import AudioClip, LabeledDataset, canonical_clip, load_dataset, parse_wav
 
 from conftest import make_wav_bytes, streaming_mean_var
@@ -320,7 +320,7 @@ class TestTrain:
     def test_evaluate_empty_rejected(self, toy_setup):
         net = build_network(len(toy_setup.class_names), seed=0)
         with pytest.raises(DatasetError):
-            evaluate(net, np.zeros((0, 124, 129, 1), dtype=np.float32),
+            evaluate(net, np.zeros((0, 32, 32, 1), dtype=np.float32),
                      np.zeros(0, dtype=np.int64))
 
 
@@ -333,7 +333,7 @@ def test_default_train_step_peak_memory():
     params = net.parameters()
     state = AdamState.for_params(params)
     rng = np.random.default_rng(9)
-    x = rng.uniform(0.0, 1.0, (64, 124, 129, 1)).astype(np.float32)
+    x = rng.uniform(0.0, 1.0, (64, 32, 32, 1)).astype(np.float32)
     labels = rng.integers(0, 4, 64)
     tracemalloc.start()
     try:
@@ -354,8 +354,9 @@ class TestSpectrogramImages:
         assert images.dtype == np.float32
 
     def test_equals_resize_layer_of_full_size_stack(self):
-        # the image is the Resize layer applied to the stacked full-size
-        # spectrograms, bit for bit, for every kind of clip predict sees
+        # the image is the bilinear resize rows @ spec @ cols.T of the
+        # stacked full-size spectrograms, bit for bit, batched over the
+        # stack, for every kind of clip predict sees
         rng = np.random.default_rng(12)
         stereo = rng.integers(-30000, 30000, 2 * 16000)
         clips = [
@@ -365,8 +366,9 @@ class TestSpectrogramImages:
             AudioClip(rng.uniform(-1, 1, 7000), 16000),
             AudioClip(rng.uniform(-1, 1, 12000), 48000),
         ]
-        full = np.stack([stft_magnitude(canonical_clip(c)) for c in clips])[..., None]
-        expected = Resize(*RESIZE).forward(full)[0]
+        full = np.stack([stft_magnitude(canonical_clip(c)) for c in clips])
+        rows, cols = (_interp_matrix(n, size, np.float32) for n, size in zip(full.shape[1:], RESIZE))
+        expected = (rows @ full @ cols.T)[..., None]
         images = clip_images(clips)
         assert images.shape == expected.shape and images.dtype == expected.dtype
         assert np.array_equal(images, expected)

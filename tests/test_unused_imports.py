@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+no module imports another package module's private (_-prefixed) names.
 
 __init__.py is skipped: its imports are the package's re-exports.
 """
@@ -26,6 +27,17 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def private_imports(source: str) -> list[str]:
+    """_-prefixed names that source imports from a module of the package,
+    by a relative import or by the package's name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "cryalert"):
+            names.extend(alias.name for alias in node.names if alias.name.startswith("_"))
+    return sorted(names)
+
+
 def test_checker_finds_unused_names():
     source = ("from __future__ import annotations\n"
               "import os, os.path, sys\n"
@@ -42,3 +54,18 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_private_checker_finds_package_names():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\n"
+              "from .tensor_nn import RESIZE, _interp_matrix as im\n"
+              "from cryalert.wav_io import _polyphase\n"
+              "from . import _private\n")
+    assert private_imports(source) == ["_interp_matrix", "_polyphase", "_private"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_private_imports_across_modules(path):
+    # a private name has one owner; a second user moves it or makes it public
+    assert private_imports(path.read_text()) == []

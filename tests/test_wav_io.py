@@ -1,3 +1,5 @@
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -23,9 +25,11 @@ from cryalert.wav_io import (
     load_dataset,
     load_wav,
     parse_wav,
+    replace_file,
     resample,
     write_wav,
 )
+from cryalert.spectro import export_spectrogram
 
 from conftest import dft_direct, make_wav_bytes, mutated
 
@@ -161,6 +165,60 @@ class TestRoundTrip:
         for name in ("null.wav", "dir.wav"):
             with pytest.raises(FormatError, match="^not a regular file$"):
                 load_wav(tmp_path / name)
+
+
+# every writer of the program's output files, each through replace_file
+WRITERS = {
+    "wav": lambda path: write_wav(AudioClip(np.linspace(-0.5, 0.5, 64), 16000), path),
+    "csv": lambda path: export_spectrogram(np.arange(6.0).reshape(2, 3), path, "csv"),
+    "pgm": lambda path: export_spectrogram(np.arange(6.0).reshape(2, 3), path, "pgm"),
+}
+
+
+class TestReplaceFile:
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / f"out.{kind}"
+        path.write_bytes(b"old contents")
+
+        def full_disk(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            WRITERS[kind](path)
+        assert path.read_bytes() == b"old contents"
+        assert os.listdir(tmp_path) == [path.name]  # no temporary file left
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_directory_synced_after_the_file(self, tmp_path, monkeypatch, kind):
+        # the rename is durable only once the directory holding it is synced
+        synced, fsync = [], os.fsync
+
+        def record(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        WRITERS[kind](tmp_path / f"out.{kind}")
+        assert synced == [False, True]
+
+    def test_failed_directory_sync_keeps_the_new_file(self, tmp_path, monkeypatch):
+        # the temporary file is already renamed, so nothing is unlinked
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        fsync = os.fsync
+
+        def directory_fails(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                raise OSError(5, "Input/output error")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", directory_fails)
+        with pytest.raises(OSError, match="Input/output error"):
+            replace_file(path, [b"new ", b"contents"])
+        assert path.read_bytes() == b"new contents"
+        assert os.listdir(tmp_path) == [path.name]
 
 
 class TestAudioClip:
