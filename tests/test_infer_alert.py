@@ -40,7 +40,7 @@ from cryalert.infer_alert import (
 )
 from cryalert.optim_train import split_arrays
 from cryalert.rng import STREAM_INIT, philox_stream
-from cryalert.spectro import StftConfig
+from cryalert.spectro import FFT_LENGTH, FRAME_LENGTH, FRAME_STEP, StftConfig
 from cryalert.tensor_nn import build_network, softmax
 from cryalert.wav_io import AudioClip, load_dataset, load_wav
 
@@ -356,6 +356,35 @@ class TestHeaderValidation:
         with pytest.raises(CorruptModelError, match="unknown header field architecture;"):
             load_model(bad)
         assert built == []
+
+    def test_parent_format_stft_loads_bitwise(self, saved, tmp_path):
+        # the STFT older files stored is the fixed one; files in the
+        # format that stopped storing it load and predict bitwise
+        net, path = saved
+        assert (FRAME_LENGTH, FRAME_STEP, FFT_LENGTH) == tuple(
+            OLDER_STFT[key] for key in ("frame_length", "frame_step", "fft_length"))
+        header = read_model_header(path)
+        assert "stft" not in header
+        loaded = load_model(rewrite_model_header(path, tmp_path / "same.cry", header))
+        assert loaded.stft_config == StftConfig()
+        for a, b in zip(net.parameters(), loaded.network.parameters(), strict=True):
+            assert a.tobytes() == b.tobytes()
+        clip = AudioClip(np.random.default_rng(8).uniform(-1, 1, 16000), 16000)
+        assert (predict(loaded.network, loaded.stft_config, clip, NAMES)
+                == predict(net, StftConfig(), clip, NAMES))
+
+    def test_frame_and_hop_stft_loads_bitwise(self, saved, tmp_path):
+        # files written while only the frame and the hop were settable
+        # stored 255 and 128, the fixed values; a loaded model frames
+        # clips of either rate as the saved network does
+        net, path = saved
+        assert (FRAME_LENGTH, FRAME_STEP) == (255, 128)
+        loaded = load_model(path)
+        rng = np.random.default_rng(8)
+        for rate in (16000, 48000):
+            clip = AudioClip(rng.uniform(-1, 1, rate), rate)
+            assert (predict(loaded.network, loaded.stft_config, clip, NAMES)
+                    == predict(net, StftConfig(), clip, NAMES))
 
     def test_every_saved_field_is_required(self, saved, tmp_path):
         # a field load_model can do without is one it could derive, so

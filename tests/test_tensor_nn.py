@@ -746,6 +746,25 @@ class TestNetwork:
             with pytest.raises(ShapeError):
                 net.forward(np.zeros(shape, dtype=np.float32))
 
+    def test_any_image_size_accepted(self):
+        # a spectrogram of any size reaches the network through the
+        # bilinear resize clip_images applies; the network sees 32x32 only
+        net = build_network(4, seed=3)
+        resize_layer = net.layers[0]
+        rng = np.random.default_rng(3)
+        for shape in ((2, 100, 129, 1), (1, 372, 257, 1), (3, 5, 7, 1)):
+            spec = rng.uniform(0, 1, shape).astype(np.float32)
+            x = np.stack([resize(image, 32, 32) for image in spec])
+            logits, cache = net.forward(x, train=True)
+            assert logits.shape == (shape[0], 4)
+            grads = net.backward(cache, np.ones_like(logits))
+            assert [g.shape for g in grads] == [p.shape for p in net.parameters()]
+        # the matrices live in spectro's shared read-only cache, not on the layer
+        assert vars(resize_layer) == {"out_h": 32, "out_w": 32}
+        rows = _interp_matrix(5, 32, np.dtype(np.float32))
+        assert rows is _interp_matrix(5, 32, np.dtype(np.float32))
+        assert not rows.flags.writeable
+
     def test_infer_deterministic_despite_dropout(self):
         net = build_network(4, seed=1)
         x = np.ones((1, 32, 32, 1), dtype=np.float32)
