@@ -15,14 +15,18 @@ downstream consumers can rely on the schema.
 
 from __future__ import annotations
 
+import functools
+import http.client
 import json
 import logging
 import math
 import os
 import shlex
+import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.parse
@@ -251,10 +255,52 @@ class StdoutSink:
         self.stream.flush()
 
 
+class _DeadlineHandler(urllib.request.HTTPSHandler):
+    """Opens http and https connections that expire() shuts down: the open
+    ones at once, one still connecting as soon as it is connected."""
+
+    handler_order = urllib.request.HTTPSHandler.handler_order - 1  # ahead of the stock ones
+    http_open = urllib.request.HTTPHandler.http_open
+
+    def __init__(self):
+        super().__init__()
+        self.lock, self.socks, self.expired = threading.Lock(), [], False
+
+    def do_open(self, http_class, req, **kwargs):
+        def connection(*args, **kw):
+            conn = http_class(*args, **kw)
+            conn.connect = functools.partial(self._connect, conn, conn.connect)
+            return conn
+
+        return super().do_open(connection, req, **kwargs)
+
+    def _connect(self, conn, connect) -> None:
+        connect()
+        with self.lock:
+            self.socks.append(conn.sock)
+            if self.expired:
+                self._shut(conn.sock)
+
+    def expire(self) -> None:
+        with self.lock:
+            self.expired = True
+            for sock in self.socks:
+                self._shut(sock)
+
+    @staticmethod
+    def _shut(sock) -> None:
+        try:  # the plain socket's shutdown: a blocked read, TLS or not, returns at once
+            socket.socket.shutdown(sock, socket.SHUT_RDWR)
+        except OSError:  # closed already
+            pass
+
+
 class HttpSink:
     """POSTs the JSON line to an http(s) URL, with one retry on a connection
-    error or an HTTP 5xx within the same timeout; a 4xx means the request
-    itself is refused, so it raises at once."""
+    error or an HTTP 5xx; a 4xx means the request itself is refused, so it
+    raises at once.  One timeout bounds the whole exchange, both attempts:
+    a timer shuts the connection down when it runs out, so a host that
+    trickles its reply cannot hold the send past it."""
 
     def __init__(self, url: str, timeout: float = 2.0):
         try:
@@ -274,14 +320,26 @@ class HttpSink:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        deadline = time.monotonic() + self.timeout  # one for both attempts
+        handler = _DeadlineHandler()
+        opener = urllib.request.build_opener(handler)
+        deadline = time.monotonic() + self.timeout
+        timer = threading.Timer(self.timeout, handler.expire)
+        timer.daemon = True
+        timer.start()
         try:
-            urllib.request.urlopen(request, timeout=self.timeout).close()
-        except OSError as exc:  # URLError and HTTPError are OSErrors
-            left = deadline - time.monotonic()
-            if left <= 0 or isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
-                raise
-            urllib.request.urlopen(request, timeout=left).close()
+            try:
+                opener.open(request, timeout=self.timeout).close()
+            except OSError as exc:  # URLError and HTTPError are OSErrors
+                left = deadline - time.monotonic()
+                if left <= 0 or isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
+                    raise
+                opener.open(request, timeout=left).close()
+        except (OSError, http.client.HTTPException) as exc:
+            if handler.expired:  # whatever the cut-off read raised, the cause is the deadline
+                raise TimeoutError(f"no complete reply within {self.timeout:g} s") from exc
+            raise
+        finally:
+            timer.cancel()
 
 
 class CommandSink:

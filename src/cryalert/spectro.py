@@ -8,8 +8,8 @@ frames multiply a cached (FRAME_LENGTH, 2 * NUM_BINS) basis that folds
 in the window and the padding and yields the real and imaginary parts;
 the magnitude is sqrt(re^2 + im^2), squared and summed in place.  A
 16000-sample clip comes out as a (124, 129) array; `clip_images` resizes
-each canonical clip's, one at a time, to the network's 32x32 input: the
-pipeline's only resize.
+each canonical clip's to the 32x32 input, computing only the 64x64 cells
+the resize reads: the pipeline's only resize.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ class StftConfig:
     save_model, predict and LoadedModel, until they stop passing it."""
 
 
-@cache
-def _dft_basis() -> np.ndarray:
+@lru_cache(maxsize=4)
+def _dft_basis(kept: tuple | None = None) -> np.ndarray:
     """Hann-windowed real-DFT matrix of shape (FRAME_LENGTH, 2 * NUM_BINS).
 
     With w the periodic Hann window and n = FFT_LENGTH, column k holds
@@ -46,37 +46,45 @@ def _dft_basis() -> np.ndarray:
     theta = 2 pi ((t k) mod n) / n, so a frame times this matrix gives
     the real then the imaginary parts of bins 0..n/2 of its windowed,
     zero-padded n-point DFT.  The mod is taken in integers, so every
-    angle lies in [0, 2 pi) exactly.
+    angle lies in [0, 2 pi) exactly.  kept, a tuple of bins, slices out
+    their real then their imaginary columns, bit for bit.
     """
-    n, bins = FFT_LENGTH, NUM_BINS
-    theta = 2.0 * np.pi * (np.outer(np.arange(FRAME_LENGTH), np.arange(bins)) % n) / n
-    w = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LENGTH) / FRAME_LENGTH))[:, None]
-    basis = np.empty((FRAME_LENGTH, 2 * bins))  # filled in place to bound the peak
-    np.cos(theta, out=basis[:, :bins])
-    np.sin(theta, out=basis[:, bins:])
-    basis[:, :bins] *= w
-    basis[:, bins:] *= -w
+    if kept is not None:
+        basis = _dft_basis()[:, [*kept, *(NUM_BINS + k for k in kept)]]
+    else:
+        n, bins = FFT_LENGTH, NUM_BINS
+        theta = 2.0 * np.pi * (np.outer(np.arange(FRAME_LENGTH), np.arange(bins)) % n) / n
+        w = (0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(FRAME_LENGTH) / FRAME_LENGTH))[:, None]
+        basis = np.empty((FRAME_LENGTH, 2 * bins))  # filled in place to bound the peak
+        np.cos(theta, out=basis[:, :bins])
+        np.sin(theta, out=basis[:, bins:])
+        basis[:, :bins] *= w
+        basis[:, bins:] *= -w
     basis.flags.writeable = False  # shared by every caller of the cache
     return basis
 
 
-def stft_magnitude(clip, dtype=np.float32) -> np.ndarray:
+def stft_magnitude(clip, dtype=np.float32, *, cells=None) -> np.ndarray:
     """Magnitude spectrogram of a clip (or bare 1-D sample array).
 
     Returns a (frames, NUM_BINS) array.  Frames are extracted at
     FRAME_STEP hops, windowed, zero-padded to FFT_LENGTH and
-    transformed; bins above FFT_LENGTH/2 are dropped.  Raises
-    TooShortError if the signal is shorter than one frame.
+    transformed; bins above FFT_LENGTH/2 are dropped.  cells, a pair
+    of frame and bin index tuples, computes only those rows and columns.
+    Raises TooShortError if the signal is shorter than one frame.
     """
     samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip)
     if len(samples) < FRAME_LENGTH:
         raise TooShortError(f"need at least {FRAME_LENGTH} samples, got {len(samples)}")
+    frames = sliding_window_view(samples, FRAME_LENGTH)[::FRAME_STEP]
+    if cells is not None:
+        frames = frames[list(cells[0])]
+    basis = _dft_basis(None if cells is None else cells[1])
     # the copy matmul makes of the strided frames, taken in float64 here
-    frames = sliding_window_view(samples, FRAME_LENGTH)[::FRAME_STEP].astype(np.float64)
-    spectrum = frames @ _dft_basis()
+    spectrum = frames.astype(np.float64) @ basis
     spectrum *= spectrum
-    power = spectrum[:, :NUM_BINS]
-    power += spectrum[:, NUM_BINS:]
+    power = spectrum[:, :basis.shape[1] // 2]
+    power += spectrum[:, basis.shape[1] // 2:]
     return np.sqrt(power, out=power).astype(dtype)
 
 
@@ -101,13 +109,25 @@ def _interp_matrix(n_in: int, n_out: int, dtype=np.float64) -> np.ndarray:
     return mat
 
 
+@cache
+def _kept_cells() -> tuple[tuple, tuple]:
+    """The frames and the bins the resize reads: the nonzero columns of its matrices."""
+    return tuple(tuple(np.flatnonzero(_interp_matrix(n, size).any(0)).tolist()) for n, size
+                 in zip((NUM_FRAMES, NUM_BINS), RESIZE))
+
+
 def clip_images(clips, dtype=np.float32) -> np.ndarray:
     """The (n, *RESIZE, 1) network input: rows @ stft_magnitude @ cols.T of each canonical_clip."""
     clips = list(clips)  # the output is allocated before the first clip is imaged
     rows, cols = (_interp_matrix(n, size, dtype) for n, size in zip((NUM_FRAMES, NUM_BINS), RESIZE))
+    # only the cells rows and cols read are computed; the rest stay 0, meet only zero
+    # weights, and the products keep their shapes, so each sum is unchanged bit for bit
+    cells, spec = _kept_cells(), np.zeros((NUM_FRAMES, NUM_BINS), dtype)
+    kept = np.ix_(*cells)
     images = np.empty((len(clips), *RESIZE, 1), dtype)
     for image, clip in zip(images, clips):
-        image[..., 0] = rows @ stft_magnitude(canonical_clip(clip), dtype) @ cols.T
+        spec[kept] = stft_magnitude(canonical_clip(clip), dtype, cells=cells)
+        image[..., 0] = rows @ spec @ cols.T
     return images
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import STREAM_SYNTH, philox_stream
-from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, write_wav
+from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, encode_wav, rename_into_place, sync_directory
 
 CLASSES = ("am", "chirp", "noise", "tone")
 
@@ -57,7 +57,8 @@ def generate_corpus(root, per_class: int = 200, seed: int = 7) -> list[Path]:
     """Write per_class clips for each class under root/<class>/.
 
     Deterministic for a fixed seed: clips are drawn from the synth
-    stream in (class, index) order.
+    stream in (class, index) order.  Each file is written as write_wav
+    writes it, but its directory is synced once, after its last file.
     """
     if per_class < 1:
         raise ConfigError(f"per_class must be >= 1, got {per_class}")
@@ -70,6 +71,7 @@ def generate_corpus(root, per_class: int = 200, seed: int = 7) -> list[Path]:
         for i in range(per_class):
             clip = synth_clip(kind, rng)
             path = class_dir / f"{kind}_{i:04d}.wav"
-            write_wav(clip, path)
+            rename_into_place(path, [encode_wav(clip)])
             written.append(path)
+        sync_directory(class_dir)
     return written

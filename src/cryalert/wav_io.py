@@ -150,9 +150,10 @@ def open_regular(path, error=FormatError):
         yield fh, st.st_size
 
 
-def replace_file(path, chunks) -> None:
-    """Write byte chunks beside path, fsync, rename over path, fsync the directory
-    so the rename survives a crash; a failure before the rename leaves path as is."""
+def rename_into_place(path, chunks) -> None:
+    """Write byte chunks beside path, fsync, rename over path; a failure
+    before the rename leaves path as is.  The rename is durable once
+    sync_directory has run on path's directory."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")  # never *.wav
     with open(tmp, "wb") as fh:
         try:
@@ -163,12 +164,20 @@ def replace_file(path, chunks) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
-    # outside the try: once renamed, tmp names nothing to remove
-    fd = os.open(tmp.parent, os.O_RDONLY)
+
+
+def sync_directory(directory) -> None:
+    fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
+
+
+def replace_file(path, chunks) -> None:
+    """rename_into_place, then fsync the directory so the rename survives a crash."""
+    rename_into_place(path, chunks)
+    sync_directory(Path(path).parent)
 
 
 def load_wav(path) -> AudioClip:
@@ -241,6 +250,10 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 def canonical_clip(clip: AudioClip) -> AudioClip:
     """Resample to DEFAULT_SAMPLE_RATE, keep the first DEFAULT_CLIP_SAMPLES samples
     zero-padded, as float32; a canonical clip comes back as is."""
+    # output i reads input up to factor * i + taps // 2: the rest of a long clip is never read
+    read = clip.sample_rate // DEFAULT_SAMPLE_RATE * DEFAULT_CLIP_SAMPLES + _RESAMPLE_TAPS // 2 + 1
+    if len(clip) > read:
+        clip = AudioClip(clip.samples[:read], clip.sample_rate)
     clip = resample(clip, DEFAULT_SAMPLE_RATE)
     if len(clip) == DEFAULT_CLIP_SAMPLES and clip.samples.dtype == np.float32:
         return clip

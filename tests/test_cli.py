@@ -21,10 +21,17 @@ from cryalert import infer_alert
 from cryalert.cli import DirectoryWatcher, build_parser, main
 from cryalert.errors import CorruptModelError, FormatError
 from cryalert.infer_alert import StdoutSink, load_model, save_model
-from cryalert.spectro import StftConfig
+from cryalert.spectro import (
+    FRAME_LENGTH,
+    FRAME_STEP,
+    NUM_BINS,
+    StftConfig,
+    _dft_basis,
+    export_spectrogram,
+)
 from cryalert.synth import CLASSES, generate_corpus
 from cryalert.tensor_nn import build_network
-from cryalert.wav_io import load_dataset
+from cryalert.wav_io import load_dataset, load_wav
 
 from conftest import make_wav_bytes, read_model_header, rewrite_model_header
 
@@ -468,6 +475,25 @@ class TestSpectrogramCommand:
         assert rc == 0
         grid = np.loadtxt(out, delimiter=",")
         assert grid.shape == (124, 129)
+
+    def test_csv_bytes_are_the_full_basis_product(self, small_corpus, tmp_path, capsys):
+        # the command writes every frame and bin of the whole file, as the
+        # full windowed-DFT product gives them: clip_images' kept cells do
+        # not reach it
+        wav = tmp_path / "stereo48.wav"
+        rng = np.random.default_rng(21)
+        wav.write_bytes(make_wav_bytes(rng.integers(-20000, 20000, 2 * 30000), rate=48000,
+                                       channels=2))
+        for path in (next((small_corpus / "tone").glob("*.wav")), wav):
+            x = load_wav(path).samples
+            frames = np.lib.stride_tricks.sliding_window_view(x, FRAME_LENGTH)[::FRAME_STEP]
+            spectrum = frames @ _dft_basis()
+            spec = np.hypot(spectrum[:, :NUM_BINS], spectrum[:, NUM_BINS:]).astype(np.float32)
+            export_spectrogram(spec, tmp_path / "want.csv", "csv")
+            assert main(["spectrogram", "--input", str(path), "--out",
+                         str(tmp_path / "got.csv")]) == 0
+            assert capsys.readouterr().out == f"{len(spec)} x {NUM_BINS}\n"
+            assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_unknown_extension(self, small_corpus, tmp_path, capsys):
         wav = next((small_corpus / "tone").glob("*.wav"))

@@ -678,6 +678,53 @@ class TestSinks:
             elapsed = time.monotonic() - start
         assert elapsed < 1.6
 
+    def test_http_sink_one_deadline_for_a_trickled_reply(self):
+        # a host that answers one byte every 0.2 s keeps each read under the
+        # timeout; the 38-byte reply would take 7.6 s, the send must not
+        reply = b"HTTP/1.0 200 OK\r\nContent-Length: 0\r\n\r\n"
+        assert len(reply) == 38
+        done = threading.Event()
+
+        def trickle(server):
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                for byte in reply:
+                    if done.wait(0.2):
+                        return
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:  # the client has shut the connection down
+                        return
+
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(1)
+            thread = threading.Thread(target=trickle, args=(server,), daemon=True)
+            thread.start()
+            url = f"http://127.0.0.1:{server.getsockname()[1]}/"
+            start = time.monotonic()
+            try:
+                with pytest.raises(TimeoutError, match="no complete reply within 1 s"):
+                    HttpSink(url, timeout=1.0).send('{"k":6}')
+                elapsed = time.monotonic() - start
+            finally:
+                done.set()
+                thread.join(5.0)
+        assert not thread.is_alive()
+        assert elapsed < 1.6
+
+    def test_http_sink_deadline_timer_does_not_outlive_a_send(self, http_server):
+        url, handler = http_server(fail_first=0)
+        before = threading.active_count()
+        HttpSink(url, timeout=30.0).send('{"k":7}')
+        assert handler.hits == [b'{"k":7}']
+        # the cancelled 30 s timer and the server's request thread end at once
+        until = time.monotonic() + 2.0
+        while threading.active_count() > before and time.monotonic() < until:
+            time.sleep(0.01)
+        assert threading.active_count() <= before
+
     @pytest.mark.parametrize("url", ["file:///etc/hostname", "notaurl", "ftp://host/x",
                                      "http://", "https:///path", "http://[::1/",
                                      "http://host:abc/", "http://host:99999/", "http://host:0/"])

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cryalert import spectro
 from cryalert.errors import ConfigError, DatasetError, ShapeError
 from cryalert.optim_train import (
     AdamState,
@@ -365,6 +366,14 @@ class TestSpectrogramImages:
             parse_wav(make_wav_bytes(stereo, rate=16000, channels=2)),
             AudioClip(rng.uniform(-1, 1, 7000), 16000),
             AudioClip(rng.uniform(-1, 1, 12000), 48000),
+            parse_wav(make_wav_bytes(rng.integers(-30000, 30000, 2 * 48000), rate=48000,
+                                     channels=2)),
+            parse_wav(make_wav_bytes(rng.integers(-30000, 30000, 2 * 3 * 48000), rate=48000,
+                                     channels=2)),
+            # padding that starts inside a frame, and clips shorter than one
+            AudioClip(rng.uniform(-1, 1, 16000 - 37).astype(np.float32), 16000),
+            AudioClip(rng.uniform(-1, 1, 200), 16000),
+            AudioClip(rng.uniform(-1, 1, 700), 48000),
         ]
         full = np.stack([stft_magnitude(canonical_clip(c)) for c in clips])
         rows, cols = (_interp_matrix(n, size, np.float32) for n, size in zip(full.shape[1:], RESIZE))
@@ -372,6 +381,34 @@ class TestSpectrogramImages:
         images = clip_images(clips)
         assert images.shape == expected.shape and images.dtype == expected.dtype
         assert np.array_equal(images, expected)
+
+    def test_clean_tone_within_an_ulp_of_full_size_stack(self):
+        # a clean tone leaves almost no energy in the top bins, whose sums
+        # then cancel to a few ulps: the kept product may round such a cell
+        # an ulp apart from the full one (100 Hz does, with OpenBLAS 0.3.31
+        # on AVX-512), and the image with it
+        t = np.arange(16000) / 16000
+        clips = [AudioClip(np.float32(0.5) * np.sin(2 * np.pi * hz * t).astype(np.float32), 16000)
+                 for hz in (100.0, 440.0, 1000.0, 3000.0, 7000.0)]
+        full = np.stack([stft_magnitude(canonical_clip(c)) for c in clips])
+        rows, cols = (_interp_matrix(n, size, np.float32) for n, size in zip(full.shape[1:], RESIZE))
+        np.testing.assert_array_max_ulp(clip_images(clips), (rows @ full @ cols.T)[..., None], 1)
+
+    def test_stft_magnitude_gives_only_the_cells_the_resize_reads(self, monkeypatch):
+        shapes, real = [], spectro.stft_magnitude
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(spectro, "stft_magnitude", spy)
+        rng = np.random.default_rng(15)
+        clips = [AudioClip(rng.uniform(-1, 1, 16000), 16000),
+                 AudioClip(rng.uniform(-1, 1, 48000), 48000)]
+        clip_images(clips)
+        assert shapes == [(64, 64), (64, 64)]
+        assert spectro.stft_magnitude(clips[0]).shape == (124, 129)  # the full one, unasked
 
     def test_alone_equals_row_in_batch(self):
         rng = np.random.default_rng(13)

@@ -11,11 +11,15 @@ from cryalert.spectro import (
     FRAME_LENGTH,
     FRAME_STEP,
     NUM_BINS,
+    NUM_FRAMES,
     StftConfig,
     _dft_basis,
+    _interp_matrix,
+    _kept_cells,
     export_spectrogram,
     stft_magnitude,
 )
+from cryalert.tensor_nn import RESIZE
 from cryalert.wav_io import AudioClip
 
 from conftest import dft_direct, rel_error
@@ -56,6 +60,37 @@ class TestBasisCache:
         for _ in range(2):
             for x, want in zip(reversed(signals), reversed(first)):
                 assert np.array_equal(stft_magnitude(x), want)
+
+
+class TestKeptCells:
+    def test_kept_cells_are_the_nonzero_resize_columns(self):
+        for kept, n, size in zip(_kept_cells(), (NUM_FRAMES, NUM_BINS), RESIZE):
+            mat = _interp_matrix(n, size)
+            assert kept == tuple(k for k in range(n) if np.any(mat[:, k] != 0))
+            assert len(kept) == 64
+        assert _kept_cells() is _kept_cells()
+
+    def test_kept_basis_is_a_read_only_slice_of_the_full_one(self):
+        bins = _kept_cells()[1]
+        basis = _dft_basis(bins)
+        assert basis is _dft_basis(bins)
+        assert basis.shape == (FRAME_LENGTH, 128)
+        assert np.array_equal(basis, _dft_basis()[:, [*bins, *(NUM_BINS + k for k in bins)]])
+        assert not basis.flags.writeable
+
+    def test_cells_are_those_of_the_full_spectrogram(self):
+        # clips with noise in every bin: float32 cells round bit for bit as
+        # the full product's; float64 ones agree to rounding, since BLAS may
+        # sum a column of the full product in its edge kernel
+        rng = np.random.default_rng(33)
+        frames, bins = _kept_cells()
+        for _ in range(20):
+            x = (rng.uniform(-1, 1, 16000) * rng.uniform(0.01, 1)).astype(np.float32)
+            cells = stft_magnitude(x, cells=(frames, bins))
+            assert cells.shape == (64, 64) and cells.dtype == np.float32
+            assert np.array_equal(cells, stft_magnitude(x)[np.ix_(frames, bins)])
+            wide = stft_magnitude(x, np.float64, cells=(frames, bins))
+            assert rel_error(wide, stft_magnitude(x, np.float64)[np.ix_(frames, bins)]) < 1e-14
 
 
 class TestStftConfig:

@@ -1,10 +1,14 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
 from cryalert.errors import ConfigError
+from cryalert.rng import STREAM_SYNTH, philox_stream
 from cryalert.spectro import stft_magnitude
 from cryalert.synth import CLASSES, generate_corpus, synth_clip
-from cryalert.wav_io import load_wav
+from cryalert.wav_io import encode_wav, load_wav
 
 
 def interior_peak_bins(samples):
@@ -92,6 +96,31 @@ class TestGenerateCorpus:
             for kind in CLASSES
         )
         assert not same
+
+    def test_one_directory_sync_per_class_after_its_files(self, tmp_path, monkeypatch):
+        # each file is fsynced before its rename, each class directory once,
+        # after its last file is renamed; the files are write_wav's bytes
+        synced, fsync = [], os.fsync
+
+        def record(fd):
+            st = os.fstat(fd)
+            synced.append((st.st_ino, stat.S_ISDIR(st.st_mode)))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        written = generate_corpus(tmp_path, per_class=3, seed=7)
+        monkeypatch.undo()
+        inodes = [os.stat(path).st_ino for path in written]
+        want = []
+        for k, kind in enumerate(CLASSES):
+            want += [(ino, False) for ino in inodes[3 * k:3 * k + 3]]
+            want.append((os.stat(tmp_path / kind).st_ino, True))
+        assert synced == want
+        assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+            [*CLASSES, *(p.name for p in written)])  # no temporary file left
+        rng = philox_stream(7, STREAM_SYNTH)
+        for path in written[:3]:
+            assert path.read_bytes() == encode_wav(synth_clip("am", rng))
 
     def test_per_class_validated(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cryalert import wav_io
 from cryalert.errors import (
     ConfigError,
     CryalertError,
@@ -350,6 +351,24 @@ class TestCanonicalClip:
         oracle = resample(clip, 16000).samples[:DEFAULT_CLIP_SAMPLES].astype(np.float32)
         assert out.samples.dtype == np.float32
         assert np.array_equal(out.samples, oracle)
+
+    @pytest.mark.parametrize("seconds, filtered", [(60, 3 * DEFAULT_CLIP_SAMPLES + 64),
+                                                   (1, 48000)])
+    def test_long_clip_resamples_only_the_head_it_keeps(self, monkeypatch, seconds, filtered):
+        # output i reads input up to 3 i + 63, so 3 * 16000 + 64 samples give
+        # the first second bit for bit and the rest of a long clip is never
+        # filtered; 1 s (48000 samples, fewer than 48064) is filtered whole
+        clip = AudioClip(np.random.default_rng(4).uniform(-0.9, 0.9, seconds * 48000), 48000)
+        whole = resample(clip, 16000).samples[:DEFAULT_CLIP_SAMPLES].astype(np.float32)
+        seen = []
+
+        def spy(c, rate):
+            seen.append(len(c))
+            return resample(c, rate)
+
+        monkeypatch.setattr(wav_io, "resample", spy)
+        assert np.array_equal(canonical_clip(clip).samples, whole)
+        assert seen == [filtered]
 
     def test_empty_clip_pads_to_silence(self):
         for rate in (16000, 48000):
