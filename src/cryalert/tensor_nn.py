@@ -19,10 +19,10 @@ output in forward and formed again from the cached input in backward,
 so no batch-sized patch matrix is ever held.
 
 The canonical stack is resize (that input check) -> normalize ->
-conv(relu) -> conv(relu) -> maxpool -> dropout -> flatten -> dense(relu)
--> dropout -> dense, producing class-count logits.  Its layout is fixed
-by module constants, and param_shapes gives its shapes from the class
-count alone.
+conv(relu) -> conv -> maxpool(relu) -> dropout -> flatten -> dense(relu)
+-> dropout -> dense; conv2's ReLU follows the pool, on 4x fewer elements,
+as max and ReLU commute.  The layout is fixed by module constants, and
+param_shapes gives the parameter shapes from the class count alone.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def _maxpool_batch(x):
     return y
 
 
-def _pool_masks(x, y):
-    """Per window position, where it is the first to hold the pooled max."""
-    free = np.ones(y.shape, dtype=bool)
+def _pool_masks(x, y, relu=False):
+    """Per window position, where it first holds the pooled max (> 0 if relu)."""
+    free = y > 0 if relu else np.ones(y.shape, dtype=bool)
     masks = []
     for i, j in _POOL_OFFSETS:
         hit = x[:, i::2, j::2] == y
@@ -253,22 +253,31 @@ class Conv2D:
 
 
 class MaxPool2D:
+    def __init__(self, use_relu=False):
+        self.use_relu = use_relu
+
     def params(self):
         return []
 
     def forward(self, x, train=False, rng=None):
         y = _maxpool_batch(x)
+        if self.use_relu:
+            np.maximum(y, 0, out=y)
         return y, (x, y)
 
     def backward(self, cache, dy):
-        return _maxpool_batch_backward(_pool_masks(*cache), dy), []
+        return _maxpool_batch_backward(_pool_masks(*cache, self.use_relu), dy), []
 
 
 class Dropout:
+    """Inverted dropout (Srivastava et al. 2014): drops where a uint16 draw is
+    below round(rate * 65536), and scales survivors by 1 / keep probability."""
+
     def __init__(self, rate):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+        if not 0.0 <= rate < 1.0 or round(rate * 65536) == 65536:
+            raise ConfigError(f"dropout rate must be in [0, 1 - 2**-17), got {rate}")
         self.rate = rate
+        self._cut = round(rate * 65536)
 
     def params(self):
         return []
@@ -278,16 +287,17 @@ class Dropout:
             return x, None
         if rng is None:
             raise ConfigError("train-mode dropout needs an rng")
-        # random() is in [0, 1), so >= rate keeps with probability 1 - rate;
-        # keep holds mask * scale, so y = x * keep in one pass
-        keep = (rng.random(x.shape) >= self.rate).astype(x.dtype)
-        keep *= x.dtype.type(1.0 / (1.0 - self.rate))
-        return x * keep, keep
+        keep = rng.integers(0, 1 << 16, x.shape, dtype=np.uint16) >= self._cut
+        cache = keep, x.dtype.type(65536 / (65536 - self._cut))
+        return self.backward(cache, x)[0], cache  # y = x * keep * scale, as backward
 
     def backward(self, cache, dy):
         if cache is None:
             return dy, []
-        return dy * cache, []
+        keep, scale = cache
+        dx = dy * keep
+        dx *= scale
+        return dx, []
 
 
 class Flatten:
@@ -437,8 +447,8 @@ def build_network(class_count: int, seed: int = 0, params=None) -> Network:
         Resize(*RESIZE),
         Normalize(),
         Conv2D(conv1, input_grad=False, bias=b1),
-        Conv2D(conv2, bias=b2),
-        MaxPool2D(),
+        Conv2D(conv2, use_relu=False, bias=b2),
+        MaxPool2D(use_relu=True),
         Dropout(DROPOUT_RATES[0]),
         Flatten(),
         Dense(dense1, bias=b3),

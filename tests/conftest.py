@@ -173,8 +173,8 @@ def toy_network(class_count=3, seed=33):
         Resize(8, 8),
         Normalize(),
         Conv2D(weights(k, k, 1, 2), input_grad=False),
-        Conv2D(weights(k, k, 2, 2)),
-        MaxPool2D(),
+        Conv2D(weights(k, k, 2, 2), use_relu=False),
+        MaxPool2D(use_relu=True),
         Dropout(DROPOUT_RATES[0]),
         Flatten(),
         Dense(weights(2 * 2 * 2, 4)),  # 8x8 -> 6x6 -> 4x4, pooled to 2x2, 2 filters

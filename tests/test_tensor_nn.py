@@ -5,6 +5,7 @@ from cryalert.errors import ConfigError, ConsistencyError, LabelError, ShapeErro
 from cryalert.rng import STREAM_INIT, philox_stream
 from cryalert.spectro import _interp_matrix
 from cryalert.tensor_nn import (
+    DROPOUT_RATES,
     Conv2D,
     Dense,
     Dropout,
@@ -416,6 +417,50 @@ class TestMaxPoolLayer:
             assert np.array_equal(layer_dx[n], dx)
 
 
+def bitwise_equal(a, b):
+    """Same dtype, shape and bytes, so -0.0 and 0.0 differ."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestMaxPoolRelu:
+    def test_matches_loop_oracle(self):
+        # ReLU of the pooled max; the gradient goes to the first position
+        # holding that max, and nowhere when the max is <= 0
+        rng = np.random.default_rng(48)
+        x = rng.integers(-2, 2, size=(3, 6, 8, 4)).astype(np.float32)
+        dy = rng.normal(size=(3, 3, 4, 4)).astype(np.float32)
+        layer = MaxPool2D(use_relu=True)
+        y, cache = layer.forward(x)
+        dx, _ = layer.backward(cache, dy)
+
+        expected_y = np.zeros_like(y)
+        expected_dx = np.zeros_like(x)
+        seen = {"tie": 0, "zero": 0, "negative": 0}
+        for n, i, j, c in np.ndindex(*y.shape):
+            window = [x[n, 2 * i + a, 2 * j + b, c] for a in range(2) for b in range(2)]
+            top = max(window)
+            expected_y[n, i, j, c] = max(top, 0.0)
+            if top < 0:
+                seen["negative"] += 1
+            elif top == 0:
+                seen["zero"] += 1
+            else:
+                seen["tie"] += window.count(top) > 1
+                first = window.index(top)
+                expected_dx[n, 2 * i + first // 2, 2 * j + first % 2, c] = dy[n, i, j, c]
+        assert min(seen.values()) > 5, seen
+        assert np.array_equal(y, expected_y)
+        assert np.array_equal(dx, expected_dx)
+
+
+class _EveryUint16:
+    """An rng stand-in whose integers() yields 0, 1, ..., 65535 in turn."""
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 16, np.uint16)
+        return (np.arange(np.prod(size)) % (1 << 16)).astype(dtype).reshape(size)
+
+
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = np.arange(6.0).reshape(1, 6)
@@ -430,9 +475,31 @@ class TestDropout:
         assert np.array_equal(rng.bit_generator.state["state"]["counter"], before)
 
     def test_bad_rates(self):
-        for rate in (-0.1, 1.0, 1.5):
+        for rate in (-0.1, 1.0, 1.5, float("nan")):
             with pytest.raises(ConfigError):
                 Dropout(rate)
+
+    def test_rate_that_would_drop_everything_rejected(self):
+        # rates in [1 - 2**-17, 1) round their 16-bit threshold up to
+        # 65536, which no uint16 reaches
+        for rate in (1 - 2**-17, 1 - 2**-20, np.nextafter(1.0, 0.0)):
+            with pytest.raises(ConfigError):
+                Dropout(rate)
+        layer = Dropout(np.nextafter(1 - 2**-17, 0.0))
+        every = _EveryUint16()
+        y, _ = layer.forward(np.ones((1, 1 << 16), np.float32), train=True, rng=every)
+        assert np.count_nonzero(y) == 1
+
+    @pytest.mark.parametrize("rate", DROPOUT_RATES)
+    def test_keep_probability_is_exactly_one_minus_rate(self, rate):
+        # fed every 16-bit value once, the layer keeps exactly 1 - rate of them
+        layer = Dropout(rate)
+        x = np.ones((4, 1 << 14), np.float32)
+        y, (keep, scale) = layer.forward(x, train=True, rng=_EveryUint16())
+        assert keep.dtype == np.bool_ and keep.shape == x.shape
+        assert keep.mean() == 1 - rate
+        assert scale == np.float32(1 / (1 - rate))
+        assert np.array_equal(y, np.where(keep, np.float32(1 / (1 - rate)), 0))
 
     def test_train_needs_rng(self):
         with pytest.raises(ConfigError):
@@ -464,8 +531,10 @@ class TestDropout:
         dy = rng.normal(size=(3, 40)).astype(np.float32)
         y, cache = layer.forward(x, train=True, rng=philox_stream(6, 0))
         dx, _ = layer.backward(cache, dy)
-        # the same stream redraws the mask
-        mask = (philox_stream(6, 0).random(x.shape) >= 0.25).astype(np.float32)
+        # the same stream redraws the mask: a uint16 per element, kept
+        # where it is at least round(0.25 * 65536)
+        draws = philox_stream(6, 0).integers(0, 1 << 16, x.shape, dtype=np.uint16)
+        mask = (draws >= 16384).astype(np.float32)
         scale = np.float32(1.0 / 0.75)
         assert np.array_equal(y, x * mask * scale)
         assert np.array_equal(dx, dy * mask * scale)
@@ -697,6 +766,44 @@ class TestNetwork:
                     for layer in net.layers]
 
         assert layout(toy_network()) == layout(build_network(4))
+
+    @pytest.mark.parametrize("batch", [64, 1])
+    def test_relu_after_pool_matches_old_layout_bitwise(self, batch):
+        # the old stack, conv2(relu) -> maxpool, built from one network's
+        # parameters, gives the same logits and gradients bit for bit.
+        # Integer pixels and conv weights, with normalization by exactly 2,
+        # keep every conv output exact, so conv2's output has all-negative
+        # windows, zero maxima and tied maxima.
+        rng = np.random.default_rng(50)
+        params = build_network(4, seed=50).parameters()
+        for i, (low, high) in enumerate([(-1, 2), (-2, 2), (-1, 2), (-40, 10)]):
+            params[i] = rng.integers(low, high, params[i].shape).astype(np.float32)
+        net = build_network(4, seed=50, params=params)
+        old = build_network(4, seed=50, params=params)
+        old.layers[3] = Conv2D(params[2], bias=params[3])
+        old.layers[4] = MaxPool2D()
+        for n in (net, old):
+            n.set_norm_stats(0.0, 0.25 - Normalize.EPS)
+        x = rng.integers(0, 3, (batch, 32, 32, 1)).astype(np.float32)
+        labels = rng.integers(0, 4, batch)
+
+        def step(n):
+            logits, cache = n.forward(x, train=True)
+            _, dlogits = softmax_cross_entropy_batch(logits, labels)
+            return logits, cache, n.backward(cache, dlogits / batch)
+
+        logits, cache, grads = step(net)
+        old_logits, _, old_grads = step(old)
+        assert bitwise_equal(logits, old_logits)
+        assert len(grads) == len(old_grads) == 8
+        for g, old_g in zip(grads, old_grads):
+            assert bitwise_equal(g, old_g)
+
+        z = cache.layer_caches[3][1]  # conv2's output, before its ReLU
+        windows = np.stack([z[:, i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))])
+        top = windows.max(axis=0)
+        ties = ((windows == top).sum(axis=0) > 1) & (top > 0)
+        assert (top < 0).any() and (top == 0).any() and ties.any()
 
     def test_glorot_bounds_and_zero_biases(self):
         net = build_network(4, seed=9)
