@@ -28,7 +28,7 @@ cfg = TrainConfig(epochs=5, batch_size=8, lr=1e-3, seed=42)
 report = train(net, dataset, cfg)
 print(report.to_text())
 
-val_x, val_y = split_arrays(dataset, "val", net.dtype)
+val_x, val_y = split_arrays(dataset, "val")
 _, _, matrix = evaluate(net, val_x, val_y, dataset.class_names)
 print("\nvalidation confusion matrix (rows true, columns predicted):")
 print(matrix.to_text())

@@ -83,7 +83,7 @@ class DirectoryWatcher:
     left alone) and is processed once per (size, mtime): a file deleted
     and written again under the same name is classified again.  A
     positive cooldown suppresses alert-positive emissions for that many
-    seconds after the last one.
+    seconds after the last one, and not once the clock steps back past it.
     """
 
     def __init__(self, directory, classify, sinks, alert_classes, threshold,
@@ -138,8 +138,8 @@ class DirectoryWatcher:
             now = self.clock()
             event = decide_alert(probs, self.alert_classes, self.threshold,
                                  source=str(path), now=now)
-            if event.alert and self.cooldown > 0 and self._last_alert is not None \
-                    and now - self._last_alert < self.cooldown:
+            if event.alert and self._last_alert is not None \
+                    and 0 <= now - self._last_alert < self.cooldown:
                 log.info("cooldown: suppressing alert for %s", path)
                 continue
             if event.alert:
@@ -191,7 +191,7 @@ def cmd_eval(args) -> int:
             f"model classes {loaded.class_names} do not match dataset classes "
             f"{dataset.class_names}"
         )
-    images, labels = split_arrays(dataset, args.split, loaded.network.dtype)
+    images, labels = split_arrays(dataset, args.split)
     loss, accuracy, matrix = evaluate(loaded.network, images, labels, dataset.class_names)
     print(f"{args.split} loss: {loss:.4f}")
     print(f"{args.split} accuracy: {accuracy:.4f}")

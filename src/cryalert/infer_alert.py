@@ -202,7 +202,7 @@ def predict(net: Network, stft_cfg: StftConfig, clip: AudioClip,
             f"clip has {len(clip)} samples at {clip.sample_rate} Hz, shorter than "
             f"one {FRAME_LENGTH}-sample frame at {DEFAULT_SAMPLE_RATE} Hz"
         )
-    logits, _ = net.forward(clip_images([clip], net.dtype), train=False)
+    logits, _ = net.forward(clip_images([clip]), train=False)
     probs = softmax(logits[0].astype(np.float64))
     return {name: float(p) for name, p in zip(class_names, probs)}
 
@@ -295,12 +295,17 @@ class _DeadlineHandler(urllib.request.HTTPSHandler):
             pass
 
 
+class _NoRedirect(urllib.request.HTTPRedirectHandler):
+    def redirect_request(self, *args):  # a 3xx becomes an HTTPError
+        return None
+
+
 class HttpSink:
     """POSTs the JSON line to an http(s) URL, with one retry on a connection
-    error or an HTTP 5xx; a 4xx means the request itself is refused, so it
-    raises at once.  One timeout bounds the whole exchange, both attempts:
-    a timer shuts the connection down when it runs out, so a host that
-    trickles its reply cannot hold the send past it."""
+    error or an HTTP 5xx.  A 4xx, or a 3xx (following it would re-send the
+    alert as a bodyless GET), raises at once.  One timeout bounds the whole
+    exchange, both attempts: a timer shuts the connection down when it runs
+    out, so a host that trickles its reply cannot hold the send past it."""
 
     def __init__(self, url: str, timeout: float = 2.0):
         try:
@@ -321,7 +326,7 @@ class HttpSink:
             method="POST",
         )
         handler = _DeadlineHandler()
-        opener = urllib.request.build_opener(handler)
+        opener = urllib.request.build_opener(handler, _NoRedirect)
         deadline = time.monotonic() + self.timeout
         timer = threading.Timer(self.timeout, handler.expire)
         timer.daemon = True

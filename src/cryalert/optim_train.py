@@ -188,11 +188,11 @@ class TrainReport:
         return "\n".join(lines)
 
 
-def split_arrays(dataset: LabeledDataset, split: str, dtype):
-    """(images, labels) of a split; each row is imaged as a zero-copy clip."""
+def split_arrays(dataset: LabeledDataset, split: str):
+    """(float32 images, labels) of a split; each row is imaged as a zero-copy clip."""
     rows = slice(dataset.splits[split].start, dataset.splits[split].stop)
     clips = (AudioClip(x, DEFAULT_SAMPLE_RATE) for x in dataset.samples[rows])
-    return clip_images(clips, dtype), dataset.labels[rows]
+    return clip_images(clips), dataset.labels[rows]
 
 
 def evaluate(net: Network, images, labels, class_names=None):
@@ -241,8 +241,8 @@ def train(
     if not dataset.splits.get("val"):
         raise DatasetError("val split is empty")
 
-    train_x, train_y = split_arrays(dataset, "train", net.dtype)
-    val_x, val_y = split_arrays(dataset, "val", net.dtype)
+    train_x, train_y = split_arrays(dataset, "train")
+    val_x, val_y = split_arrays(dataset, "val")
 
     mean, variance = fit_normalization(train_x)
     net.set_norm_stats(mean, variance)
@@ -287,7 +287,7 @@ def train(
                         break
 
         if dataset.splits.get("test"):
-            test_x, test_y = split_arrays(dataset, "test", net.dtype)
+            test_x, test_y = split_arrays(dataset, "test")
             report.test_loss, report.test_accuracy, _ = evaluate(
                 net, test_x, test_y, dataset.class_names
             )

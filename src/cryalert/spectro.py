@@ -116,17 +116,18 @@ def _kept_cells() -> tuple[tuple, tuple]:
                  in zip((NUM_FRAMES, NUM_BINS), RESIZE))
 
 
-def clip_images(clips, dtype=np.float32) -> np.ndarray:
-    """The (n, *RESIZE, 1) network input: rows @ stft_magnitude @ cols.T of each canonical_clip."""
+def clip_images(clips) -> np.ndarray:
+    """The float32 (n, *RESIZE, 1) network input: rows @ stft_magnitude @ cols.T of each clip."""
     clips = list(clips)  # the output is allocated before the first clip is imaged
-    rows, cols = (_interp_matrix(n, size, dtype) for n, size in zip((NUM_FRAMES, NUM_BINS), RESIZE))
+    rows, cols = (_interp_matrix(n, size, np.float32)
+                  for n, size in zip((NUM_FRAMES, NUM_BINS), RESIZE))
     # only the cells rows and cols read are computed; the rest stay 0, meet only zero
     # weights, and the products keep their shapes, so each sum is unchanged bit for bit
-    cells, spec = _kept_cells(), np.zeros((NUM_FRAMES, NUM_BINS), dtype)
+    cells, spec = _kept_cells(), np.zeros((NUM_FRAMES, NUM_BINS), np.float32)
     kept = np.ix_(*cells)
-    images = np.empty((len(clips), *RESIZE, 1), dtype)
+    images = np.empty((len(clips), *RESIZE, 1), np.float32)
     for image, clip in zip(images, clips):
-        spec[kept] = stft_magnitude(canonical_clip(clip), dtype, cells=cells)
+        spec[kept] = stft_magnitude(canonical_clip(clip), cells=cells)
         image[..., 0] = rows @ spec @ cols.T
     return images
 

@@ -45,7 +45,7 @@ CONV_FILTERS = (32, 64)
 DENSE_UNITS = 128
 
 # ---------------------------------------------------------------------------
-# convolution (valid padding, stride 1, NHWC x (kh, kw, cin, cout))
+# convolution (valid padding, stride 1, NHWC x (kh, kw, cin, cout)), 2x2 max pool
 
 # Examples per im2col block, for every batch size.  A whole batch-64
 # im2col of conv2 is a 58 MB buffer that each step would write, read
@@ -61,93 +61,8 @@ def _im2col(x, kh, kw):
     return v.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
 
 
-def _conv_batch(x, kernel, bias, use_relu=False):
-    """y = im2col(x) @ kernel + bias (then ReLU), one block of examples
-    at a time into a preallocated output."""
-    kh, kw, cin, cout = kernel.shape
-    n, h, w, c = x.shape
-    if c != cin:
-        raise ShapeError(f"input has {c} channels, kernel expects {cin}")
-    if h < kh or w < kw:
-        raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
-    y = np.empty((n, h - kh + 1, w - kw + 1, cout), dtype=np.result_type(x, kernel))
-    flat_kernel = kernel.reshape(-1, cout)
-    for start in range(0, n, _CONV_BLOCK):
-        block = slice(start, start + _CONV_BLOCK)
-        out = y[block].reshape(-1, cout)
-        np.matmul(_im2col(x[block], kh, kw), flat_kernel, out=out)
-        out += bias
-        if use_relu:
-            np.maximum(out, 0, out=out)
-    return y
-
-
-def _conv_batch_backward(x, kernel, dy, input_grad=True):
-    """(dx, dkernel, dbias); each block's patches are formed again from x."""
-    kh, kw, cin, cout = kernel.shape
-    n, oh, ow, _ = dy.shape
-    dkernel = np.zeros((kh * kw * cin, cout), dtype=np.result_type(x, dy))
-    part = np.empty_like(dkernel)
-    dx = dcols = None
-    if input_grad:
-        dtype = np.result_type(dy, kernel)
-        dx = np.zeros(x.shape, dtype=dtype)
-        dcols = np.empty((min(n, _CONV_BLOCK) * oh * ow, cin), dtype=dtype)
-    for start in range(0, n, _CONV_BLOCK):
-        block = slice(start, start + _CONV_BLOCK)
-        flat_dy = dy[block].reshape(-1, cout)
-        np.matmul(_im2col(x[block], kh, kw).T, flat_dy, out=part)
-        dkernel += part
-        if dx is None:
-            continue
-        # col2im: the patch gradient dy @ kernel^T, one kernel position at
-        # a time (contiguous blocks), added back onto the input pixels that
-        # position gathered from
-        rows = dcols[:len(flat_dy)]
-        dx_block = dx[block]
-        for i in range(kh):
-            for j in range(kw):
-                np.matmul(flat_dy, kernel[i, j].T, out=rows)
-                dx_block[:, i:i + oh, j:j + ow] += rows.reshape(-1, oh, ow, cin)
-    dbias = dy.reshape(-1, cout).sum(axis=0)
-    return dx, dkernel.reshape(kernel.shape), dbias
-
-
-# ---------------------------------------------------------------------------
-# max pooling
-
-# 2x2 window positions in row-major order; ties go to the first
+# 2x2 pool window positions in row-major order; ties go to the first
 _POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _maxpool_batch(x):
-    n, h, w, c = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
-    y = x[:, 0::2, 0::2].copy()
-    for i, j in _POOL_OFFSETS[1:]:
-        np.maximum(y, x[:, i::2, j::2], out=y)
-    return y
-
-
-def _pool_masks(x, y, relu=False):
-    """Per window position, where it first holds the pooled max (> 0 if relu)."""
-    free = y > 0 if relu else np.ones(y.shape, dtype=bool)
-    masks = []
-    for i, j in _POOL_OFFSETS:
-        hit = x[:, i::2, j::2] == y
-        hit &= free
-        free &= ~hit
-        masks.append(hit)
-    return masks
-
-
-def _maxpool_batch_backward(masks, dy):
-    n, oh, ow, c = dy.shape
-    dx = np.empty((n, 2 * oh, 2 * ow, c), dtype=dy.dtype)
-    for (i, j), hit in zip(_POOL_OFFSETS, masks):
-        np.multiply(dy, hit, out=dx[:, i::2, j::2])
-    return dx
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -241,15 +156,57 @@ class Conv2D:
         return [self.kernel, self.bias]
 
     def forward(self, x, train=False, rng=None):
-        y = _conv_batch(x, self.kernel, self.bias, self.use_relu)
+        """y = im2col(x) @ kernel + bias (then ReLU), one block of examples
+        at a time into a preallocated output."""
+        kh, kw, cin, cout = self.kernel.shape
+        n, h, w, c = x.shape
+        if c != cin:
+            raise ShapeError(f"input has {c} channels, kernel expects {cin}")
+        if h < kh or w < kw:
+            raise ShapeError(f"input {h}x{w} smaller than kernel {kh}x{kw}")
+        y = np.empty((n, h - kh + 1, w - kw + 1, cout), dtype=np.result_type(x, self.kernel))
+        flat_kernel = self.kernel.reshape(-1, cout)
+        for start in range(0, n, _CONV_BLOCK):
+            block = slice(start, start + _CONV_BLOCK)
+            out = y[block].reshape(-1, cout)
+            np.matmul(_im2col(x[block], kh, kw), flat_kernel, out=out)
+            out += self.bias
+            if self.use_relu:
+                np.maximum(out, 0, out=out)
         return y, (x, y)
 
     def backward(self, cache, dy):
+        """(dx, [dkernel, dbias]); each block's patches are formed again from x."""
         x, y = cache
         if self.use_relu:
             dy = dy * (y > 0)
-        dx, dk, db = _conv_batch_backward(x, self.kernel, dy, self.input_grad)
-        return dx, [dk, db]
+        kh, kw, cin, cout = self.kernel.shape
+        n, oh, ow, _ = dy.shape
+        dkernel = np.zeros((kh * kw * cin, cout), dtype=np.result_type(x, dy))
+        part = np.empty_like(dkernel)
+        dx = dcols = None
+        if self.input_grad:
+            dtype = np.result_type(dy, self.kernel)
+            dx = np.zeros(x.shape, dtype=dtype)
+            dcols = np.empty((min(n, _CONV_BLOCK) * oh * ow, cin), dtype=dtype)
+        for start in range(0, n, _CONV_BLOCK):
+            block = slice(start, start + _CONV_BLOCK)
+            flat_dy = dy[block].reshape(-1, cout)
+            np.matmul(_im2col(x[block], kh, kw).T, flat_dy, out=part)
+            dkernel += part
+            if dx is None:
+                continue
+            # col2im: the patch gradient dy @ kernel^T, one kernel position at
+            # a time (contiguous blocks), added back onto the input pixels that
+            # position gathered from
+            rows = dcols[:len(flat_dy)]
+            dx_block = dx[block]
+            for i in range(kh):
+                for j in range(kw):
+                    np.matmul(flat_dy, self.kernel[i, j].T, out=rows)
+                    dx_block[:, i:i + oh, j:j + ow] += rows.reshape(-1, oh, ow, cin)
+        dbias = dy.reshape(-1, cout).sum(axis=0)
+        return dx, [dkernel.reshape(self.kernel.shape), dbias]
 
 
 class MaxPool2D:
@@ -260,13 +217,27 @@ class MaxPool2D:
         return []
 
     def forward(self, x, train=False, rng=None):
-        y = _maxpool_batch(x)
+        _, h, w, _ = x.shape
+        if h % 2 or w % 2:
+            raise ShapeError(f"maxpool needs even spatial dims, got {h}x{w}")
+        y = x[:, 0::2, 0::2].copy()
+        for i, j in _POOL_OFFSETS[1:]:
+            np.maximum(y, x[:, i::2, j::2], out=y)
         if self.use_relu:
             np.maximum(y, 0, out=y)
         return y, (x, y)
 
     def backward(self, cache, dy):
-        return _maxpool_batch_backward(_pool_masks(*cache, self.use_relu), dy), []
+        """dy goes to the window position that first holds the pooled max (> 0 if relu)."""
+        x, y = cache
+        free = y > 0 if self.use_relu else np.ones(y.shape, dtype=bool)
+        dx = np.empty(x.shape, dtype=dy.dtype)
+        for i, j in _POOL_OFFSETS:
+            hit = x[:, i::2, j::2] == y
+            hit &= free
+            free &= ~hit
+            np.multiply(dy, hit, out=dx[:, i::2, j::2])
+        return dx, []
 
 
 class Dropout:
@@ -354,17 +325,19 @@ class ForwardCache:
 class Network:
     """Layer stack with seeded init and an owned dropout stream.
 
-    Layers and parameters are plain attributes; inference (train=False)
-    never mutates the network, so a loaded model can be shared across
-    threads.  Training consumes self.dropout_rng in layer order, which
-    makes same-seed runs reproduce bit for bit.
+    Layers and parameters are plain attributes; the first parameter's
+    dtype is the network's, and the last's length (the output bias) its
+    class count.  Inference (train=False) never mutates the network, so
+    a loaded model can be shared across threads.  Training consumes
+    self.dropout_rng in layer order, which makes same-seed runs
+    reproduce bit for bit.
     """
 
-    def __init__(self, layers, class_count, seed, dtype):
+    def __init__(self, layers, seed):
         self.layers = layers
-        self.class_count = class_count
         self.seed = seed
-        self.dtype = np.dtype(dtype)
+        self.dtype = self.parameters()[0].dtype
+        self.class_count = len(self.parameters()[-1])
         self.dropout_rng = philox_stream(seed, STREAM_DROPOUT)
 
     def parameters(self):
@@ -455,4 +428,4 @@ def build_network(class_count: int, seed: int = 0, params=None) -> Network:
         Dropout(DROPOUT_RATES[1]),
         Dense(dense2, use_relu=False, bias=b4),
     ]
-    return Network(layers, class_count, seed, np.float32)
+    return Network(layers, seed)

@@ -181,7 +181,7 @@ def toy_network(class_count=3, seed=33):
         Dropout(DROPOUT_RATES[1]),
         Dense(weights(4, class_count), use_relu=False),
     ]
-    return Network(layers, class_count, seed, np.float64)
+    return Network(layers, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ def test_criterion_08_confusion_identities(capsys, trained, synth_corpus):
     _, model_path, _, _ = trained
     loaded = load_model(model_path)
     dataset = load_dataset(synth_corpus, seed=42)
-    images, labels = split_arrays(dataset, "test", loaded.network.dtype)
+    images, labels = split_arrays(dataset, "test")
     loss, accuracy, matrix = evaluate(loaded.network, images, labels,
                                       dataset.class_names)
     real_rows_ok = np.array_equal(

@@ -626,6 +626,30 @@ class TestDirectoryWatcher:
         watcher.poll_once()
         assert len(watcher.poll_once()) == 1
 
+    def test_cooldown_ends_when_the_clock_steps_back(self, tmp_path):
+        # a wall clock stepped back an hour leaves now - last alert
+        # negative; the cooldown must not stretch to cover that hour
+        fake = [10_000.0]
+        watcher, buf = make_watcher(tmp_path, cooldown=30.0, clock=lambda: fake[0])
+        drop_wav(tmp_path, "a.wav")
+        watcher.poll_once()
+        assert len(watcher.poll_once()) == 1
+        assert watcher._last_alert == 10_000.0
+
+        fake[0] -= 3600.0
+        drop_wav(tmp_path, "b.wav")
+        watcher.poll_once()
+        events = watcher.poll_once()
+        assert [e.alert for e in events] == [True]
+        assert watcher._last_alert == 6_400.0
+
+        # from the new last alert the cooldown runs as usual
+        fake[0] += 10.0
+        drop_wav(tmp_path, "c.wav")
+        watcher.poll_once()
+        assert watcher.poll_once() == []
+        assert len(buf.getvalue().strip().splitlines()) == 2
+
     def test_zero_cooldown_never_suppresses(self, tmp_path):
         watcher, buf = make_watcher(tmp_path, cooldown=0.0)
         drop_wav(tmp_path, "a.wav")
@@ -847,7 +871,7 @@ for name, rate in (("a", 48000), ("b", 16000)):
     Path("corpus", name).mkdir(parents=True)
     wav_io.write_wav(AudioClip(np.zeros(rate), rate), Path("corpus", name, "x.wav"))
 dataset = wav_io.load_dataset("corpus")
-optim_train.split_arrays(dataset, "train", np.float32)
+optim_train.split_arrays(dataset, "train")
 print(json.dumps([[span[0], span[3]] for span in tracer.spans]))
 """
 

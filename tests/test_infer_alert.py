@@ -512,7 +512,7 @@ class TestPredict:
             path.write_bytes(make_wav_bytes(ints, rate=rate, channels=channels))
             files.append(path)
         dataset = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
-        images, labels = split_arrays(dataset, "train", np.float32)
+        images, labels = split_arrays(dataset, "train")
         net = build_network(3, seed=3)
         net.set_norm_stats(0.12, 0.45)
         for label, path in enumerate(files):
@@ -605,14 +605,22 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
     fail_first = 0
     fail_status = 500
     hits = None
+    gets = None
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).hits.append(body)
         if len(type(self).hits) <= type(self).fail_first:
             self.send_response(type(self).fail_status)
+            if 300 <= type(self).fail_status < 400:
+                self.send_header("Location", "/moved")
         else:
             self.send_response(200)
+        self.end_headers()
+
+    def do_GET(self):
+        type(self).gets.append(self.path)
+        self.send_response(200)
         self.end_headers()
 
     def log_message(self, *args):
@@ -625,7 +633,8 @@ def http_server():
 
     def start(fail_first, fail_status=500):
         handler = type("Handler", (_CountingHandler,),
-                       {"fail_first": fail_first, "fail_status": fail_status, "hits": []})
+                       {"fail_first": fail_first, "fail_status": fail_status, "hits": [],
+                        "gets": []})
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         servers.append(server)
@@ -664,6 +673,22 @@ class TestSinks:
         with pytest.raises(urllib.error.HTTPError):
             HttpSink(url).send('{"k":4}')
         assert len(handler.hits) == 1
+
+    @pytest.mark.parametrize("status", [301, 302, 303, 307])
+    def test_http_sink_refuses_a_redirect(self, http_server, status, caplog):
+        # following a 301, 302 or 303 re-sends the alert as a bodyless GET
+        # to the new location, whose 200 would count as delivered; every
+        # 3xx fails the send, unretried, like a 4xx
+        url, handler = http_server(fail_first=10, fail_status=status)
+        with pytest.raises(urllib.error.HTTPError) as info:
+            HttpSink(url).send('{"k":8}')
+        assert info.value.code == status
+        assert handler.hits == [b'{"k":8}'] and handler.gets == []
+        event = decide_alert({"tone": 0.9}, ["tone"], 0.5, source="x.wav", now=0.0)
+        with caplog.at_level(logging.WARNING, logger="cryalert"):
+            emit_alert(event, [HttpSink(url)])
+        assert "HttpSink failed" in caplog.text and str(status) in caplog.text
+        assert len(handler.hits) == 2 and handler.gets == []
 
     def test_http_sink_one_timeout_for_both_attempts(self):
         # a host that takes the connection and never answers: the retry

@@ -301,14 +301,14 @@ class TestTrain:
         net = build_network(len(toy_setup.class_names), seed=6)
         cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-4, seed=6)
         train(net, toy_setup, cfg)
-        x, _ = split_arrays(toy_setup, "train", net.dtype)
+        x, _ = split_arrays(toy_setup, "train")
         normed, _ = net.layers[1].forward(x.astype(np.float64))  # the Normalize layer
         assert abs(normed.mean()) < 1e-6
         assert abs(normed.var() - 1.0) < 1e-3
 
     def test_evaluate_matches_confusion(self, toy_setup):
         net = build_network(len(toy_setup.class_names), seed=8)
-        x, y = split_arrays(toy_setup, "train", net.dtype)
+        x, y = split_arrays(toy_setup, "train")
         mean, var = fit_normalization([x])
         net.set_norm_stats(mean, var)
         loss, acc, cm = evaluate(net, x, y)
@@ -350,9 +350,19 @@ def test_default_train_step_peak_memory():
 class TestSpectrogramImages:
     def test_shape_and_dtype(self, toy_setup):
         clips = [AudioClip(row, 16000) for row in toy_setup.samples[:3]]
-        images = clip_images(clips, np.float32)
+        images = clip_images(clips)
         assert images.shape == (3, 32, 32, 1)
         assert images.dtype == np.float32
+
+    def test_float32_from_float64_clips_and_splits(self, toy_setup):
+        # images are always the network's float32, whatever the samples are
+        rng = np.random.default_rng(16)
+        clips = [AudioClip(rng.uniform(-1, 1, n), rate) for n, rate in ((16000, 16000),
+                                                                       (48000, 48000))]
+        assert all(clip.samples.dtype == np.float64 for clip in clips)
+        assert clip_images(clips).dtype == np.float32
+        images, labels = split_arrays(toy_setup, "train")
+        assert images.dtype == np.float32 and len(images) == len(labels)
 
     def test_equals_resize_layer_of_full_size_stack(self):
         # the image is the bilinear resize rows @ spec @ cols.T of the
@@ -427,7 +437,7 @@ class TestSpectrogramImages:
         clip_images([AudioClip(samples[0], 16000)])  # the cached bases come first
         tracemalloc.start()
         try:
-            images, _ = split_arrays(ds, "train", np.float32)
+            images, _ = split_arrays(ds, "train")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -757,6 +757,14 @@ class TestNetwork:
         net = build_network(class_count, seed=0)
         assert param_shapes(class_count) == [p.shape for p in net.parameters()]
 
+    def test_dtype_and_class_count_come_from_the_parameters(self):
+        toy = toy_network()
+        assert toy.dtype == np.float64 and toy.class_count == 3
+        assert toy_network(class_count=5).class_count == 5
+        net = build_network(4)
+        assert net.dtype == np.float32 and net.class_count == 4
+        assert net.parameters()[-1] is net.layers[-1].bias
+
     def test_toy_network_has_build_networks_layout(self):
         # the finite-difference toy differs from the real stack only in its
         # widths, dtype and class count

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-no module imports another package module's private (_-prefixed) names.
+"""Every name a module of the package imports is used in that module, no
+module imports another package module's private (_-prefixed) names, and
+every private name a module defines at its top level is read there.
 
 __init__.py is skipped: its imports are the package's re-exports.
 """
@@ -38,6 +39,29 @@ def private_imports(source: str) -> list[str]:
     return sorted(names)
 
 
+def unread_privates(source: str) -> list[str]:
+    """_-prefixed functions, classes and constants defined at the top level
+    of source that no other top-level statement reads: a helper only its
+    own body calls counts as unread."""
+    defined, reads = {}, []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [node.id for target in targets for node in ast.walk(target)
+                     if isinstance(node, ast.Name)]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, []).append(stmt)
+        reads.append((stmt, {node.id for node in ast.walk(stmt)
+                             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}))
+    return sorted(name for name, stmts in defined.items()
+                  if not any(name in loaded for stmt, loaded in reads if stmt not in stmts))
+
+
 def test_checker_finds_unused_names():
     source = ("from __future__ import annotations\n"
               "import os, os.path, sys\n"
@@ -69,3 +93,28 @@ def test_private_checker_finds_package_names():
 def test_no_private_imports_across_modules(path):
     # a private name has one owner; a second user moves it or makes it public
     assert private_imports(path.read_text()) == []
+
+
+def test_unread_private_checker():
+    source = ("import os\n"
+              "_USED = 1\n"
+              "_UNUSED: int = 2\n"
+              "_a, (_b, __dunder__) = 3, (4, 5)\n"
+              "def _helper():\n"
+              "    return _USED + _a\n"
+              "def _recursive(n):\n"
+              "    return _recursive(n - 1) if n else 0\n"
+              "@_helper\n"
+              "class _Thing:\n"
+              "    _attr = os.sep\n"
+              "class _Dead:\n"
+              "    pass\n"
+              "def public(x=_Thing):\n"
+              "    return x\n")
+    assert unread_privates(source) == ["_Dead", "_UNUSED", "_b", "_recursive"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_private_names_read_in_their_module(path):
+    # a private helper with no reader is dead code a refactor left behind
+    assert unread_privates(path.read_text()) == []
