@@ -200,9 +200,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _load_input(path):
+    """load_wav, with its errors naming the path as load_model's do."""
+    try:
+        return load_wav(path)
+    except CryalertError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def cmd_predict(args) -> int:
     loaded = load_model(args.model)
-    clip = load_wav(args.input)
+    clip = _load_input(args.input)
     probs = predict(loaded.network, loaded.stft_config, clip, loaded.class_names)
     if args.json:
         print(json.dumps(probs))
@@ -244,7 +252,7 @@ def cmd_watch(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    spec = stft_magnitude(load_wav(args.input))
+    spec = stft_magnitude(_load_input(args.input))
     export_spectrogram(spec, args.out, Path(args.out).suffix.lstrip(".").lower())
     print(f"{spec.shape[0]} x {spec.shape[1]}")
     return 0

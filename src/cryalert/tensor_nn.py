@@ -14,9 +14,9 @@ it, so it returns dx=None, and the parameter-free layers under it pass
 that None down.
 
 A conv caches only its input and output.  Its im2col patch matrix is
-formed for _CONV_BLOCK examples at a time, multiplied straight into the
-output in forward and formed again from the cached input in backward,
-so no batch-sized patch matrix is ever held.
+one copy of a strided window view of _CONV_BLOCK examples, multiplied
+straight into the output in forward and formed again from the cached
+input in backward, so no batch-sized patch matrix is ever held.
 
 The canonical stack is resize (that input check) -> normalize ->
 conv(relu) -> conv -> maxpool(relu) -> dropout -> flatten -> dense(relu)
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ConsistencyError, LabelError, ShapeError
 from .rng import STREAM_DROPOUT, STREAM_INIT, philox_stream
@@ -56,9 +56,12 @@ _CONV_BLOCK = 4
 
 
 def _im2col(x, kh, kw):
-    # (n, h, w, c) -> (n*oh*ow, kh*kw*c) patches, window-major order
-    v = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, c, kh, kw)
-    return v.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
+    # (n, h, w, c) -> (n*oh*ow, kh*kw*c) patches, window-major order, copied
+    # once from a read-only (n, oh, ow, kh, kw, c) view of x (valid for any strides)
+    (n, h, w, c), (s0, s1, s2, s3) = x.shape, x.strides
+    v = as_strided(x, (n, h - kh + 1, w - kw + 1, kh, kw, c), (s0, s1, s2, s1, s2, s3),
+                   writeable=False)
+    return v.reshape(-1, kh * kw * c)
 
 
 # 2x2 pool window positions in row-major order; ties go to the first
@@ -231,11 +234,12 @@ class MaxPool2D:
         """dy goes to the window position that first holds the pooled max (> 0 if relu)."""
         x, y = cache
         free = y > 0 if self.use_relu else np.ones(y.shape, dtype=bool)
+        hit = np.empty(y.shape, dtype=bool)
         dx = np.empty(x.shape, dtype=dy.dtype)
         for i, j in _POOL_OFFSETS:
-            hit = x[:, i::2, j::2] == y
+            np.equal(x[:, i::2, j::2], y, out=hit)
             hit &= free
-            free &= ~hit
+            np.greater(free, hit, out=free)  # free and not hit
             np.multiply(dy, hit, out=dx[:, i::2, j::2])
         return dx, []
 

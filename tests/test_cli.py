@@ -322,7 +322,7 @@ class TestPredictCommand:
             wav.symlink_to("/dev/zero")
         proc = _bounded_cli(["predict", "--model", str(untrained_model), "--input", str(wav)])
         assert proc.returncode == 1
-        assert proc.stderr == "error: not a regular file\n"
+        assert proc.stderr == f"error: {wav}: not a regular file\n"
 
     def test_malformed_input(self, trained, tmp_path, capsys):
         _, model_path, _, _ = trained
@@ -330,7 +330,7 @@ class TestPredictCommand:
         bad.write_bytes(b"not audio at all")
         rc = main(["predict", "--model", str(model_path), "--input", str(bad)])
         assert rc == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
 @pytest.fixture(scope="module")
@@ -501,6 +501,20 @@ class TestSpectrogramCommand:
                    "--out", str(tmp_path / "spec.png")])
         capsys.readouterr()
         assert rc == 2
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_non_regular_input_names_the_path(self, tmp_path, kind):
+        # a plain open of a FIFO blocks, so the child is bounded
+        wav = tmp_path / "x.wav"
+        if kind == "fifo":
+            os.mkfifo(wav)
+        else:
+            wav.mkdir()
+        proc = _bounded_cli(["spectrogram", "--input", str(wav),
+                             "--out", str(tmp_path / "spec.csv")])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {wav}: not a regular file\n"
+        assert not (tmp_path / "spec.csv").exists()
 
 
 class TestWatchUsage:

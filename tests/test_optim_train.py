@@ -11,6 +11,7 @@ from cryalert.optim_train import (
     ConfusionMatrix,
     TrainConfig,
     TrainReport,
+    _ADAM_CHUNK,
     adam_step,
     confusion_matrix,
     evaluate,
@@ -116,9 +117,11 @@ class TestAdam:
         # the update as one expression per moment, each intermediate a
         # fresh array; the in-place version must round identically.
         # Parameters start at zero so that they stay as small as the
-        # steps, whose last-bit differences would otherwise round away
+        # steps, whose last-bit differences would otherwise round away.
+        # The last parameter spans two full _ADAM_CHUNK chunks and a
+        # short third one
         rng = np.random.default_rng(2)
-        params = [np.zeros(s, dtype=dtype) for s in ((5, 4), (7,))]
+        params = [np.zeros(s, dtype=dtype) for s in ((5, 4), (7,), (2 * _ADAM_CHUNK + 3,))]
         state = AdamState.for_params(params, lr=3e-3)
         ref = [p.copy() for p in params]
         ms = [np.zeros_like(p) for p in params]

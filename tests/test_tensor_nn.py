@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cryalert.errors import ConfigError, ConsistencyError, LabelError, ShapeError
 from cryalert.rng import STREAM_INIT, philox_stream
@@ -14,6 +15,7 @@ from cryalert.tensor_nn import (
     Resize,
     _CONV_BLOCK,
     _glorot,
+    _im2col,
     build_network,
     param_shapes,
     softmax,
@@ -323,6 +325,37 @@ class TestBlockedConv:
         y, cache = layer.forward(x)
         assert len(cache) == 2
         assert cache[0] is x and cache[1] is y
+
+
+def im2col_window_view(x, kh, kw):
+    """Patch matrix oracle: numpy's sliding-window view, transposed to
+    window-major (kh, kw, c) order and copied by the reshape."""
+    v = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, c, kh, kw)
+    return v.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
+
+
+class TestIm2col:
+    """_im2col builds its window view from x.strides, so inputs that are
+    not C-contiguous are checked as well as fresh arrays."""
+
+    @pytest.mark.parametrize("c", [1, 3, 32])
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("kh, kw", [(3, 3), (2, 3)])
+    def test_bitwise_equal_to_window_view(self, n, c, kh, kw):
+        rng = np.random.default_rng(60 + 7 * n + c)
+        base = rng.normal(size=(n + 2, 7, 9, 2 * c)).astype(np.float32)  # h != w
+        inputs = {
+            "contiguous": np.ascontiguousarray(base[:n, :, :, :c]),
+            "batch slice": base[1:n + 1, :, :, :c],
+            "rows reversed": base[:n, ::-1, :, :c],
+            "every other column": base[:n, :, ::2, :c],
+            "every other channel": base[:n, :, :, ::2],
+        }
+        for name, x in inputs.items():
+            cols = _im2col(x, kh, kw)
+            want = im2col_window_view(x, kh, kw)
+            assert cols.flags.c_contiguous and not np.shares_memory(cols, x), name
+            assert bitwise_equal(cols, want), name
 
 
 class TestMaxPool:
