@@ -106,6 +106,15 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step([p], [np.zeros(4)], state)
 
+    def test_non_contiguous_parameter_refused(self):
+        # a flattened copy of a strided parameter would take the update
+        # and drop it; the step must raise instead
+        p = np.zeros((4, 3)).T
+        state = AdamState.for_params([p])
+        with pytest.raises(ValueError):
+            adam_step([p], [np.ones(p.shape)], state)
+        assert not p.any()
+
     def test_float32_params_stay_float32(self):
         p = np.zeros(3, dtype=np.float32)
         state = AdamState.for_params([p])
