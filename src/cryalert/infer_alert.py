@@ -202,7 +202,10 @@ def predict(net: Network, stft_cfg: StftConfig, clip: AudioClip,
             f"clip has {len(clip)} samples at {clip.sample_rate} Hz, shorter than "
             f"one {FRAME_LENGTH}-sample frame at {DEFAULT_SAMPLE_RATE} Hz"
         )
-    logits, _ = net.forward(clip_images([clip]), train=False)
+    with np.errstate(all="ignore"):  # an overflow shows in the logits, checked below
+        logits, _ = net.forward(clip_images([clip]), train=False)
+    if not np.isfinite(logits).all():
+        raise CorruptModelError("the model gives non-finite outputs for this clip")
     probs = softmax(logits[0].astype(np.float64))
     return {name: float(p) for name, p in zip(class_names, probs)}
 

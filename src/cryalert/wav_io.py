@@ -1,12 +1,14 @@
 """WAV reading/writing, the canonical clip format and dataset assembly.
 
 The parser walks RIFF chunks by hand (struct, little-endian) and
-accepts only 16-bit integer PCM.  Samples are exposed as float64 in
-[-1, 1]; multi-channel audio is collapsed to mono by averaging each
-frame across channels before scaling.  `resample` is polyphase FIR
-decimation, filtering only the outputs it keeps.  `canonical_clip` owns
-the one clip format of training and prediction: 16 kHz, 1 s, float32
-(exact for the mean of 1, 2, 4 or 8 channels of 16-bit samples).
+accepts only 16-bit integer PCM.  Samples are exposed in [-1, 1];
+multi-channel audio is collapsed to mono by averaging each frame across
+channels before scaling.  The mean of 1, 2, 4 or 8 channels of 16-bit
+samples is exact in float32, so those files decode to float32, any other
+channel count to float64.  `resample` is polyphase FIR decimation,
+filtering only the outputs it keeps.  `canonical_clip` owns the one clip
+format of training and prediction: 16 kHz, 1 s, float32, so a 1 s
+16 kHz file decodes straight to a canonical clip.
 """
 
 from __future__ import annotations
@@ -66,8 +68,10 @@ class AudioClip:
 
 
 def parse_wav(data: bytes) -> AudioClip:
-    """Decode a RIFF/WAVE byte string into an AudioClip.
+    """Decode a RIFF/WAVE byte string into an AudioClip of the channels' mean.
 
+    Its samples are float32 for 1, 2, 4 or 8 channels, where that mean
+    is exact in float32, and float64 for any other channel count.
     Raises FormatError on structural problems, UnsupportedCodecError
     for non-PCM format codes and UnsupportedDepthError for bit depths
     other than 16.
@@ -114,13 +118,18 @@ def parse_wav(data: bytes) -> AudioClip:
         raise FormatError("data chunk holds a partial sample frame")
 
     ints = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
-    if channels <= 8:  # one strided add per channel beats a reduce over short rows
-        mono = ints[:, 0].astype(np.float64)
+    exact32 = channels in (1, 2, 4, 8)  # their scale is a power of two
+    if channels > 8:  # a header may claim 65535 channels: one reduce, not 65534 adds
+        total = ints.sum(axis=1, dtype=np.float64)
+    elif channels == 1:
+        total = ints[:, 0]
+    else:  # one strided add per channel beats a reduce over short rows
+        total = ints[:, 0].astype(np.int32 if exact32 else np.float64)
         for column in ints.T[1:]:
-            mono += column
-    else:  # a header may claim 65535 channels: one reduce, not 65534 adds
-        mono = ints.sum(axis=1, dtype=np.float64)
-    mono /= channels * _PCM_SCALE  # the sums are exact, so this is the frame mean bit for bit
+            total += column
+    # the sums are exact, so this is the frame mean bit for bit; below 2**18
+    # and scaled by a power of two, it is exact in float32 too
+    mono = np.divide(total, channels * _PCM_SCALE, dtype=np.float32 if exact32 else np.float64)
     return AudioClip(mono, int(rate))
 
 

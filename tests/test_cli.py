@@ -332,12 +332,41 @@ class TestPredictCommand:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_non_finite_logits_are_an_error(self, overflowing_model, tmp_path):
+        # the model loads, since its weights are finite, but it must not print
+        # NaN probabilities (not JSON) or numpy warnings
+        wav = tone_wav(tmp_path / "tone.wav")
+        proc = _bounded_cli(["predict", "--model", str(overflowing_model),
+                             "--input", str(wav), "--json"])
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+        assert "NaN" not in proc.stdout
+
 
 @pytest.fixture(scope="module")
 def untrained_model(tmp_path_factory):
     """A freshly initialised default model: cheap, and loads like any other."""
     path = tmp_path_factory.mktemp("untrained") / "m.cry"
     save_model(build_network(len(CLASSES), seed=0), StftConfig(), sorted(CLASSES), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def overflowing_model(tmp_path_factory):
+    """A model whose finite dense2 weights of +-3e38 overflow its logits."""
+    net = build_network(len(CLASSES), seed=0)
+    weights = net.parameters()[-2]
+    weights[...] = np.where(np.arange(weights.size).reshape(weights.shape) % 2, 3e38, -3e38)
+    path = tmp_path_factory.mktemp("overflowing") / "m.cry"
+    save_model(net, StftConfig(), sorted(CLASSES), path)
+    return path
+
+
+def tone_wav(path):
+    """Write 1 s of a 1 kHz tone at 16 kHz, which the overflowing model cannot score."""
+    tone = np.rint(8000 * np.sin(2 * np.pi * 1000 * np.arange(16000) / 16000))
+    path.write_bytes(make_wav_bytes(tone))
     return path
 
 
@@ -611,6 +640,21 @@ class TestDirectoryWatcher:
         assert buf.getvalue() == ""
         # a failed file is not retried either
         assert watcher.poll_once() == []
+
+    def test_non_finite_logits_skipped_and_logged(self, overflowing_model, tmp_path, caplog):
+        loaded = load_model(overflowing_model)
+
+        def classify(path):
+            return infer_alert.predict(loaded.network, loaded.stft_config, load_wav(path),
+                                       loaded.class_names)
+
+        watcher, buf = make_watcher(tmp_path, classify=classify)
+        path = tone_wav(tmp_path / "tone.wav")
+        watcher.poll_once()
+        with caplog.at_level(logging.WARNING, logger="cryalert"):
+            assert watcher.poll_once() == []
+        assert [r.getMessage().startswith(f"skipping {path}: ") for r in caplog.records] == [True]
+        assert buf.getvalue() == ""
 
     def test_non_alert_events_still_emitted(self, tmp_path):
         watcher, buf = make_watcher(

@@ -40,7 +40,7 @@ class TestParse:
         clip = parse_wav(make_wav_bytes([0, 16384, -16384], rate=16000))
         assert clip.sample_rate == 16000
         assert np.array_equal(clip.samples, [0.0, 0.5, -0.5])
-        assert clip.samples.dtype == np.float64
+        assert clip.samples.dtype == np.float32
 
     def test_full_scale_bounds(self):
         clip = parse_wav(make_wav_bytes([32767, -32768]))
@@ -51,16 +51,18 @@ class TestParse:
         clip = parse_wav(make_wav_bytes([1000, 3000, -2000, 2000], channels=2))
         assert np.array_equal(clip.samples, [2000 / 32768, 0.0])
 
-    @pytest.mark.parametrize("channels", [1, 2, 3, 8, 9])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4, 8, 9])
     def test_downmix_matches_mean_oracle(self, channels):
         # full-scale extremes included: the per-frame mean of the
-        # interleaved ints, scaled, bit for bit
+        # interleaved ints, scaled, bit for bit; float32 holds it exactly
+        # for a power-of-two channel count up to 8
         rng = np.random.default_rng(channels)
         ints = rng.integers(-32768, 32768, 300 * channels)
         ints[:2 * channels] = np.repeat([-32768, 32767], channels)
         clip = parse_wav(make_wav_bytes(ints, channels=channels))
         oracle = ints.astype(np.float64).reshape(-1, channels).mean(axis=1) / 32768
         assert np.array_equal(clip.samples, oracle)
+        assert clip.samples.dtype == (np.float32 if channels in (1, 2, 4, 8) else np.float64)
 
     def test_unknown_chunks_skipped(self):
         clip = parse_wav(make_wav_bytes([123], extra_chunk=b"\x07\x08\x09"))
@@ -344,6 +346,25 @@ class TestCanonicalClip:
         clip = AudioClip(np.zeros(DEFAULT_CLIP_SAMPLES, dtype=np.float32), 16000)
         assert canonical_clip(clip) is clip
 
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_decoded_16k_second_is_canonical(self, tmp_path, monkeypatch, channels):
+        # a 1 s 16 kHz file decodes to the canonical clip itself: no copy,
+        # and resample is still called once, with nothing to do
+        rng = np.random.default_rng(channels)
+        ints = rng.integers(-32768, 32768, DEFAULT_CLIP_SAMPLES * channels)
+        path = tmp_path / "x.wav"
+        path.write_bytes(make_wav_bytes(ints, 16000, channels))
+        calls = []
+
+        def counting(c, rate):
+            calls.append(rate)
+            return resample(c, rate)
+
+        monkeypatch.setattr(wav_io, "resample", counting)
+        clip = load_wav(path)
+        assert canonical_clip(clip) is clip
+        assert calls == [16000]
+
     def test_resamples_before_cutting(self):
         # 2 s at 48 kHz: decimate first, so the kept second is the first one
         clip = AudioClip(np.random.default_rng(3).uniform(-0.5, 0.5, 96000), 48000)
@@ -464,7 +485,7 @@ class TestLoadDataset:
         ds = load_dataset(tmp_path, split_ratios=(1.0, 0.0, 0.0))
         for label, x in zip(ds.labels, ds.samples):
             exact = parse_wav(data[ds.class_names[label]]).samples
-            assert exact.dtype == np.float64
+            assert exact.dtype == np.float32
             assert np.array_equal(x.astype(np.float64), exact)
 
     def test_memory_is_one_float32_array(self, tmp_path):
