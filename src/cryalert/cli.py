@@ -22,7 +22,9 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import ConfigError, CryalertError
+import numpy as np
+
+from .errors import ConfigError, CorruptModelError, CryalertError
 from .infer_alert import (
     DEFAULT_ALERT_CLASSES,
     CommandSink,
@@ -192,7 +194,10 @@ def cmd_eval(args) -> int:
             f"{dataset.class_names}"
         )
     images, labels = split_arrays(dataset, args.split)
-    loss, accuracy, matrix = evaluate(loaded.network, images, labels, dataset.class_names)
+    with np.errstate(all="ignore"):  # an overflow shows in the loss, checked below
+        loss, accuracy, matrix = evaluate(loaded.network, images, labels, dataset.class_names)
+    if not math.isfinite(loss):
+        raise CorruptModelError(f"{args.model}: non-finite outputs on the {args.split} split")
     print(f"{args.split} loss: {loss:.4f}")
     print(f"{args.split} accuracy: {accuracy:.4f}")
     if args.confusion:

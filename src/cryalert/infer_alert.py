@@ -15,7 +15,6 @@ downstream consumers can rely on the schema.
 
 from __future__ import annotations
 
-import functools
 import http.client
 import json
 import logging
@@ -30,7 +29,6 @@ import threading
 import time
 import urllib.error
 import urllib.parse
-import urllib.request
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -258,57 +256,15 @@ class StdoutSink:
         self.stream.flush()
 
 
-class _DeadlineHandler(urllib.request.HTTPSHandler):
-    """Opens http and https connections that expire() shuts down: the open
-    ones at once, one still connecting as soon as it is connected."""
-
-    handler_order = urllib.request.HTTPSHandler.handler_order - 1  # ahead of the stock ones
-    http_open = urllib.request.HTTPHandler.http_open
-
-    def __init__(self):
-        super().__init__()
-        self.lock, self.socks, self.expired = threading.Lock(), [], False
-
-    def do_open(self, http_class, req, **kwargs):
-        def connection(*args, **kw):
-            conn = http_class(*args, **kw)
-            conn.connect = functools.partial(self._connect, conn, conn.connect)
-            return conn
-
-        return super().do_open(connection, req, **kwargs)
-
-    def _connect(self, conn, connect) -> None:
-        connect()
-        with self.lock:
-            self.socks.append(conn.sock)
-            if self.expired:
-                self._shut(conn.sock)
-
-    def expire(self) -> None:
-        with self.lock:
-            self.expired = True
-            for sock in self.socks:
-                self._shut(sock)
-
-    @staticmethod
-    def _shut(sock) -> None:
-        try:  # the plain socket's shutdown: a blocked read, TLS or not, returns at once
-            socket.socket.shutdown(sock, socket.SHUT_RDWR)
-        except OSError:  # closed already
-            pass
-
-
-class _NoRedirect(urllib.request.HTTPRedirectHandler):
-    def redirect_request(self, *args):  # a 3xx becomes an HTTPError
-        return None
-
-
 class HttpSink:
-    """POSTs the JSON line to an http(s) URL, with one retry on a connection
-    error or an HTTP 5xx.  A 4xx, or a 3xx (following it would re-send the
-    alert as a bodyless GET), raises at once.  One timeout bounds the whole
-    exchange, both attempts: a timer shuts the connection down when it runs
-    out, so a host that trickles its reply cannot hold the send past it."""
+    """POSTs the JSON line to an http(s) URL, one http.client connection per
+    attempt, with one retry on a connection error or an HTTP 5xx.  Any other
+    status outside 2xx raises HTTPError at once: http.client follows no
+    redirect, so a 3xx fails the send instead of moving the alert.  Only the
+    status line and headers are read, never the body.  One timeout bounds
+    the whole exchange, both attempts: a timer shuts the connection down
+    when it runs out, so a host that trickles its reply cannot hold the send
+    past it.  The host is contacted directly; proxy variables are not read."""
 
     def __init__(self, url: str, timeout: float = 2.0):
         try:
@@ -320,30 +276,58 @@ class HttpSink:
             raise ConfigError(f"alert URL must be http(s)://host..., got {url!r}")
         self.url = url
         self.timeout = timeout
+        # HTTPSConnection's default context verifies the certificate and host name
+        self._connection = (http.client.HTTPSConnection if parts.scheme == "https"
+                            else http.client.HTTPConnection)
+        self._address = parts.hostname, parts.port or self._connection.default_port
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
 
     def send(self, line: str) -> None:
-        request = urllib.request.Request(
-            self.url,
-            data=line.encode("utf-8"),
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        handler = _DeadlineHandler()
-        opener = urllib.request.build_opener(handler, _NoRedirect)
+        lock, socks, expired = threading.Lock(), [], threading.Event()
+
+        def shut(sock) -> None:
+            try:  # the plain socket's shutdown: a blocked read, TLS or not, returns at once
+                socket.socket.shutdown(sock, socket.SHUT_RDWR)
+            except OSError:  # closed already
+                pass
+
+        def expire() -> None:
+            with lock:
+                expired.set()
+                for sock in socks:
+                    shut(sock)
+
+        def post(timeout: float) -> None:
+            conn = self._connection(*self._address, timeout=timeout)
+            try:
+                conn.connect()
+                with lock:  # a connection made after expire() is shut at once
+                    socks.append(conn.sock)
+                    if expired.is_set():
+                        shut(conn.sock)
+                conn.request("POST", self._target, line.encode("utf-8"),
+                             {"Content-Type": "application/json"})
+                with conn.getresponse() as reply:
+                    if not 200 <= reply.status < 300:
+                        raise urllib.error.HTTPError(self.url, reply.status, reply.reason,
+                                                     reply.headers, None)
+            finally:
+                conn.close()
+
         deadline = time.monotonic() + self.timeout
-        timer = threading.Timer(self.timeout, handler.expire)
+        timer = threading.Timer(self.timeout, expire)
         timer.daemon = True
         timer.start()
         try:
             try:
-                opener.open(request, timeout=self.timeout).close()
-            except OSError as exc:  # URLError and HTTPError are OSErrors
+                post(self.timeout)
+            except OSError as exc:  # HTTPError is an OSError
                 left = deadline - time.monotonic()
                 if left <= 0 or isinstance(exc, urllib.error.HTTPError) and exc.code < 500:
                     raise
-                opener.open(request, timeout=left).close()
+                post(left)
         except (OSError, http.client.HTTPException) as exc:
-            if handler.expired:  # whatever the cut-off read raised, the cause is the deadline
+            if expired.is_set():  # whatever the cut-off read raised, the cause is the deadline
                 raise TimeoutError(f"no complete reply within {self.timeout:g} s") from exc
             raise
         finally:

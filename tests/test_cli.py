@@ -246,6 +246,17 @@ class TestEvalCommand:
         assert out == (f"test loss: {report['test_loss']:.4f}\n"
                        f"test accuracy: {report['test_accuracy']:.4f}\n")
 
+    def test_non_finite_outputs_are_an_error(self, overflowing_model, small_corpus):
+        # the model loads, since its weights are finite, but a nan loss and an
+        # accuracy taken from NaN logits must not pass for a score, nor print
+        # numpy warnings
+        proc = _bounded_cli(["eval", "--model", str(overflowing_model),
+                             "--data", str(small_corpus)])
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {overflowing_model}: ")
+        assert "nan" not in proc.stdout.lower()
+
     def test_missing_model(self, synth_corpus, tmp_path, capsys):
         rc = main(["eval", "--model", str(tmp_path / "no.cry"),
                    "--data", str(synth_corpus)])

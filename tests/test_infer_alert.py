@@ -4,8 +4,11 @@ import io
 import json
 import logging
 import os
+import shutil
 import socket
+import ssl
 import struct
+import subprocess
 import threading
 import time
 import tracemalloc
@@ -604,18 +607,21 @@ class TestAlertEvent:
 class _CountingHandler(http.server.BaseHTTPRequestHandler):
     fail_first = 0
     fail_status = 500
+    ok_status = 200
     hits = None
+    heads = None
     gets = None
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         type(self).hits.append(body)
+        type(self).heads.append((self.path, self.headers["Content-Type"]))
         if len(type(self).hits) <= type(self).fail_first:
             self.send_response(type(self).fail_status)
             if 300 <= type(self).fail_status < 400:
                 self.send_header("Location", "/moved")
         else:
-            self.send_response(200)
+            self.send_response(type(self).ok_status)
         self.end_headers()
 
     def do_GET(self):
@@ -631,19 +637,38 @@ class _CountingHandler(http.server.BaseHTTPRequestHandler):
 def http_server():
     servers = []
 
-    def start(fail_first, fail_status=500):
+    def start(fail_first, fail_status=500, ok_status=200, tls=None):
+        """tls, a (certificate, key) pair of files, serves https."""
         handler = type("Handler", (_CountingHandler,),
-                       {"fail_first": fail_first, "fail_status": fail_status, "hits": [],
-                        "gets": []})
+                       {"fail_first": fail_first, "fail_status": fail_status,
+                        "ok_status": ok_status, "hits": [], "heads": [], "gets": []})
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(*tls)
+            server.socket = context.wrap_socket(server.socket, server_side=True)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         servers.append(server)
-        return f"http://127.0.0.1:{server.server_address[1]}/", handler
+        scheme = "https" if tls else "http"
+        return f"{scheme}://127.0.0.1:{server.server_address[1]}/", handler
 
     yield start
     for server in servers:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def self_signed(tmp_path):
+    """A certificate for IP 127.0.0.1 that no system store trusts, and its key."""
+    if shutil.which("openssl") is None:
+        pytest.skip("needs the openssl command")
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(["openssl", "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+                    "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+                    "-keyout", str(key), "-out", str(cert)],
+                   check=True, capture_output=True, timeout=60)
+    return cert, key
 
 
 class TestSinks:
@@ -652,10 +677,12 @@ class TestSinks:
         StdoutSink(buf).send('{"alert":true}')
         assert buf.getvalue() == '{"alert":true}\n'
 
-    def test_http_sink_posts_body(self, http_server):
-        url, handler = http_server(fail_first=0)
-        HttpSink(url).send('{"k":1}')
+    @pytest.mark.parametrize("status", [200, 204])
+    def test_http_sink_posts_body(self, http_server, status):
+        url, handler = http_server(fail_first=0, ok_status=status)
+        HttpSink(url + "hook?x=1").send('{"k":1}')
         assert handler.hits == [b'{"k":1}']
+        assert handler.heads == [("/hook?x=1", "application/json")]
 
     def test_http_sink_retries_once(self, http_server):
         url, handler = http_server(fail_first=1)
@@ -702,6 +729,67 @@ class TestSinks:
                 HttpSink(url, timeout=1.0).send('{"k":5}')
             elapsed = time.monotonic() - start
         assert elapsed < 1.6
+
+    def test_http_sink_retries_a_refused_connection_once(self, monkeypatch):
+        # a port bound and closed again refuses at once: both attempts are
+        # made, well within the timeout
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{closed.getsockname()[1]}/"
+        attempts = []
+        connect = socket.create_connection
+
+        def counting(*args, **kwargs):
+            attempts.append(args[0])
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(socket, "create_connection", counting)
+        start = time.monotonic()
+        with pytest.raises(OSError):
+            HttpSink(url, timeout=1.0).send('{"k":9}')
+        assert time.monotonic() - start < 1.0
+        assert len(attempts) == 2
+
+    def test_http_sink_does_not_await_the_body(self):
+        # the status line and headers say delivered; a body that never comes
+        # must not hold the send
+        done = threading.Event()
+
+        def stall(server):
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n")
+                done.wait(5.0)
+
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(1)
+            thread = threading.Thread(target=stall, args=(server,), daemon=True)
+            thread.start()
+            url = f"http://127.0.0.1:{server.getsockname()[1]}/"
+            start = time.monotonic()
+            try:
+                HttpSink(url, timeout=1.0).send('{"k":10}')
+                elapsed = time.monotonic() - start
+            finally:
+                done.set()
+                thread.join(5.0)
+        assert not thread.is_alive()
+        assert elapsed < 0.5
+
+    def test_https_sink_posts_to_a_trusted_host(self, http_server, self_signed, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(self_signed[0]))
+        url, handler = http_server(fail_first=0, tls=self_signed)
+        HttpSink(url + "hook?x=1").send('{"k":11}')
+        assert handler.hits == [b'{"k":11}']
+        assert handler.heads == [("/hook?x=1", "application/json")]
+
+    def test_https_sink_refuses_an_untrusted_certificate(self, http_server, self_signed):
+        url, handler = http_server(fail_first=0, tls=self_signed)
+        with pytest.raises(OSError, match="CERTIFICATE_VERIFY_FAILED"):
+            HttpSink(url).send('{"k":12}')
+        assert handler.hits == []
 
     def test_http_sink_one_deadline_for_a_trickled_reply(self):
         # a host that answers one byte every 0.2 s keeps each read under the
