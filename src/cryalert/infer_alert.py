@@ -10,24 +10,20 @@ size holds, and checks that the header holds exactly the fields
 save_model writes, then the length, CRC and finiteness, before building.
 
 Alerts are single-line JSON events with a fixed key order so
-downstream consumers can rely on the schema.
+downstream consumers can rely on the schema.  The modules only the
+webhook and command sinks use load when such a sink is built.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import math
 import os
-import shlex
-import socket
 import struct
-import subprocess
 import sys
 import threading
 import time
-import urllib.error
 import urllib.parse
 import zlib
 from dataclasses import dataclass
@@ -169,14 +165,13 @@ def load_model(path) -> LoadedModel:
                 raise CorruptModelError(
                     f"{path}: expected {header_end + blob_len + 4} bytes, file has {size}"
                 )
-            data = fh.read(blob_len + 4)
-            if len(data) != blob_len + 4:  # the file shrank after it was opened
+            region = np.empty(sum(sizes) + 1, "<f4")  # the parameters, then the CRC word
+            raw = memoryview(region).cast("B")  # filled by one read, not copied
+            if fh.readinto(raw) != blob_len + 4:  # the file shrank after it was opened
                 raise CorruptModelError(f"{path}: truncated parameters")
-            blob = data[:blob_len]
-            (crc,) = struct.unpack_from("<I", data, blob_len)
-            if zlib.crc32(blob) != crc:
+            if zlib.crc32(raw[:blob_len]) != struct.unpack_from("<I", raw, blob_len)[0]:
                 raise CorruptModelError(f"{path}: parameter checksum mismatch")
-            values = np.frombuffer(blob, dtype="<f4").astype(np.float32)
+            values = region[:-1].astype(np.float32, copy=False)  # a view unless big-endian
             if not np.isfinite(values).all():
                 raise CorruptModelError(f"{path}: non-finite parameter value")
             params = [v.reshape(s) for v, s in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
@@ -257,23 +252,26 @@ class StdoutSink:
 
 
 class HttpSink:
-    """POSTs the JSON line to an http(s) URL, one http.client connection per
-    attempt, with one retry on a connection error or an HTTP 5xx.  Any other
-    status outside 2xx raises HTTPError at once: http.client follows no
-    redirect, so a 3xx fails the send instead of moving the alert.  Only the
-    status line and headers are read, never the body.  One timeout bounds
-    the whole exchange, both attempts: a timer shuts the connection down
-    when it runs out, so a host that trickles its reply cannot hold the send
-    past it.  The host is contacted directly; proxy variables are not read."""
+    """POSTs the JSON line to an http(s) URL, one http.client connection per attempt,
+    with one retry on a connection error or an HTTP 5xx.  Any other status outside
+    2xx raises HTTPError at once: http.client follows no redirect, so a 3xx fails the
+    send instead of moving the alert.  Only the status line and headers are read,
+    never the body.  One timeout bounds the whole exchange, both attempts: a timer
+    shuts the connection down when it runs out, so a host that trickles its reply
+    cannot hold the send past it.  The host is contacted directly; proxy variables
+    are not read.  A URL with user info is refused, as http.client would drop it."""
 
     def __init__(self, url: str, timeout: float = 2.0):
+        import http.client
+        import urllib.error  # send's, loaded now so the first alert pays no import
         try:
             parts = urllib.parse.urlsplit(url)
             ok = parts.scheme in ("http", "https") and parts.hostname and parts.port != 0
         except ValueError:  # an unclosed [ of an IPv6 host, a port not in 0..65535
             ok = False
-        if not ok:
-            raise ConfigError(f"alert URL must be http(s)://host..., got {url!r}")
+        if not ok or parts.username is not None:  # a URL that may hold a password is not echoed
+            shown = repr(url) if "@" not in url else "a URL with an @"
+            raise ConfigError(f"alert URL must be http(s)://host... with no user@, got {shown}")
         self.url = url
         self.timeout = timeout
         # HTTPSConnection's default context verifies the certificate and host name
@@ -283,6 +281,9 @@ class HttpSink:
         self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
 
     def send(self, line: str) -> None:
+        import http.client
+        import socket
+        import urllib.error
         lock, socks, expired = threading.Lock(), [], threading.Event()
 
         def shut(sock) -> None:
@@ -338,12 +339,15 @@ class CommandSink:
     """Pipes the JSON line to a subprocess's stdin."""
 
     def __init__(self, command: str, timeout: float = 10.0):
+        import shlex
+        import subprocess  # send's, loaded now so the first alert pays no import
         self.argv = shlex.split(command)
         if not self.argv:
             raise ConfigError("alert command is empty")
         self.timeout = timeout
 
     def send(self, line: str) -> None:
+        import subprocess
         subprocess.run(
             self.argv,
             input=(line + "\n").encode("utf-8"),

@@ -16,6 +16,7 @@ STREAM_DATASET = 3
 STREAM_SYNTH = 4
 
 
+# numpy.random loads with this module on purpose: deferred, train()'s peak RSS rose 190 -> 203 MB
 def philox_stream(seed: int, stream: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -8,6 +8,7 @@ import resource
 import select
 import shutil
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -587,6 +588,49 @@ class TestWatchUsage:
         assert proc.stdout == ""
         assert len(proc.stderr.strip().splitlines()) == 1
         assert proc.stderr.startswith("error:") and "file:///x" in proc.stderr
+
+    def test_alert_url_with_credentials_refused(self, untrained_model, tmp_path):
+        # http.client would post without them: refused at startup, the
+        # password unechoed, and the host never contacted
+        drop_wav(tmp_path, "a.wav")
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(1)
+            server.setblocking(False)
+            url = f"http://user:pw@127.0.0.1:{server.getsockname()[1]}/hook"
+            proc = _bounded_cli(["watch", "--model", str(untrained_model), "--dir",
+                                 str(tmp_path), "--alert-classes", "tone", "--alert-url", url])
+            with pytest.raises(BlockingIOError):
+                server.accept()
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "pw" not in proc.stderr
+
+
+class TestImportSurface:
+    SINK_MODULES = ("http.client", "ssl", "email.parser", "socket", "subprocess", "shlex",
+                    "urllib.error")
+
+    def test_sink_modules_load_with_their_sink(self):
+        # a watcher with neither a webhook nor a command sink never imports
+        # their modules; each sink imports its own when it is built
+        code = ("import cryalert.cli, json, sys\n"
+                f"modules = {self.SINK_MODULES!r}\n"
+                "from cryalert.infer_alert import CommandSink, HttpSink\n"
+                "bare = [m for m in modules if m in sys.modules]\n"
+                "HttpSink('http://127.0.0.1:9/hook')\n"
+                "http = [m for m in modules if m in sys.modules]\n"
+                "CommandSink('true')\n"
+                "print(json.dumps([bare, http, 'subprocess' in sys.modules]))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        bare, http, command = json.loads(proc.stdout)
+        assert bare == []
+        assert "http.client" in http and "subprocess" not in http
+        assert command is True
 
 
 def tone_probs(_path):

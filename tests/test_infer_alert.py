@@ -75,6 +75,23 @@ class TestSaveLoad:
             assert a.dtype == b.dtype == np.float32
             assert np.array_equal(a, b)
 
+    def test_parameters_read_into_one_array(self, saved):
+        # one read fills one native float32 array that every parameter views:
+        # no bytes object, slice or dtype copy of the parameter region is made
+        _, path = saved
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        params = loaded.network.parameters()
+        region = params[0].base
+        assert region is not None
+        assert all(p.base is region for p in params)
+        assert all(p.dtype == np.float32 and p.dtype.isnative for p in params)
+        assert peak < 1.5 * sum(p.nbytes for p in params)  # the isfinite mask adds 1/4
+
     def test_round_trip_metadata(self, saved):
         net, path = saved
         loaded = load_model(path)
@@ -840,10 +857,19 @@ class TestSinks:
 
     @pytest.mark.parametrize("url", ["file:///etc/hostname", "notaurl", "ftp://host/x",
                                      "http://", "https:///path", "http://[::1/",
-                                     "http://host:abc/", "http://host:99999/", "http://host:0/"])
+                                     "http://host:abc/", "http://host:99999/", "http://host:0/",
+                                     "http://user:pw@127.0.0.1:8080/hook", "https://user@host/",
+                                     "http://:pw@host/", "ftp://user:pw@host/",
+                                     "http://user:pw@host:99999/", "http://user:pw@[::1/"])
     def test_http_sink_needs_http_url_with_host(self, url):
-        with pytest.raises(ConfigError):
+        # user info is refused too, since http.client would post without
+        # it, and the error never echoes a password
+        with pytest.raises(ConfigError) as info:
             HttpSink(url)
+        assert "pw" not in str(info.value)
+
+    def test_http_sink_keeps_an_at_sign_after_the_host(self):
+        assert HttpSink("http://host/hook?to=a@b")._target == "/hook?to=a@b"
 
     def test_http_sink_accepts_https(self):
         assert HttpSink("https://alerts.example/hook").url == "https://alerts.example/hook"
