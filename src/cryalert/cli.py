@@ -40,7 +40,7 @@ from .optim_train import TrainConfig, evaluate, split_arrays, train
 from .spectro import StftConfig, export_spectrogram, stft_magnitude
 from .synth import CLASSES, generate_corpus
 from .tensor_nn import build_network
-from .wav_io import load_dataset, load_wav, replace_file
+from .wav_io import load_dataset, load_wav, naming, replace_file
 
 log = logging.getLogger("cryalert")
 
@@ -197,7 +197,8 @@ def cmd_eval(args) -> int:
     with np.errstate(all="ignore"):  # an overflow shows in the loss, checked below
         loss, accuracy, matrix = evaluate(loaded.network, images, labels, dataset.class_names)
     if not math.isfinite(loss):
-        raise CorruptModelError(f"{args.model}: non-finite outputs on the {args.split} split")
+        with naming(args.model):
+            raise CorruptModelError(f"non-finite outputs on the {args.split} split")
     print(f"{args.split} loss: {loss:.4f}")
     print(f"{args.split} accuracy: {accuracy:.4f}")
     if args.confusion:
@@ -205,18 +206,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _load_input(path):
-    """load_wav, with its errors naming the path as load_model's do."""
-    try:
-        return load_wav(path)
-    except CryalertError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
-
-
 def cmd_predict(args) -> int:
     loaded = load_model(args.model)
-    clip = _load_input(args.input)
-    probs = predict(loaded.network, loaded.stft_config, clip, loaded.class_names)
+    with naming(args.input):
+        probs = predict(loaded.network, loaded.stft_config, load_wav(args.input),
+                        loaded.class_names)
     if args.json:
         print(json.dumps(probs))
     else:
@@ -257,7 +251,8 @@ def cmd_watch(args) -> int:
 
 
 def cmd_spectrogram(args) -> int:
-    spec = stft_magnitude(_load_input(args.input))
+    with naming(args.input):
+        spec = stft_magnitude(load_wav(args.input))
     export_spectrogram(spec, args.out, Path(args.out).suffix.lstrip(".").lower())
     print(f"{spec.shape[0]} x {spec.shape[1]}")
     return 0

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .spectro import FRAME_LENGTH, StftConfig, clip_images
 from .tensor_nn import Network, build_network, param_shapes, softmax
-from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, open_regular, replace_file
+from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, naming, open_regular, replace_file
 
 log = logging.getLogger("cryalert")
 
@@ -72,8 +72,13 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
         raise ConfigError(
             f"{len(class_names)} class names for {net.class_count} outputs"
         )
+    # load_model reads back only these types: refuse to write a file it would refuse
+    if not all(isinstance(n, str) for n in class_names):
+        raise ConfigError(f"class names must be strings, got {list(class_names)}")
     if len(set(class_names)) != len(class_names):
         raise ConfigError(f"duplicate class names in {list(class_names)}")
+    if type(net.seed) is not int:
+        raise ConfigError(f"network seed must be an int, got {net.seed!r}")
     if timestamp is None:
         env = os.environ.get("SOURCE_DATE_EPOCH")
         if env and not (env.isascii() and env.isdigit()):
@@ -109,18 +114,18 @@ class LoadedModel:
     stft_config = StftConfig()  # a class attribute, not read by predict
 
 
-def _check_header(header, path) -> None:
+def _check_header(header) -> None:
     """Raise CorruptModelError unless the header holds exactly the fields
     save_model writes, each with its type.  Ranges are left to param_shapes
     and Normalize, whose ConfigError load_model converts."""
     def need(ok, field):
         if not ok:
-            raise CorruptModelError(f"{path}: header field {field} missing or malformed")
+            raise CorruptModelError(f"header field {field} missing or malformed")
 
     need(isinstance(header, dict), "(top level)")
     unknown = sorted(set(header) - {"class_names", "norm_mean", "norm_variance", "seed", "created"})
     if unknown:  # ignoring a field could change predictions silently
-        raise CorruptModelError(f"{path}: unknown header field {', '.join(unknown)}; retrain")
+        raise CorruptModelError(f"unknown header field {', '.join(unknown)}; retrain")
     names = header.get("class_names")
     need(isinstance(names, list) and all(isinstance(n, str) for n in names)
          and len(set(names)) == len(names), "class_names")
@@ -132,28 +137,26 @@ def _check_header(header, path) -> None:
 
 
 def load_model(path) -> LoadedModel:
-    """Read and verify a model file written by save_model.
+    """Read and verify a model file written by save_model; every error names the path.
 
     A header field save_model does not write, such as an older version's
     stft or architecture, raises CorruptModelError naming it before
     anything is allocated."""
-    with open_regular(path, lambda msg: ModelFileError(f"{path}: {msg}")) as (fh, size):
+    with naming(path), open_regular(path, ModelFileError) as (fh, size):
         data = fh.read(12)
         if len(data) < 12 or data[:4] != MODEL_MAGIC:
-            raise NotAModelError(f"{path}: not a model file (bad magic)")
+            raise NotAModelError("not a model file (bad magic)")
         version, header_len = struct.unpack_from("<II", data, 4)
         if version != MODEL_VERSION:
-            raise ModelVersionError(
-                f"{path}: format version {version}, this build reads {MODEL_VERSION}"
-            )
+            raise ModelVersionError(f"format version {version}, this build reads {MODEL_VERSION}")
         header_end = 12 + header_len
         if header_len > MAX_HEADER_BYTES or size < header_end + 4:
-            raise CorruptModelError(f"{path}: header length {header_len} does not fit")
+            raise CorruptModelError(f"header length {header_len} does not fit")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptModelError(f"{path}: unreadable header: {exc}") from exc
-        _check_header(header, path)
+            raise CorruptModelError(f"unreadable header: {exc}") from exc
+        _check_header(header)
 
         class_names = header["class_names"]
         try:
@@ -163,22 +166,21 @@ def load_model(path) -> LoadedModel:
             blob_len = sum(sizes) * 4
             if size != header_end + blob_len + 4:
                 raise CorruptModelError(
-                    f"{path}: expected {header_end + blob_len + 4} bytes, file has {size}"
-                )
+                    f"expected {header_end + blob_len + 4} bytes, file has {size}")
             region = np.empty(sum(sizes) + 1, "<f4")  # the parameters, then the CRC word
             raw = memoryview(region).cast("B")  # filled by one read, not copied
             if fh.readinto(raw) != blob_len + 4:  # the file shrank after it was opened
-                raise CorruptModelError(f"{path}: truncated parameters")
+                raise CorruptModelError("truncated parameters")
             if zlib.crc32(raw[:blob_len]) != struct.unpack_from("<I", raw, blob_len)[0]:
-                raise CorruptModelError(f"{path}: parameter checksum mismatch")
+                raise CorruptModelError("parameter checksum mismatch")
             values = region[:-1].astype(np.float32, copy=False)  # a view unless big-endian
             if not np.isfinite(values).all():
-                raise CorruptModelError(f"{path}: non-finite parameter value")
+                raise CorruptModelError("non-finite parameter value")
             params = [v.reshape(s) for v, s in zip(np.split(values, np.cumsum(sizes)[:-1]), shapes)]
             net = build_network(len(class_names), seed=header["seed"], params=params)
             net.set_norm_stats(float(header["norm_mean"]), float(header["norm_variance"]))
         except (ConfigError, OverflowError) as exc:  # float() of an int beyond float range
-            raise CorruptModelError(f"{path}: header describes no valid model: {exc}") from exc
+            raise CorruptModelError(f"header describes no valid model: {exc}") from exc
     return LoadedModel(net, list(class_names), header["created"])
 
 

@@ -94,15 +94,19 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
 # ---------------------------------------------------------------------------
 # layers
 
-class Resize:
+class Layer:
+    """A layer without parameters; Conv2D and Dense define their own params."""
+
+    def params(self):
+        return []
+
+
+class Resize(Layer):
     """Input stage: passes an (n, out_h, out_w, 1) batch on unchanged, else
     raises ShapeError.  Its name stays in the stack for the resize spans."""
 
     def __init__(self, out_h, out_w):
         self.out_h, self.out_w = out_h, out_w
-
-    def params(self):
-        return []
 
     def forward(self, x, train=False, rng=None):
         if x.shape[1:] != (self.out_h, self.out_w, 1):
@@ -114,7 +118,7 @@ class Resize:
         return dy, []
 
 
-class Normalize:
+class Normalize(Layer):
     """Shift/scale by dataset pixel statistics, (x - mean)/sqrt(var + eps)."""
 
     EPS = 1e-6
@@ -127,9 +131,6 @@ class Normalize:
             raise ConfigError(f"need a finite mean and variance >= 0, got {mean}, {variance}")
         self.mean = float(mean)
         self.variance = float(variance)
-
-    def params(self):
-        return []
 
     def forward(self, x, train=False, rng=None):
         inv = x.dtype.type(1.0 / np.sqrt(self.variance + self.EPS))
@@ -212,12 +213,9 @@ class Conv2D:
         return dx, [dkernel.reshape(self.kernel.shape), dbias]
 
 
-class MaxPool2D:
+class MaxPool2D(Layer):
     def __init__(self, use_relu=False):
         self.use_relu = use_relu
-
-    def params(self):
-        return []
 
     def forward(self, x, train=False, rng=None):
         _, h, w, _ = x.shape
@@ -244,7 +242,7 @@ class MaxPool2D:
         return dx, []
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout (Srivastava et al. 2014): drops where a uint16 draw is
     below round(rate * 65536), and scales survivors by 1 / keep probability."""
 
@@ -253,9 +251,6 @@ class Dropout:
             raise ConfigError(f"dropout rate must be in [0, 1 - 2**-17), got {rate}")
         self.rate = rate
         self._cut = round(rate * 65536)
-
-    def params(self):
-        return []
 
     def forward(self, x, train=False, rng=None):
         if not train or self.rate == 0.0:
@@ -275,10 +270,7 @@ class Dropout:
         return dx, []
 
 
-class Flatten:
-    def params(self):
-        return []
-
+class Flatten(Layer):
     def forward(self, x, train=False, rng=None):
         return x.reshape(x.shape[0], -1), x.shape
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    CryalertError,
     DatasetError,
     FormatError,
     UnsupportedCodecError,
@@ -157,6 +158,18 @@ def open_regular(path, error=FormatError):
         raise error("not a regular file")
     with open(fd, "rb") as fh:
         yield fh, st.st_size
+
+
+@contextmanager
+def naming(path):
+    """Lead every CryalertError raised inside with "{path}: ", keeping its type;
+    a MemoryError, from a file too large to read, becomes a FormatError."""
+    try:
+        yield
+    except CryalertError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except MemoryError as exc:
+        raise FormatError(f"{path}: too large to read into memory") from exc
 
 
 def rename_into_place(path, chunks) -> None:
@@ -320,11 +333,8 @@ def load_dataset(
     samples = np.empty((n, DEFAULT_CLIP_SAMPLES), dtype=np.float32)
     # row r holds file order[r], so file i goes to row argsort(order)[i]
     for path, row in zip(paths, np.argsort(order)):
-        try:
+        with naming(path):
             samples[row] = canonical_clip(load_wav(path)).samples
-        except (FormatError, UnsupportedCodecError, UnsupportedDepthError,
-                UnsupportedRatioError) as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
 
     n_test = int(n * split_ratios[2])
     n_train = n - int(n * split_ratios[1]) - n_test

@@ -558,6 +558,74 @@ class TestSpectrogramCommand:
         assert not (tmp_path / "spec.csv").exists()
 
 
+def _sparse_wav(path):
+    """A 1.5 GiB sparse WAV whose data chunk claims the whole file: more than
+    _bounded_cli's 1 GiB child can read."""
+    size = 3 * 2 ** 29
+    with open(path, "wb") as fh:
+        fh.write(make_wav_bytes([])[:-4] + struct.pack("<I", size - 44))
+        fh.truncate(size)
+
+
+_UNUSABLE_INPUTS = {
+    "truncated": lambda p: p.write_bytes(make_wav_bytes([0] * 1000)[:-100]),
+    "24-bit": lambda p: p.write_bytes(make_wav_bytes([0] * 300, bits=24)),
+    "44.1kHz": lambda p: p.write_bytes(make_wav_bytes([0] * 4410, rate=44100)),
+    "fifo": os.mkfifo,
+    "too-short": lambda p: p.write_bytes(make_wav_bytes([0] * 100)),
+}
+
+
+def _reading(command, bad, model, tmp_path):
+    """argv for command reading the file bad: as --input, or in a corpus of
+    two classes whose second holds only bad."""
+    corpus = bad.parent.parent
+    (corpus / "a").mkdir(exist_ok=True)
+    (corpus / "a" / "good.wav").write_bytes(make_wav_bytes([0] * 1000))
+    return {"predict": ["predict", "--model", str(model), "--input", str(bad)],
+            "spectrogram": ["spectrogram", "--input", str(bad), "--out", str(tmp_path / "s.csv")],
+            "train": ["train", "--data", str(corpus), "--out", str(tmp_path / "m.cry")],
+            "eval": ["eval", "--model", str(model), "--data", str(corpus)]}[command]
+
+
+class TestInputErrorsNameTheFile:
+    """A WAV file a command cannot use ends it with exit 1 and one stderr line
+    that leads with the file's path, once.  A too-short clip is padded in a
+    corpus, and spectrogram takes the STFT at the file's own rate, so those
+    cases are no error there."""
+
+    @pytest.mark.parametrize("command, kind", [
+        (command, kind)
+        for command in ("predict", "spectrogram", "train", "eval")
+        for kind in ("truncated", "24-bit", "44.1kHz", "fifo", "too-short")
+        if not (kind == "too-short" and command in ("train", "eval"))
+        and not (kind == "44.1kHz" and command == "spectrogram")])
+    def test_one_line_leading_with_the_path(self, untrained_model, tmp_path, capsys,
+                                            command, kind):
+        # in-process: open_regular never blocks, not even on a FIFO
+        bad = tmp_path / "corpus" / "b" / "bad.wav"
+        bad.parent.mkdir(parents=True)
+        _UNUSABLE_INPUTS[kind](bad)
+        argv = _reading(command, bad, untrained_model, tmp_path)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {bad}: ")
+        assert err.count(str(bad)) == 1
+        assert not (tmp_path / "m.cry").exists() and not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "spectrogram", "train", "eval"])
+    def test_file_too_large_to_read(self, untrained_model, tmp_path, command):
+        bad = tmp_path / "corpus" / "b" / "big.wav"
+        bad.parent.mkdir(parents=True)
+        _sparse_wav(bad)
+        proc = _bounded_cli(_reading(command, bad, untrained_model, tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {bad}: too large to read into memory\n"
+
+
 class TestWatchUsage:
     def test_threshold_validated(self, tmp_path, capsys):
         rc = main(["watch", "--model", "m", "--dir", str(tmp_path),

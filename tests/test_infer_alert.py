@@ -183,6 +183,15 @@ class TestSaveLoad:
             save_model(small_net(), StftConfig(), ["am", "am", "noise", "tone"], path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("names, seed", [([0, 1, 2, 3], 3), (NAMES, True)],
+                             ids=["int-class-names", "bool-seed"])
+    def test_header_load_model_refuses_not_saved(self, tmp_path, names, seed):
+        # load_model reads only str class names and an int seed: anything
+        # else would make a file that cannot be loaded
+        with pytest.raises(ConfigError):
+            save_model(small_net(seed), StftConfig(), names, tmp_path / "m.cry")
+        assert list(tmp_path.iterdir()) == []
+
     def test_not_a_model(self, tmp_path):
         junk = tmp_path / "junk.cry"
         junk.write_bytes(b"RIFF" + b"\x00" * 40)
