@@ -106,8 +106,9 @@ class DirectoryWatcher:
         """One scan; returns the events emitted during it.
 
         A file that classify rejects is logged as a skip and the scan
-        goes on: CryalertError and OSError by their message, any other
-        Exception by its type as well (its traceback at debug level).
+        goes on: CryalertError and OSError by their message, MemoryError
+        as a file too large to read, any other Exception by its type as
+        well (its traceback at debug level).
         Non-regular files (FIFOs, device links) are skipped unread.
         """
         seen = {}
@@ -131,6 +132,9 @@ class DirectoryWatcher:
                 probs = self.classify(path)
             except (CryalertError, OSError) as exc:
                 log.warning("skipping %s: %s", path, exc)
+                continue
+            except MemoryError:
+                log.warning("skipping %s: too large to read into memory", path)
                 continue
             except Exception as exc:
                 log.warning("skipping %s: unexpected %s: %s", path,

@@ -20,7 +20,10 @@ from .spectro import clip_images
 from .tensor_nn import Network, softmax_cross_entropy_batch
 from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, LabeledDataset
 
-_EVAL_CHUNK = 128
+# train()'s default batch: an evaluate() between epochs then allocates
+# no array larger than a training step's, so it fits in the memory the
+# steps freed instead of mapping more
+_EVAL_CHUNK = 64
 # Adam's decay rates and stabiliser; only the learning rate is configurable
 BETA1 = 0.9
 BETA2 = 0.999
@@ -211,16 +214,15 @@ def evaluate(net: Network, images, labels, class_names=None):
         raise DatasetError("cannot evaluate on an empty split")
     if class_names is None:
         class_names = [f"class_{i}" for i in range(net.class_count)]
-    loss_sum = 0.0
+    losses = np.empty(n, dtype=net.dtype)
     preds = np.empty(n, dtype=np.int64)
     for start in range(0, n, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, n)
         logits, _ = net.forward(images[start:stop], train=False)
-        losses, _ = softmax_cross_entropy_batch(logits, labels[start:stop])
-        loss_sum += float(losses.sum())
+        losses[start:stop] = softmax_cross_entropy_batch(logits, labels[start:stop])[0]
         preds[start:stop] = logits.argmax(axis=-1)
     matrix = confusion_matrix(labels, preds, class_names)
-    return loss_sum / n, float((preds == labels).mean()), matrix
+    return float(losses.sum()) / n, float((preds == labels).mean()), matrix
 
 
 def train(

@@ -13,10 +13,16 @@ without synchronization.  The first conv has no parameter layer before
 it, so it returns dx=None, and the parameter-free layers under it pass
 that None down.
 
-A conv caches only its input and output.  Its im2col patch matrix is
-one copy of a strided window view of _CONV_BLOCK examples, multiplied
-straight into the output in forward and formed again from the cached
-input in backward, so no batch-sized patch matrix is ever held.
+A layer caches only what its backward reads: a conv or dense layer its
+input, and its output only under a fused ReLU; a train-mode dropout its
+keep mask; a train-mode max pool one uint8 route per output (the window
+position its gradient goes to), so a training step holds neither conv2's
+output nor the pooled output.  An inference-mode pool caches its input
+and output, from which backward derives the same route.  A conv's im2col
+patch matrix is one copy of a strided window view of _CONV_BLOCK
+examples, multiplied straight into the output in forward and formed
+again from the cached input in backward, so no batch-sized patch matrix
+is ever held.
 
 The canonical stack is resize (that input check) -> normalize ->
 conv(relu) -> conv -> maxpool(relu) -> dropout -> flatten -> dense(relu)
@@ -177,7 +183,7 @@ class Conv2D:
             out += self.bias
             if self.use_relu:
                 np.maximum(out, 0, out=out)
-        return y, (x, y)
+        return y, (x, y if self.use_relu else None)  # only the ReLU reads y
 
     def backward(self, cache, dy):
         """(dx, [dkernel, dbias]); each block's patches are formed again from x."""
@@ -213,6 +219,22 @@ class Conv2D:
         return dx, [dkernel.reshape(self.kernel.shape), dbias]
 
 
+def _pool_route(x, y, use_relu):
+    """Per pooled output, the first window position (0-3) that holds the
+    max y, or 4 or more where no gradient flows: a NaN, or a max <= 0
+    under the fused ReLU.  The route counts the positions before the max."""
+    route = np.zeros(y.shape, dtype=np.uint8)
+    if use_relu:
+        np.multiply(y <= 0, np.uint8(4), out=route)
+    pending = np.ones(y.shape, dtype=bool)  # max not found yet
+    miss = np.empty(y.shape, dtype=bool)
+    for i, j in _POOL_OFFSETS:
+        np.not_equal(x[:, i::2, j::2], y, out=miss)
+        pending &= miss
+        route += pending
+    return route
+
+
 class MaxPool2D(Layer):
     def __init__(self, use_relu=False):
         self.use_relu = use_relu
@@ -226,18 +248,16 @@ class MaxPool2D(Layer):
             np.maximum(y, x[:, i::2, j::2], out=y)
         if self.use_relu:
             np.maximum(y, 0, out=y)
-        return y, (x, y)
+        return y, _pool_route(x, y, self.use_relu) if train else (x, y)
 
     def backward(self, cache, dy):
         """dy goes to the window position that first holds the pooled max (> 0 if relu)."""
-        x, y = cache
-        free = y > 0 if self.use_relu else np.ones(y.shape, dtype=bool)
-        hit = np.empty(y.shape, dtype=bool)
-        dx = np.empty(x.shape, dtype=dy.dtype)
-        for i, j in _POOL_OFFSETS:
-            np.equal(x[:, i::2, j::2], y, out=hit)
-            hit &= free
-            np.greater(free, hit, out=free)  # free and not hit
+        route = cache if isinstance(cache, np.ndarray) else _pool_route(*cache, self.use_relu)
+        n, oh, ow, c = route.shape
+        dx = np.empty((n, 2 * oh, 2 * ow, c), dtype=dy.dtype)
+        hit = np.empty(route.shape, dtype=bool)
+        for k, (i, j) in enumerate(_POOL_OFFSETS):
+            np.equal(route, k, out=hit)
             np.multiply(dy, hit, out=dx[:, i::2, j::2])
         return dx, []
 
@@ -298,7 +318,7 @@ class Dense:
         y += self.bias
         if self.use_relu:
             np.maximum(y, 0, out=y)
-        return y, (x, y)
+        return y, (x, y if self.use_relu else None)  # only the ReLU reads y
 
     def backward(self, cache, dy):
         x, y = cache

@@ -83,7 +83,7 @@ def parse_wav(data: bytes) -> AudioClip:
     fmt_body = None
     raw = None
     pos = 12
-    while pos + 8 <= len(data):
+    while pos + 8 <= len(data) and (fmt_body is None or raw is None):  # first data chunk
         chunk_id = data[pos:pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8:pos + 8 + size]
@@ -91,7 +91,7 @@ def parse_wav(data: bytes) -> AudioClip:
             raise FormatError(f"truncated {chunk_id!r} chunk")
         if chunk_id == b"fmt ":
             fmt_body = body
-        elif chunk_id == b"data":
+        elif chunk_id == b"data" and raw is None:
             raw = body
         pos += 8 + size + (size & 1)  # chunks are word-aligned
 

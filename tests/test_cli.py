@@ -889,6 +889,24 @@ class TestDirectoryWatcher:
         assert "a.wav" in skips[0] and "ValueError" in skips[0]
         assert len(buf.getvalue().strip().splitlines()) == 1
 
+    def test_file_too_large_to_read_skipped_and_logged(self, tmp_path, caplog):
+        def classify(path):
+            if path.name == "a.wav":
+                raise MemoryError
+            return tone_probs(path)
+
+        watcher, buf = make_watcher(tmp_path, classify=classify)
+        drop_wav(tmp_path, "a.wav")
+        drop_wav(tmp_path, "b.wav")
+        watcher.poll_once()
+        with caplog.at_level(logging.DEBUG, logger="cryalert"):
+            events = watcher.poll_once()
+        assert [e.source for e in events] == [str(tmp_path / "b.wav")]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"skipping {tmp_path / 'a.wav'}: too large to read into memory"]
+        assert not any("unexpected" in r.getMessage() for r in caplog.records)
+        assert len(buf.getvalue().strip().splitlines()) == 1
+
     def test_special_files_skipped_without_classify(self, tmp_path, caplog):
         # reading a FIFO blocks and reading /dev/zero never ends; the stub
         # only records, so a regression fails here instead of hanging

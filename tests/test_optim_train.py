@@ -330,6 +330,28 @@ class TestTrain:
                               np.bincount(y, minlength=len(toy_setup.class_names)))
         assert loss > 0.0
 
+    def test_evaluate_forwards_no_more_than_a_train_batch(self):
+        # evaluate() between epochs allocates no array larger than a default
+        # training step's; its loss is still the mean over the whole split
+        net = build_network(4, seed=8)
+        rng = np.random.default_rng(8)
+        x = rng.uniform(0.0, 1.0, (150, 32, 32, 1)).astype(np.float32)
+        y = rng.integers(0, 4, 150)
+        sizes = []
+        forward = net.forward
+
+        def counted(images, train=False):
+            sizes.append(len(images))
+            return forward(images, train=train)
+
+        net.forward = counted
+        loss, acc, _ = evaluate(net, x, y)
+        assert sizes == [64, 64, 22] and max(sizes) == TrainConfig().batch_size
+        logits = forward(x)[0]
+        losses, _ = softmax_cross_entropy_batch(logits, y)
+        assert loss == pytest.approx(float(losses.astype(np.float64).mean()), rel=1e-6)
+        assert acc == float((logits.argmax(axis=-1) == y).mean())
+
     def test_evaluate_empty_rejected(self, toy_setup):
         net = build_network(len(toy_setup.class_names), seed=0)
         with pytest.raises(DatasetError):

@@ -90,6 +90,16 @@ def maxpool_grad(x, dy):
     return layer.backward(cache, dy[None])[0][0]
 
 
+def pool_both_modes(layer, x, dy):
+    """(y, dx) of a train-mode forward and backward (cache: the route),
+    after checking them bit for bit against inference's (cache: x and y)."""
+    y, route = layer.forward(x, train=True)
+    dx, _ = layer.backward(route, dy)
+    infer_y, cache = layer.forward(x)
+    assert bitwise_equal(y, infer_y) and bitwise_equal(dx, layer.backward(cache, dy)[0])
+    return y, dx
+
+
 def dense_layer(weights, bias):
     """A Dense without ReLU that holds the given weights and bias."""
     layer = Dense(weights, use_relu=False)
@@ -408,16 +418,17 @@ class TestMaxPool:
 
 
 class TestMaxPoolLayer:
+    """Each oracle checks both caches: a train-mode forward keeps the
+    uint8 route, inference keeps (x, y)."""
+
     def test_batch_matches_loop_oracle_and_ties_go_first(self):
         rng = np.random.default_rng(45)
         # values from {0, 1, 2} make many windows hold a tied max
         x = rng.integers(0, 3, size=(3, 6, 8, 4)).astype(np.float32)
         dy = rng.normal(size=(3, 3, 4, 4)).astype(np.float32)
-        layer = MaxPool2D()
-        y, cache = layer.forward(x)
+        y, dx = pool_both_modes(MaxPool2D(), x, dy)
         for i in range(3):
             assert np.array_equal(y[i], maxpool_loops(x[i]))
-        dx, _ = layer.backward(cache, dy)
 
         expected = np.zeros_like(x)
         ties = 0
@@ -435,8 +446,7 @@ class TestMaxPoolLayer:
         rng = np.random.default_rng(46)
         x = rng.integers(0, 2, size=(3, 4, 4, 2)).astype(np.float64)
         dy = rng.normal(size=(3, 2, 2, 2))
-        layer_y, cache = MaxPool2D().forward(x)
-        layer_dx, _ = MaxPool2D().backward(cache, dy)
+        layer_y, layer_dx = pool_both_modes(MaxPool2D(), x, dy)
         for n in range(3):
             # (2, 2, c, 4): each 2x2 window flattened in row-major order
             windows = (x[n].reshape(2, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3)
@@ -462,9 +472,7 @@ class TestMaxPoolRelu:
         rng = np.random.default_rng(48)
         x = rng.integers(-2, 2, size=(3, 6, 8, 4)).astype(np.float32)
         dy = rng.normal(size=(3, 3, 4, 4)).astype(np.float32)
-        layer = MaxPool2D(use_relu=True)
-        y, cache = layer.forward(x)
-        dx, _ = layer.backward(cache, dy)
+        y, dx = pool_both_modes(MaxPool2D(use_relu=True), x, dy)
 
         expected_y = np.zeros_like(y)
         expected_dx = np.zeros_like(x)
@@ -484,6 +492,14 @@ class TestMaxPoolRelu:
         assert min(seen.values()) > 5, seen
         assert np.array_equal(y, expected_y)
         assert np.array_equal(dx, expected_dx)
+
+    @pytest.mark.parametrize("use_relu", [False, True])
+    def test_nan_window_gets_no_gradient(self, use_relu):
+        x = np.array([[[[1.0], [np.nan]], [[3.0], [2.0]]],
+                      [[[1.0], [4.0]], [[3.0], [2.0]]]], dtype=np.float32)
+        y, dx = pool_both_modes(MaxPool2D(use_relu=use_relu), x, np.ones((2, 1, 1, 1), np.float32))
+        assert np.isnan(y[0, 0, 0, 0]) and y[1, 0, 0, 0] == 4.0
+        assert not dx[0].any() and dx[1, 0, 1, 0] == 1.0 and dx[1].sum() == 1.0
 
 
 class _EveryUint16:
@@ -840,11 +856,39 @@ class TestNetwork:
         for g, old_g in zip(grads, old_grads):
             assert bitwise_equal(g, old_g)
 
-        z = cache.layer_caches[3][1]  # conv2's output, before its ReLU
+        z = net.layers[3].forward(cache.layer_caches[3][0])[0]  # conv2's output, before its ReLU
         windows = np.stack([z[:, i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))])
         top = windows.max(axis=0)
         ties = ((windows == top).sum(axis=0) > 1) & (top > 0)
         assert (top < 0).any() and (top == 0).any() and ties.any()
+
+    def test_train_cache_holds_no_pool_input_or_conv2_output(self):
+        # a train-mode forward keeps each layer's input where backward reads
+        # it, but neither conv2's output (the pool's input) nor the pooled
+        # output: the pool keeps one uint8 route per output instead
+        net = build_network(4, seed=51)
+        x = np.random.default_rng(51).uniform(0, 1, (64, 32, 32, 1)).astype(np.float32)
+        _, cache = net.forward(x, train=True)
+        held = {}  # id -> nbytes of each distinct buffer the caches reach
+        for layer_cache in cache.layer_caches:
+            for a in layer_cache if isinstance(layer_cache, tuple) else (layer_cache,):
+                if isinstance(a, np.ndarray):
+                    buffer = a if a.base is None else a.base
+                    held[id(buffer)] = buffer.nbytes
+        conv2_x, conv2_y = cache.layer_caches[3]
+        assert conv2_x.nbytes == 64 * 30 * 30 * 32 * 4 and conv2_y is None
+        route = cache.layer_caches[4]
+        assert route.dtype == np.uint8 and route.shape == (64, 14, 14, 64)
+        assert sorted(held.values()) == sorted([
+            64 * 32 * 32 * 1 * 4,  # conv1's input
+            64 * 30 * 30 * 32 * 4,  # conv1's output, conv2's input
+            64 * 14 * 14 * 64,  # the pool's route
+            64 * 14 * 14 * 64,  # dropout1's keep mask
+            64 * 14 * 14 * 64 * 4,  # dropout1's output, dense1's input
+            64 * 128 * 4,  # dense1's output
+            64 * 128,  # dropout2's keep mask
+            64 * 128 * 4,  # dropout2's output, dense2's input
+        ])
 
     def test_glorot_bounds_and_zero_biases(self):
         net = build_network(4, seed=9)

@@ -95,6 +95,16 @@ class TestParse:
         with pytest.raises(FormatError):
             parse_wav(good[:-3])
 
+    @pytest.mark.parametrize("tail", [
+        b"data" + (4).to_bytes(4, "little") + b"\x09\x00\x09\x00",
+        b"data" + (100).to_bytes(4, "little") + b"\x09\x00",  # ignored, not raised
+    ], ids=["second-data-chunk", "truncated-chunk-after-data"])
+    def test_first_data_chunk_decoded(self, tail):
+        good = make_wav_bytes([1, 2, 3, 4])
+        want = parse_wav(good).samples
+        got = parse_wav(good + tail).samples
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_missing_fmt_rejected(self):
         data = b"\x01\x00"
         blob = b"RIFF" + b"\x00\x00\x00\x00" + b"WAVE" + b"data" + len(data).to_bytes(4, "little") + data
