@@ -7,9 +7,10 @@ It is a hand-written windowed DFT taken as one matrix product: the
 frames multiply a cached (FRAME_LENGTH, 2 * NUM_BINS) basis that folds
 in the window and the padding and yields the real and imaginary parts;
 the magnitude is sqrt(re^2 + im^2), squared and summed in place.  A
-16000-sample clip comes out as a (124, 129) array; `clip_images` resizes
-each canonical clip's to the 32x32 input, computing only the 64x64 cells
-the resize reads: the pipeline's only resize.
+16000-sample clip comes out as a (124, 129) array.  `clip_images`, the
+pipeline's only resize, computes just the 64x64 cells the 32x32 resize
+reads and multiplies them by the resize matrices' 64 columns that meet
+them: the products skip only zero weights, with C-contiguous operands.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, ShapeError, TooShortError
 from .tensor_nn import RESIZE
@@ -76,7 +77,9 @@ def stft_magnitude(clip, dtype=np.float32, *, cells=None) -> np.ndarray:
     samples = clip.samples if isinstance(clip, AudioClip) else np.asarray(clip)
     if len(samples) < FRAME_LENGTH:
         raise TooShortError(f"need at least {FRAME_LENGTH} samples, got {len(samples)}")
-    frames = sliding_window_view(samples, FRAME_LENGTH)[::FRAME_STEP]
+    step = samples.strides[0]  # one read-only view of every frame, whatever the stride
+    frames = as_strided(samples, (1 + (len(samples) - FRAME_LENGTH) // FRAME_STEP, FRAME_LENGTH),
+                        (FRAME_STEP * step, step), writeable=False)
     if cells is not None:
         frames = frames[list(cells[0])]
     basis = _dft_basis(None if cells is None else cells[1])
@@ -89,22 +92,26 @@ def stft_magnitude(clip, dtype=np.float32, *, cells=None) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _interp_matrix(n_in: int, n_out: int, dtype=np.float64) -> np.ndarray:
+def _interp_matrix(n_in: int, n_out: int, dtype=np.float64, kept: tuple | None = None) -> np.ndarray:
     """Read-only row-stochastic (n_out, n_in) matrix of bilinear weights.
 
     Source coordinates use half-pixel centers, src = (dst + 0.5) * n_in
     / n_out - 0.5, clamped to the valid range; each row holds the <= 2
-    nonzero weights of one output sample, computed in float64.
+    nonzero weights of one output sample, computed in float64.  kept, a
+    tuple of inputs, slices out their columns as a C-contiguous copy.
     """
-    dst = np.arange(n_out)
-    src = np.clip((dst + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
-    lo = np.floor(src).astype(np.intp)
-    hi = np.minimum(lo + 1, n_in - 1)
-    frac = src - lo
-    mat = np.zeros((n_out, n_in))
-    np.add.at(mat, (dst, lo), 1.0 - frac)
-    np.add.at(mat, (dst, hi), frac)
-    mat = mat.astype(dtype)
+    if kept is not None:
+        mat = _interp_matrix(n_in, n_out, dtype)[:, list(kept)].copy()  # indexing gives F order
+    else:
+        dst = np.arange(n_out)
+        src = np.clip((dst + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+        lo = np.floor(src).astype(np.intp)
+        hi = np.minimum(lo + 1, n_in - 1)
+        frac = src - lo
+        mat = np.zeros((n_out, n_in))
+        np.add.at(mat, (dst, lo), 1.0 - frac)
+        np.add.at(mat, (dst, hi), frac)
+        mat = mat.astype(dtype)
     mat.flags.writeable = False  # shared by every caller of the cache
     return mat
 
@@ -119,16 +126,14 @@ def _kept_cells() -> tuple[tuple, tuple]:
 def clip_images(clips) -> np.ndarray:
     """The float32 (n, *RESIZE, 1) network input: rows @ stft_magnitude @ cols.T of each clip."""
     clips = list(clips)  # the output is allocated before the first clip is imaged
-    rows, cols = (_interp_matrix(n, size, np.float32)
-                  for n, size in zip((NUM_FRAMES, NUM_BINS), RESIZE))
-    # only the cells rows and cols read are computed; the rest stay 0, meet only zero
-    # weights, and the products keep their shapes, so each sum is unchanged bit for bit
-    cells, spec = _kept_cells(), np.zeros((NUM_FRAMES, NUM_BINS), np.float32)
-    kept = np.ix_(*cells)
+    cells = _kept_cells()
+    rows, cols = (_interp_matrix(n, size, np.float32, kept)
+                  for n, size, kept in zip((NUM_FRAMES, NUM_BINS), RESIZE, cells))
+    # only the cells rows and cols read are computed, against those columns alone: the
+    # products skip only zero weights, with C-contiguous operands, so each sum is unchanged
     images = np.empty((len(clips), *RESIZE, 1), np.float32)
     for image, clip in zip(images, clips):
-        spec[kept] = stft_magnitude(canonical_clip(clip), cells=cells)
-        image[..., 0] = rows @ spec @ cols.T
+        image[..., 0] = rows @ stft_magnitude(canonical_clip(clip), cells=cells) @ cols.T
     return images
 
 

@@ -573,6 +573,7 @@ _UNUSABLE_INPUTS = {
     "44.1kHz": lambda p: p.write_bytes(make_wav_bytes([0] * 4410, rate=44100)),
     "fifo": os.mkfifo,
     "too-short": lambda p: p.write_bytes(make_wav_bytes([0] * 100)),
+    "directory": os.mkdir,
 }
 
 
@@ -597,7 +598,7 @@ class TestInputErrorsNameTheFile:
     @pytest.mark.parametrize("command, kind", [
         (command, kind)
         for command in ("predict", "spectrogram", "train", "eval")
-        for kind in ("truncated", "24-bit", "44.1kHz", "fifo", "too-short")
+        for kind in ("truncated", "24-bit", "44.1kHz", "fifo", "too-short", "directory")
         if not (kind == "too-short" and command in ("train", "eval"))
         and not (kind == "44.1kHz" and command == "spectrogram")])
     def test_one_line_leading_with_the_path(self, untrained_model, tmp_path, capsys,
@@ -615,6 +616,20 @@ class TestInputErrorsNameTheFile:
         assert err.startswith(f"error: {bad}: ")
         assert err.count(str(bad)) == 1
         assert not (tmp_path / "m.cry").exists() and not (tmp_path / "s.csv").exists()
+
+    def test_model_cut_short(self, untrained_model, tmp_path, capsys):
+        # predict --model, cut at every byte of the magic, version, header
+        # length and JSON header, and 1-5 bytes short of its end
+        data = untrained_model.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, 8)
+        wav, cut = tmp_path / "x.wav", tmp_path / "cut.cry"
+        wav.write_bytes(make_wav_bytes([0] * 1000))
+        capsys.readouterr()
+        for length in [*range(12 + header_len), *range(len(data) - 5, len(data))]:
+            cut.write_bytes(data[:length])
+            assert main(["predict", "--model", str(cut), "--input", str(wav)]) == 1, length
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {cut}: "), (length, err)
 
     @pytest.mark.parametrize("command", ["predict", "spectrogram", "train", "eval"])
     def test_file_too_large_to_read(self, untrained_model, tmp_path, command):

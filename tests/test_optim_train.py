@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryalert import spectro
 from cryalert.errors import ConfigError, DatasetError, ShapeError
@@ -477,3 +479,18 @@ class TestSpectrogramImages:
             tracemalloc.stop()
         assert images.shape == (64, 32, 32, 1)
         assert peak < 64 * 124 * 129 * 4
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from([16000, 48000]), st.sampled_from([np.float32, np.float64]),
+           st.floats(0.0, 3.0), st.integers(0, 2 ** 32 - 1))
+    def test_one_clip_equals_resize_of_its_full_spectrogram(self, rate, dtype, seconds, seed):
+        # from under one frame up to 3 s: the resize of the 64x64 kept cells
+        # by the matrices' kept columns is that of the full spectrogram
+        rng = np.random.default_rng(seed)
+        samples = rng.uniform(-1, 1, max(1, round(seconds * rate))) * rng.uniform(0.01, 1)
+        clip = AudioClip(samples.astype(dtype), rate)
+        full = stft_magnitude(canonical_clip(clip))
+        rows, cols = (_interp_matrix(n, size, np.float32) for n, size in zip(full.shape, RESIZE))
+        image = clip_images([clip])
+        assert image.dtype == np.float32
+        assert np.array_equal(image[0, ..., 0], rows @ full @ cols.T)

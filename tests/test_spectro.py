@@ -78,6 +78,20 @@ class TestKeptCells:
         assert np.array_equal(basis, _dft_basis()[:, [*bins, *(NUM_BINS + k for k in bins)]])
         assert not basis.flags.writeable
 
+    def test_kept_resize_columns_are_cached_read_only_and_c_contiguous(self):
+        # the bare indexing result is F-ordered, and with it the resize's
+        # products round apart from those of the full-width matrices
+        for kept, n, size in zip(_kept_cells(), (NUM_FRAMES, NUM_BINS), RESIZE):
+            for _ in range(2):
+                mat = _interp_matrix(n, size, np.float32, kept)
+                assert mat is _interp_matrix(n, size, np.float32, kept)
+                assert mat.shape == (size, 64) and mat.dtype == np.float32
+                fresh = _interp_matrix.__wrapped__(n, size, np.float32)
+                assert np.array_equal(mat, fresh[:, list(kept)])
+                assert mat.flags.c_contiguous and not mat.flags.writeable
+                with pytest.raises(ValueError):
+                    mat[0, 0] = 1.0
+
     def test_cells_are_those_of_the_full_spectrogram(self):
         # clips with noise in every bin: float32 cells round bit for bit as
         # the full product's; float64 ones agree to rounding, since BLAS may
@@ -181,6 +195,20 @@ class TestStft:
         via_clip = stft_magnitude(AudioClip(samples, 16000))
         via_array = stft_magnitude(samples)
         assert np.array_equal(via_clip, via_array)
+
+    @pytest.mark.parametrize("view", ["every-other", "reversed", "column"])
+    def test_strided_input_equals_contiguous_copy(self, view):
+        # the frames are one strided view of the input, whatever its stride
+        rng = np.random.default_rng(14)
+        for dtype in (np.float64, np.float32):
+            x = rng.uniform(-1, 1, 32000).astype(dtype)
+            samples = {"every-other": x[::2], "reversed": x[::-1],
+                       "column": x.reshape(-1, 2)[:, 1]}[view]
+            assert not samples.flags.c_contiguous
+            dense = np.ascontiguousarray(samples)
+            assert np.array_equal(stft_magnitude(samples), stft_magnitude(dense))
+            assert np.array_equal(stft_magnitude(samples, cells=_kept_cells()),
+                                  stft_magnitude(dense, cells=_kept_cells()))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(255, 48000))
