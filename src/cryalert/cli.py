@@ -2,11 +2,11 @@
 
 Subcommands: train, eval, predict, watch, spectrogram, synth.
 Exit codes: 0 on success, 1 for runtime/data problems (one-line
-diagnostic on stderr), 2 for usage errors.  train and synth have a
-default seed; the CRYALERT_SEED environment variable overrides it and
-an explicit --seed flag beats both.  train splits the dataset 0.8/0.1/0.1
-with its seed, and eval repeats that split with the seed stored in the
-model, so it scores exactly the clips training held out.
+diagnostic on stderr), 2 for usage errors.  SIGINT and SIGTERM stop
+watch with 0 and any other command with "error: interrupted" and 1.
+train and synth have a default seed; CRYALERT_SEED in the environment
+overrides it and --seed beats both.  eval repeats train's 0.8/0.1/0.1
+split with the seed the model stores, so it scores the held-out clips.
 """
 
 from __future__ import annotations
@@ -97,7 +97,6 @@ class DirectoryWatcher:
         self.threshold = threshold
         self.cooldown = cooldown
         self.clock = clock
-        self.stop = False
         self._last_seen: dict = {}   # path -> (size, mtime_ns, regular) at the last poll
         self._processed: dict = {}   # path -> that signature when it was classified
         self._last_alert: float | None = None
@@ -156,20 +155,13 @@ class DirectoryWatcher:
         return emitted
 
     def run(self, poll_seconds: float) -> None:
-        """Poll until stop is set; SIGINT and SIGTERM both set it."""
-        previous = {sig: signal.signal(sig, lambda *_: setattr(self, "stop", True))
-                    for sig in (signal.SIGINT, signal.SIGTERM)}
+        """Poll until a KeyboardInterrupt, which ends the sleep or poll at once."""
         try:
-            while not self.stop:
+            while True:
                 self.poll_once()
-                if self.stop:
-                    break
                 time.sleep(poll_seconds)
         except KeyboardInterrupt:
             pass
-        finally:
-            for sig, handler in previous.items():
-                signal.signal(sig, handler)
 
 
 def cmd_train(args) -> int:
@@ -329,6 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
+    # SIGTERM interrupts like Ctrl-C, at once, even in a sleep
+    previous = {sig: signal.signal(sig, signal.default_int_handler)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         args = parser.parse_args(argv)
         if args.command == "spectrogram":
@@ -344,6 +339,12 @@ def main(argv=None) -> int:
     except (CryalertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 1
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

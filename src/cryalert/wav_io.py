@@ -177,15 +177,15 @@ def rename_into_place(path, chunks) -> None:
     before the rename leaves path as is.  The rename is durable once
     sync_directory has run on path's directory."""
     tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")  # never *.wav
-    with open(tmp, "wb") as fh:
-        try:
+    try:  # open too: an interrupt can land once it has made tmp
+        with open(tmp, "wb") as fh:
             fh.writelines(chunks)
             fh.flush()
             os.fsync(fh.fileno())
             os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # not there if open failed or the rename ran
+        raise
 
 
 def sync_directory(directory) -> None:

@@ -1,3 +1,4 @@
+import _thread
 import argparse
 import importlib.util
 import io
@@ -5,7 +6,6 @@ import json
 import logging
 import os
 import resource
-import select
 import shutil
 import signal
 import socket
@@ -13,6 +13,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -567,6 +568,13 @@ def _sparse_wav(path):
         fh.truncate(size)
 
 
+def _wide_wav(path):
+    """A header claiming 65,535 channels, whose 6 data bytes hold a partial
+    frame (make_wav_bytes cannot pack its 131,070-byte block align)."""
+    data = make_wav_bytes([0] * 3)
+    path.write_bytes(data[:22] + struct.pack("<H", 65535) + data[24:])
+
+
 _UNUSABLE_INPUTS = {
     "truncated": lambda p: p.write_bytes(make_wav_bytes([0] * 1000)[:-100]),
     "24-bit": lambda p: p.write_bytes(make_wav_bytes([0] * 300, bits=24)),
@@ -574,6 +582,7 @@ _UNUSABLE_INPUTS = {
     "fifo": os.mkfifo,
     "too-short": lambda p: p.write_bytes(make_wav_bytes([0] * 100)),
     "directory": os.mkdir,
+    "65535-channels": _wide_wav,
 }
 
 
@@ -598,7 +607,7 @@ class TestInputErrorsNameTheFile:
     @pytest.mark.parametrize("command, kind", [
         (command, kind)
         for command in ("predict", "spectrogram", "train", "eval")
-        for kind in ("truncated", "24-bit", "44.1kHz", "fifo", "too-short", "directory")
+        for kind in _UNUSABLE_INPUTS
         if not (kind == "too-short" and command in ("train", "eval"))
         and not (kind == "44.1kHz" and command == "spectrogram")])
     def test_one_line_leading_with_the_path(self, untrained_model, tmp_path, capsys,
@@ -639,6 +648,41 @@ class TestInputErrorsNameTheFile:
         proc = _bounded_cli(_reading(command, bad, untrained_model, tmp_path))
         assert proc.returncode == 1
         assert proc.stderr == f"error: {bad}: too large to read into memory\n"
+
+    @pytest.mark.parametrize("command", ["predict", "spectrogram", "train", "eval"])
+    def test_device_link(self, untrained_model, tmp_path, command):
+        # bounded: a regression that read /dev/zero would never stop
+        bad = tmp_path / "corpus" / "b" / "zero.wav"
+        bad.parent.mkdir(parents=True)
+        bad.symlink_to("/dev/zero")
+        proc = _bounded_cli(_reading(command, bad, untrained_model, tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {bad}: not a regular file\n"
+
+    def test_watch_skips_each_once(self, untrained_model, tmp_path):
+        # every kind, the device link and the sparse file in one directory,
+        # through the classify cmd_watch builds; the valid file sorts last,
+        # so its event means every other file has been handled
+        directory = tmp_path / "in"
+        directory.mkdir()
+        makers = {**_UNUSABLE_INPUTS, "dev-zero": lambda p: p.symlink_to("/dev/zero"),
+                  "sparse": _sparse_wav}
+        bad = [directory / f"{kind}.wav" for kind in makers]
+        for path, make in zip(bad, makers.values()):
+            make(path)
+        drop_wav(directory, "zz-valid.wav", [0] * 16000)
+        code, out, err, _ = _signalled(
+            ["watch", "--model", str(untrained_model), "--dir", str(directory),
+             "--poll-ms", "50", "--alert-classes", "tone"],
+            signal.SIGINT, lambda pid, out, err: out, tmp_path)
+        assert code == 0
+        assert [json.loads(line)["source"] for line in out.splitlines()] == [
+            str(directory / "zz-valid.wav")]
+        skips = [line for line in err.splitlines() if line.startswith("WARNING")]
+        assert [line.split(": ")[0] for line in skips] == [
+            f"WARNING skipping {path}" for path in sorted(bad)]
+        assert not any("unexpected" in line for line in skips), skips
+        assert len(err.splitlines()) == 1 + len(bad), err
 
 
 class TestWatchUsage:
@@ -955,12 +999,13 @@ class TestDirectoryWatcher:
             watcher.poll_once()
 
     def test_run_exits_on_stop_flag(self, tmp_path):
+        # main makes SIGINT and SIGTERM a KeyboardInterrupt; run ends on one
         watcher, _ = make_watcher(tmp_path)
-        timer = threading.Timer(0.3, lambda: setattr(watcher, "stop", True))
+        timer = threading.Timer(0.3, _thread.interrupt_main)
         timer.start()
-        watcher.run(0.01)  # returns once the flag is seen
-        timer.cancel()
-        assert watcher.stop
+        watcher.run(0.01)  # returns once interrupted
+        timer.join()
+        assert not hasattr(watcher, "stop")
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -972,37 +1017,62 @@ def _child_env():
     return env
 
 
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
 def _bounded_cli(argv):
     """Run cryalert in a child with 1 GiB of address space and 60 s, so an
     input that blocks or never ends fails the test instead of stalling it."""
-    def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
     return subprocess.run([sys.executable, "-m", "cryalert.cli", *argv], env=_child_env(),
-                          capture_output=True, text=True, timeout=60, preexec_fn=cap)
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_cap_memory)
+
+
+def _catches_sigterm(pid, *_):
+    """True once pid catches SIGTERM, which only main's handler does."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    caught = next(line.split()[1] for line in status.splitlines()
+                  if line.startswith("SigCgt:"))
+    return int(caught, 16) >> (signal.SIGTERM - 1) & 1
+
+
+def _signalled(argv, sig, ready, tmp_path, delay=0.0):
+    """Run cryalert argv in a child bounded as _bounded_cli's, send sig once
+    ready(pid, stdout, stderr) holds and delay seconds more, and return
+    (exit code, stdout, stderr, seconds from the signal to the exit)."""
+    out_path, err_path = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "cryalert.cli", *argv],
+                                stdout=out, stderr=err, env=_child_env(),
+                                preexec_fn=_cap_memory)
+    try:
+        deadline = time.monotonic() + 20
+        while not ready(proc.pid, out_path.read_text(), err_path.read_text()):
+            assert proc.poll() is None, "the command ended before it was ready"
+            assert time.monotonic() < deadline, "the command was not ready within 20 s"
+            time.sleep(0.005)
+        time.sleep(delay)
+        proc.send_signal(sig)
+        sent = time.monotonic()
+        proc.wait(timeout=60)
+        return (proc.returncode, out_path.read_text(), err_path.read_text(),
+                time.monotonic() - sent)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def _watch_until_signal(model, directory, sig):
     """Run `cryalert watch` in a child, send sig once it has emitted one
     event, and return (exit code, stdout, stderr) with the directory
     written as DIR and the event timestamps blanked."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "cryalert.cli", "watch", "--model", str(model),
-         "--dir", str(directory), "--poll-ms", "50", "--alert-classes", "tone"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_child_env())
-    try:
-        # the event is written after run() installed its handlers
-        ready, _, _ = select.select([proc.stdout], [], [], 60)
-        assert ready, "watcher emitted no event within 60 s"
-        first = proc.stdout.readline()
-        proc.send_signal(sig)
-        rest, err = proc.communicate(timeout=60)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.communicate()
-    events = [json.loads(line) | {"timestamp": ""} for line in (first + rest).splitlines()]
-    return (proc.returncode, json.dumps(events).replace(str(directory), "DIR"),
+    code, out, err, _ = _signalled(
+        ["watch", "--model", str(model), "--dir", str(directory), "--poll-ms", "50",
+         "--alert-classes", "tone"], sig, lambda pid, out, err: out, directory.parent)
+    events = [json.loads(line) | {"timestamp": ""} for line in out.splitlines()]
+    return (code, json.dumps(events).replace(str(directory), "DIR"),
             err.replace(str(directory), "DIR"))
 
 
@@ -1020,6 +1090,76 @@ class TestWatchSignals:
         assert len(json.loads(events)) == 1
         assert "Traceback" not in err
         assert results[1] == results[0]
+
+
+def _long_wav(path, seconds):
+    """seconds of 16 kHz noise, written without a per-sample pack."""
+    samples = np.random.default_rng(0).integers(-3000, 3000, seconds * 16000)
+    with open(path, "wb") as fh:
+        fh.write(make_wav_bytes([])[:-4] + struct.pack("<I", 2 * samples.size))
+        fh.write(samples.astype("<i2").tobytes())
+    return path
+
+
+def _signal_id(value):
+    return value.name if isinstance(value, signal.Signals) else None
+
+
+class TestStopping:
+    """SIGINT and SIGTERM stop every command at once: watch with exit 0, any
+    other with exit 1, stderr exactly "error: interrupted" and no temporary
+    file left.  Each signal is sent once main has installed its handlers."""
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=_signal_id)
+    def test_watch_stops_within_its_sleep(self, untrained_model, tmp_path, sig):
+        # the first poll of an empty directory follows the "watching" line
+        # within milliseconds, so the signal lands in the 60 s sleep
+        directory = tmp_path / "in"
+        directory.mkdir()
+        code, out, err, waited = _signalled(
+            ["watch", "--model", str(untrained_model), "--dir", str(directory),
+             "--poll-ms", "60000", "--alert-classes", "tone"],
+            sig, lambda pid, out, err: "watching" in err, tmp_path, delay=0.2)
+        assert code == 0
+        assert waited < 5
+        assert out == ""
+        assert err.splitlines() == [f"INFO watching {directory} (threshold 0.50, "
+                                    "alert classes tone)"]
+
+    @pytest.mark.parametrize("sig, files", [
+        (signal.SIGINT, 1), (signal.SIGTERM, 1), (signal.SIGINT, 30),
+        (signal.SIGTERM, 120), (signal.SIGINT, 200), (signal.SIGTERM, 350)], ids=_signal_id)
+    def test_synth(self, tmp_path, sig, files):
+        # signalled once that many of the 480 clips are written: in the
+        # first, second, third and fourth class, and near the first sync
+        out = tmp_path / "corpus"
+        code, _, err, _ = _signalled(
+            ["synth", "--out", str(out), "--per-class", "120"], sig,
+            lambda *_: len(list(out.glob("*/*.wav"))) >= files, tmp_path)
+        assert (code, err) == (1, "error: interrupted\n")
+        assert list(out.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=_signal_id)
+    def test_train(self, small_corpus, tmp_path, sig):
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err, _ = _signalled(
+            ["train", "--data", str(small_corpus), "--out", str(out / "m.cry"),
+             "--epochs", "1000"], sig, _catches_sigterm, tmp_path, delay=0.3)
+        assert (code, err) == (1, "error: interrupted\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM], ids=_signal_id)
+    def test_spectrogram(self, tmp_path, sig):
+        # a minute of audio takes about a second to export as CSV
+        wav = _long_wav(tmp_path / "long.wav", 60)
+        out = tmp_path / "out"
+        out.mkdir()
+        code, _, err, _ = _signalled(
+            ["spectrogram", "--input", str(wav), "--out", str(out / "s.csv")],
+            sig, _catches_sigterm, tmp_path, delay=0.2)
+        assert (code, err) == (1, "error: interrupted\n")
+        assert list(out.iterdir()) == []
 
 
 def _typed_flags():
