@@ -221,13 +221,8 @@ def cmd_watch(args) -> int:
     if not directory.is_dir():
         raise ConfigError(f"watch directory {directory} does not exist")
     alert_classes = [c for c in args.alert_classes.split(",") if c]
-    # decide_alert checks this too, but only once a file arrives; a bad
-    # --alert-classes must fail at startup
-    unknown = [c for c in alert_classes if c not in loaded.class_names]
-    if unknown:
-        raise ConfigError(
-            f"alert classes {unknown} not among model classes {loaded.class_names}"
-        )
+    # refuses an unknown alert class at startup, not once a file arrives
+    decide_alert(dict.fromkeys(loaded.class_names, 0.0), alert_classes, args.threshold)
     sinks = [StdoutSink()]
     if args.alert_url:
         sinks.append(HttpSink(args.alert_url))

@@ -72,13 +72,6 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
         raise ConfigError(
             f"{len(class_names)} class names for {net.class_count} outputs"
         )
-    # load_model reads back only these types: refuse to write a file it would refuse
-    if not all(isinstance(n, str) for n in class_names):
-        raise ConfigError(f"class names must be strings, got {list(class_names)}")
-    if len(set(class_names)) != len(class_names):
-        raise ConfigError(f"duplicate class names in {list(class_names)}")
-    if type(net.seed) is not int:
-        raise ConfigError(f"network seed must be an int, got {net.seed!r}")
     if timestamp is None:
         env = os.environ.get("SOURCE_DATE_EPOCH")
         if env and not (env.isascii() and env.isdigit()):
@@ -100,7 +93,10 @@ def save_model(net: Network, stft_cfg: StftConfig, class_names, path,
         "seed": net.seed,
         "created": created,
     }
+    _check_header(header, ConfigError)  # write no file that load_model would refuse
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    if len(header_bytes) > MAX_HEADER_BYTES:
+        raise ConfigError(f"header length {len(header_bytes)} does not fit")
     blob = b"".join(np.ascontiguousarray(p, dtype="<f4").tobytes() for p in params)
     replace_file(path, [MODEL_MAGIC, struct.pack("<II", MODEL_VERSION, len(header_bytes)),
                         header_bytes, blob, struct.pack("<I", zlib.crc32(blob))])
@@ -114,22 +110,22 @@ class LoadedModel:
     stft_config = StftConfig()  # a class attribute, not read by predict
 
 
-def _check_header(header) -> None:
-    """Raise CorruptModelError unless the header holds exactly the fields
-    save_model writes, each with its type.  Ranges are left to param_shapes
-    and Normalize, whose ConfigError load_model converts."""
-    def need(ok, field):
+def _check_header(header, error=CorruptModelError) -> None:
+    """Raise error unless the header holds exactly the fields save_model
+    writes, each with its type.  Ranges are left to param_shapes and
+    Normalize, whose ConfigError load_model converts."""
+    def need(ok, field, problem="missing or malformed"):
         if not ok:
-            raise CorruptModelError(f"header field {field} missing or malformed")
+            raise error(f"header field {field} {problem}")
 
     need(isinstance(header, dict), "(top level)")
     unknown = sorted(set(header) - {"class_names", "norm_mean", "norm_variance", "seed", "created"})
     if unknown:  # ignoring a field could change predictions silently
-        raise CorruptModelError(f"unknown header field {', '.join(unknown)}; retrain")
+        raise error(f"unknown header field {', '.join(unknown)}; retrain")
     names = header.get("class_names")
-    need(isinstance(names, list) and all(isinstance(n, str) for n in names)
-         and len(set(names)) == len(names), "class_names")
-    # json.loads gives exact types, so a bool is neither int nor float here
+    need(isinstance(names, list) and all(isinstance(n, str) for n in names), "class_names")
+    need(len(set(names)) == len(names), "class_names", "holds duplicate names")
+    # exact types, so a bool is neither int nor float here
     need(type(header.get("norm_mean")) in (int, float), "norm_mean")
     need(type(header.get("norm_variance")) in (int, float), "norm_variance")
     need(type(header.get("seed")) is int, "seed")

@@ -111,8 +111,6 @@ def parse_wav(data: bytes) -> AudioClip:
         raise UnsupportedDepthError(f"unsupported bit depth {bits}, want 16")
     if channels < 1:
         raise FormatError("channel count must be >= 1")
-    if rate <= 0:
-        raise FormatError("sample rate must be positive")
 
     frame_bytes = 2 * channels
     if len(raw) % frame_bytes:
@@ -120,12 +118,12 @@ def parse_wav(data: bytes) -> AudioClip:
 
     ints = np.frombuffer(raw, dtype="<i2").reshape(-1, channels)
     exact32 = channels in (1, 2, 4, 8)  # their scale is a power of two
-    if channels > 8:  # a header may claim 65535 channels: one reduce, not 65534 adds
+    if not exact32:  # 3, 5-7 or 9+ (a header may claim 65535): one reduce, exact in float64
         total = ints.sum(axis=1, dtype=np.float64)
     elif channels == 1:
         total = ints[:, 0]
     else:  # one strided add per channel beats a reduce over short rows
-        total = ints[:, 0].astype(np.int32 if exact32 else np.float64)
+        total = ints[:, 0].astype(np.int32)
         for column in ints.T[1:]:
             total += column
     # the sums are exact, so this is the frame mean bit for bit; below 2**18

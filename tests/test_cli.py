@@ -9,20 +9,25 @@ import resource
 import shutil
 import signal
 import socket
+import stat
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from cryalert import infer_alert
 from cryalert.cli import DirectoryWatcher, build_parser, main
-from cryalert.errors import CorruptModelError, FormatError
-from cryalert.infer_alert import StdoutSink, load_model, save_model
+from cryalert.errors import ConfigError, CorruptModelError, FormatError
+from cryalert.infer_alert import StdoutSink, decide_alert, load_model, save_model
 from cryalert.spectro import (
     FRAME_LENGTH,
     FRAME_STEP,
@@ -33,7 +38,7 @@ from cryalert.spectro import (
 )
 from cryalert.synth import CLASSES, generate_corpus
 from cryalert.tensor_nn import build_network
-from cryalert.wav_io import load_dataset, load_wav
+from cryalert.wav_io import load_dataset, load_wav, open_regular
 
 from conftest import make_wav_bytes, read_model_header, rewrite_model_header
 
@@ -706,6 +711,20 @@ class TestWatchUsage:
         assert rc == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_unknown_alert_class_is_decide_alerts_error_at_startup(self, untrained_model,
+                                                                   tmp_path):
+        # the flag is checked by decide_alert itself, before the watcher
+        # logs that it is watching or reads the file already there
+        drop_wav(tmp_path, "a.wav")
+        proc = _bounded_cli(["watch", "--model", str(untrained_model), "--dir", str(tmp_path),
+                             "--alert-classes", "tone,ghost"])
+        with pytest.raises(ConfigError) as raised:
+            decide_alert(dict.fromkeys(sorted(CLASSES), 0.0), ["tone", "ghost"], 0.5)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {raised.value}\n"
+        assert "['ghost'] not among model classes" in proc.stderr
+
     def test_non_http_alert_url(self, untrained_model, tmp_path):
         # refused at startup: the file in the directory is never classified
         drop_wav(tmp_path, "a.wav")
@@ -866,6 +885,17 @@ class TestDirectoryWatcher:
         watcher.poll_once()
         assert len(watcher.poll_once()) == 1
 
+    def test_cooldown_ends_after_exactly_its_length(self, tmp_path):
+        fake = [1000.0]
+        watcher, _ = make_watcher(tmp_path, cooldown=30.0, clock=lambda: fake[0])
+        drop_wav(tmp_path, "a.wav")
+        watcher.poll_once()
+        assert len(watcher.poll_once()) == 1
+        drop_wav(tmp_path, "b.wav")
+        watcher.poll_once()
+        fake[0] += 30.0
+        assert [e.alert for e in watcher.poll_once()] == [True]
+
     def test_cooldown_ends_when_the_clock_steps_back(self, tmp_path):
         # a wall clock stepped back an hour leaves now - last alert
         # negative; the cooldown must not stretch to cover that hour
@@ -1006,6 +1036,185 @@ class TestDirectoryWatcher:
         watcher.run(0.01)  # returns once interrupted
         timer.join()
         assert not hasattr(watcher, "stop")
+
+
+_FUZZ_NAMES = ("a.wav", "b.wav", "c.wav", "notes.txt")
+_FUZZ_COOLDOWN = 30.0
+
+
+class _Outcomes(logging.Handler):
+    """A sink and a log handler at once: the watcher's event, skip and
+    cooldown lines, in the order it wrote them."""
+
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append(record.getMessage())
+
+    def send(self, line):
+        event = json.loads(line)
+        self.lines.append(f"event {event['source']} alert={event['alert']}")
+
+
+class WatcherMachine(RuleBasedStateMachine):
+    """A directory changed between polls by file writes, renames, deletes,
+    FIFOs, symlinks and a clock stepped either way, under a DirectoryWatcher
+    with a stub classify.  A model of the watcher's rules predicts each
+    poll's lines: a .wav path whose (size, mtime, kind) is unchanged across
+    two polls is handled once, as one event, skip line or cooldown line,
+    until that signature changes or the path is missing from a poll."""
+
+    def __init__(self):
+        super().__init__()
+        self.directory = Path(tempfile.mkdtemp(prefix="watch-fuzz-"))
+        (self.directory / "sub").mkdir()  # a symlink target that is a directory
+        self.now = 1_000_000.0
+        self.outcomes = _Outcomes()
+        self.logger = logging.getLogger("cryalert")
+        self.level = self.logger.level
+        self.logger.addHandler(self.outcomes)
+        self.logger.setLevel(logging.INFO)
+        self.misread = []  # paths classify was handed that are not regular files
+        self.watcher = DirectoryWatcher(self.directory, self.classify, [self.outcomes],
+                                        ["cry"], 0.5, cooldown=_FUZZ_COOLDOWN,
+                                        clock=lambda: self.now)
+        self.previous = {}  # the model: path -> signature at the last poll,
+        self.handled = {}   # path -> signature it was last handled at,
+        self.last_alert = None  # and the clock at the last alert emitted
+
+    def teardown(self):
+        self.logger.removeHandler(self.outcomes)
+        self.logger.setLevel(self.level)
+        shutil.rmtree(self.directory)
+
+    def classify(self, path):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            self.misread.append(path)
+        with open_regular(path) as (fh, _size):  # never blocks, unlike open
+            data = fh.read()
+        if not data:
+            raise FormatError("empty file")
+        cry = 0.9 if data[0] & 1 else 0.1
+        return {"calm": 1.0 - cry, "cry": cry}
+
+    def _path(self, name):
+        return self.directory / name
+
+    @initialize(contents=st.lists(st.binary(max_size=3), min_size=4, max_size=4))
+    def fill(self, contents):
+        for name, data in zip(_FUZZ_NAMES, contents):
+            self._path(name).write_bytes(data)
+
+    @rule(name=st.sampled_from(_FUZZ_NAMES), data=st.binary(max_size=3))
+    def create(self, name, data):
+        self._path(name).unlink(missing_ok=True)
+        self._path(name).write_bytes(data)
+
+    # the in-place edits go through a symlink to a file of the directory,
+    # and never touch anything that is not a regular file
+    @rule(name=st.sampled_from(_FUZZ_NAMES), data=st.binary(max_size=3))
+    def rewrite(self, name, data):
+        if self._path(name).is_file():
+            self._path(name).write_bytes(data)
+
+    @rule(name=st.sampled_from(_FUZZ_NAMES), data=st.binary(min_size=1, max_size=3))
+    def append(self, name, data):
+        if self._path(name).is_file():
+            with open(self._path(name), "ab") as fh:
+                fh.write(data)
+
+    @rule(name=st.sampled_from(_FUZZ_NAMES), size=st.integers(0, 4))
+    def truncate(self, name, size):
+        if self._path(name).is_file():
+            os.truncate(self._path(name), size)
+
+    @rule(name=st.sampled_from(_FUZZ_NAMES), seconds=st.sampled_from([1, 2]))
+    def set_mtime(self, name, seconds):
+        # two files of one size and mtime have one signature
+        if self._path(name).is_file():
+            os.utime(self._path(name), ns=(seconds * 10 ** 9, seconds * 10 ** 9))
+
+    @rule(source=st.sampled_from(_FUZZ_NAMES), dest=st.sampled_from(_FUZZ_NAMES))
+    def rename(self, source, dest):
+        if os.path.lexists(self._path(source)):
+            os.replace(self._path(source), self._path(dest))
+
+    @rule(name=st.sampled_from(_FUZZ_NAMES))
+    def delete(self, name):
+        self._path(name).unlink(missing_ok=True)
+
+    @rule(name=st.sampled_from(_FUZZ_NAMES))
+    def fifo(self, name):
+        self._path(name).unlink(missing_ok=True)
+        os.mkfifo(self._path(name))
+
+    @rule(name=st.sampled_from(_FUZZ_NAMES),
+          to=st.sampled_from(_FUZZ_NAMES + ("sub", "/dev/zero", "itself")))
+    def symlink(self, name, to):
+        self._path(name).unlink(missing_ok=True)
+        self._path(name).symlink_to(name if to == "itself" else to)
+
+    def _expect(self):
+        """The lines the next poll should write, and the model's state after it."""
+        seen = {}
+        for name in sorted(os.listdir(self.directory)):
+            if name.endswith(".wav"):
+                try:
+                    info = os.stat(self._path(name))
+                except OSError:  # a dangling or looping symlink
+                    continue
+                seen[self._path(name)] = (info.st_size, info.st_mtime_ns,
+                                          stat.S_ISREG(info.st_mode))
+        self.handled = {p: sig for p, sig in self.handled.items() if p in seen}
+        lines = []
+        for path, sig in seen.items():
+            if self.handled.get(path) == sig or self.previous.get(path) != sig:
+                continue
+            self.handled[path] = sig
+            data = path.read_bytes() if sig[2] else None
+            if data is None:
+                lines.append(f"skipping {path}: not a regular file")
+            elif not data:
+                lines.append(f"skipping {path}: empty file")
+            elif not data[0] & 1:
+                lines.append(f"event {path} alert=False")
+            elif self.last_alert is not None and 0 <= self.now - self.last_alert < _FUZZ_COOLDOWN:
+                lines.append(f"cooldown: suppressing alert for {path}")
+            else:
+                self.last_alert = self.now
+                lines.append(f"event {path} alert=True")
+        self.previous = seen
+        return lines
+
+    # the clock moves between polls, by as much as the cooldown or back an hour
+    @rule(seconds=st.sampled_from([0.0, 10.0, _FUZZ_COOLDOWN, -3600.0]))
+    def poll(self, seconds=0.0):
+        self.now += seconds
+        expected = self._expect()
+        self.outcomes.lines.clear()
+        events = self.watcher.poll_once()
+        assert self.misread == []
+        assert self.outcomes.lines == expected
+        assert [f"event {e.source} alert={e.alert}" for e in events] == [
+            line for line in expected if line.startswith("event ")]
+
+    @rule()
+    def poll_twice(self):
+        self.poll()
+        self.poll()
+
+    @invariant()
+    def maps_hold_only_paths_of_the_last_poll(self):
+        last_seen = {str(p) for p in self.watcher._last_seen}
+        assert last_seen == {str(p) for p in self.previous}
+        assert {str(p) for p in self.watcher._processed} <= last_seen
+
+
+TestWatcherStateMachine = WatcherMachine.TestCase
+TestWatcherStateMachine.settings = settings(max_examples=100, stateful_step_count=50,
+                                            deadline=None, derandomize=True)
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

@@ -4,11 +4,13 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import socket
 import ssl
 import struct
 import subprocess
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -191,6 +193,38 @@ class TestSaveLoad:
         with pytest.raises(ConfigError):
             save_model(small_net(seed), StftConfig(), names, tmp_path / "m.cry")
         assert list(tmp_path.iterdir()) == []
+
+    def test_header_over_the_limit_not_saved(self, tmp_path):
+        # load_model refuses a header over MAX_HEADER_BYTES before reading it
+        names = ["a" * 600_000, "b" * 600_000]
+        with pytest.raises(ConfigError, match="header length 1200[0-9]{3} does not fit"):
+            save_model(build_network(2, seed=1), StftConfig(), names, tmp_path / "m.cry")
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(names=st.lists(st.text() | st.text(min_size=1, max_size=1).map(lambda c: c * 600_000),
+                          min_size=2, max_size=5),
+           seed=st.integers() | st.integers(-2 ** 300, 2 ** 300),
+           mean=st.floats(allow_nan=False, allow_infinity=False),
+           variance=st.floats(0.0, allow_infinity=False))
+    def test_saved_header_loads_back_or_nothing_is_written(self, names, seed, mean, variance):
+        # save_model refuses exactly what load_model would; what it writes
+        # reads back field for field.  A 600,000-character name fits the
+        # header alone if it is ASCII, and two of them do not.
+        net = build_network(len(names), seed=seed)
+        net.set_norm_stats(mean, variance)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "m.cry")
+            try:
+                save_model(net, StftConfig(), names, path, timestamp=0.0)
+            except ConfigError as refused:
+                assert os.listdir(directory) == []
+                assert re.search("duplicate|does not fit", str(refused))
+                return
+            loaded = load_model(path)
+        assert loaded.class_names == names
+        assert loaded.network.seed == seed
+        assert loaded.network.norm_stats == (mean, variance)
 
     def test_not_a_model(self, tmp_path):
         junk = tmp_path / "junk.cry"

@@ -51,7 +51,7 @@ class TestParse:
         clip = parse_wav(make_wav_bytes([1000, 3000, -2000, 2000], channels=2))
         assert np.array_equal(clip.samples, [2000 / 32768, 0.0])
 
-    @pytest.mark.parametrize("channels", [1, 2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("channels", [1, 2, 3, 4, 5, 6, 7, 8, 9])
     def test_downmix_matches_mean_oracle(self, channels):
         # full-scale extremes included: the per-frame mean of the
         # interleaved ints, scaled, bit for bit; float32 holds it exactly
@@ -67,6 +67,11 @@ class TestParse:
     def test_unknown_chunks_skipped(self):
         clip = parse_wav(make_wav_bytes([123], extra_chunk=b"\x07\x08\x09"))
         assert len(clip) == 1
+
+    def test_zero_rate_refused_by_the_clip(self):
+        # parse_wav leaves the rate to AudioClip, the one owner of the rule
+        with pytest.raises(FormatError, match="^sample rate must be positive, got 0$"):
+            parse_wav(make_wav_bytes([0, 1], rate=0))
 
     def test_float_codec_rejected(self):
         with pytest.raises(UnsupportedCodecError):
