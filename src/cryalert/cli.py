@@ -33,7 +33,6 @@ from .infer_alert import (
     decide_alert,
     emit_alert,
     load_model,
-    predict,
     save_model,
 )
 from .optim_train import TrainConfig, evaluate, split_arrays, train
@@ -80,11 +79,11 @@ _poll_ms = _number(int, lambda v: 1 <= v <= 3_600_000, "in [1, 3600000]")
 class DirectoryWatcher:
     """Polling watcher that classifies new WAV files and emits alerts.
 
-    A file is picked up once its size and modification time are
+    A file is picked up once its size, mtime, kind, inode and ctime are
     unchanged across two consecutive polls (so half-written files are
-    left alone) and is processed once per (size, mtime): a file deleted
-    and written again under the same name is classified again.  A
-    positive cooldown suppresses alert-positive emissions for that many
+    left alone), and each such version is processed once: a file replaced
+    under one name, even by a copy of equal size and mtime, counts as new.
+    A positive cooldown suppresses alert-positive emissions for that many
     seconds after the last one, and not once the clock steps back past it.
     """
 
@@ -97,7 +96,7 @@ class DirectoryWatcher:
         self.threshold = threshold
         self.cooldown = cooldown
         self.clock = clock
-        self._last_seen: dict = {}   # path -> (size, mtime_ns, regular) at the last poll
+        self._last_seen: dict = {}   # path -> (size, mtime_ns, regular, ino, ctime_ns)
         self._processed: dict = {}   # path -> that signature when it was classified
         self._last_alert: float | None = None
 
@@ -116,7 +115,8 @@ class DirectoryWatcher:
                 st = path.stat()
             except OSError:
                 continue
-            seen[path] = (st.st_size, st.st_mtime_ns, stat.S_ISREG(st.st_mode))
+            seen[path] = (st.st_size, st.st_mtime_ns, stat.S_ISREG(st.st_mode),
+                          st.st_ino, st.st_ctime_ns)
         # forget files that are gone, so the map never outgrows the directory
         self._processed = {p: sig for p, sig in self._processed.items() if p in seen}
         emitted = []
@@ -205,8 +205,7 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     loaded = load_model(args.model)
     with naming(args.input):
-        probs = predict(loaded.network, loaded.stft_config, load_wav(args.input),
-                        loaded.class_names)
+        probs = loaded.classify(args.input)
     if args.json:
         print(json.dumps(probs))
     else:
@@ -229,11 +228,7 @@ def cmd_watch(args) -> int:
     if args.alert_cmd:
         sinks.append(CommandSink(args.alert_cmd))
 
-    def classify(path):
-        return predict(loaded.network, loaded.stft_config, load_wav(path),
-                       loaded.class_names)
-
-    watcher = DirectoryWatcher(directory, classify, sinks, alert_classes,
+    watcher = DirectoryWatcher(directory, loaded.classify, sinks, alert_classes,
                                args.threshold, cooldown=args.cooldown)
     log.info("watching %s (threshold %.2f, alert classes %s)",
              directory, args.threshold, ",".join(alert_classes))

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .spectro import FRAME_LENGTH, StftConfig, clip_images
 from .tensor_nn import Network, build_network, param_shapes, softmax
-from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, naming, open_regular, replace_file
+from .wav_io import DEFAULT_SAMPLE_RATE, AudioClip, load_wav, naming, open_regular, replace_file
 
 log = logging.getLogger("cryalert")
 
@@ -108,6 +108,10 @@ class LoadedModel:
     class_names: list[str]
     created: str
     stft_config = StftConfig()  # a class attribute, not read by predict
+
+    def classify(self, path) -> dict[str, float]:
+        """Class probabilities for the WAV file at path, through predict."""
+        return predict(self.network, self.stft_config, load_wav(path), self.class_names)
 
 
 def _check_header(header, error=CorruptModelError) -> None:

@@ -946,6 +946,47 @@ class TestDirectoryWatcher:
         assert len(watcher.poll_once()) == 1
         assert len(buf.getvalue().strip().splitlines()) == 2
 
+    def test_replacement_of_same_size_and_mtime_classified_again(self, tmp_path):
+        # a copy re-timed to the old file's mtime, then renamed over it:
+        # only the inode and ctime tell the two versions apart
+        read = []
+
+        def classify(path):
+            read.append(path.read_bytes())
+            return tone_probs(path)
+
+        watcher, _ = make_watcher(tmp_path, classify=classify)
+        path = tmp_path / "a.wav"
+        path.write_bytes(b"AAAA")
+        watcher.poll_once()
+        assert len(watcher.poll_once()) == 1
+        copy = tmp_path / "b.wav"
+        copy.write_bytes(b"BBBB")
+        old = path.stat()
+        os.utime(copy, ns=(old.st_atime_ns, old.st_mtime_ns))
+        os.replace(copy, path)
+        assert watcher.poll_once() == []  # not yet stable
+        assert len(watcher.poll_once()) == 1
+        assert watcher.poll_once() == []
+        assert read == [b"AAAA", b"BBBB"]
+
+    def test_one_stat_per_file_per_poll(self, tmp_path, monkeypatch):
+        files = [drop_wav(tmp_path, f"{i}.wav") for i in range(5)]
+        watcher, _ = make_watcher(tmp_path)
+        stats = []
+        real_stat = Path.stat
+
+        def counting_stat(self, **kwargs):
+            stats.append(self)
+            return real_stat(self, **kwargs)
+
+        monkeypatch.setattr(Path, "stat", counting_stat)
+        for classified in (0, 5, 0):  # unseen, turning stable, processed
+            stats.clear()
+            assert len(watcher.poll_once()) == classified
+            # glob's check that the directory is one is not a file's stat
+            assert sorted(p for p in stats if p != tmp_path) == files
+
     def test_processed_forgets_files_that_are_gone(self, tmp_path):
         watcher, _ = make_watcher(tmp_path)
         paths = [drop_wav(tmp_path, f"{i}.wav") for i in range(3)]
@@ -1062,9 +1103,10 @@ class WatcherMachine(RuleBasedStateMachine):
     """A directory changed between polls by file writes, renames, deletes,
     FIFOs, symlinks and a clock stepped either way, under a DirectoryWatcher
     with a stub classify.  A model of the watcher's rules predicts each
-    poll's lines: a .wav path whose (size, mtime, kind) is unchanged across
-    two polls is handled once, as one event, skip line or cooldown line,
-    until that signature changes or the path is missing from a poll."""
+    poll's lines: a .wav path whose (size, mtime, kind, inode, ctime) is
+    unchanged across two polls is handled once, as one event, skip line or
+    cooldown line, until that signature changes or the path is missing from
+    a poll."""
 
     def __init__(self):
         super().__init__()
@@ -1132,7 +1174,7 @@ class WatcherMachine(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(_FUZZ_NAMES), seconds=st.sampled_from([1, 2]))
     def set_mtime(self, name, seconds):
-        # two files of one size and mtime have one signature
+        # two files of one size and mtime differ only in inode and ctime
         if self._path(name).is_file():
             os.utime(self._path(name), ns=(seconds * 10 ** 9, seconds * 10 ** 9))
 
@@ -1166,7 +1208,8 @@ class WatcherMachine(RuleBasedStateMachine):
                 except OSError:  # a dangling or looping symlink
                     continue
                 seen[self._path(name)] = (info.st_size, info.st_mtime_ns,
-                                          stat.S_ISREG(info.st_mode))
+                                          stat.S_ISREG(info.st_mode),
+                                          info.st_ino, info.st_ctime_ns)
         self.handled = {p: sig for p, sig in self.handled.items() if p in seen}
         lines = []
         for path, sig in seen.items():
